@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .sparse import SparseMatrix, as_vector, comparison_matrix, spmv
+from .sparse import (SparseMatrix, as_vector, comparison_matrix,
+                     gauss_seidel_sweep, spmv)
 
 
 @dataclass(frozen=True)
@@ -187,6 +188,11 @@ def weighted_max_norm(v, w) -> float:
     return float(np.max(np.abs(v) / w))
 
 
+# solve_m_matrix gives up after this many sweeps without a new smallest
+# residual: a target below the residual's rounding floor is never met.
+STALL_SWEEPS = 1000
+
+
 def solve_m_matrix(m: SparseMatrix, b, tol: float = 1e-12,
                    matrix_class: MatrixClass | None = None,
                    max_sweeps: int = 200000) -> np.ndarray:
@@ -194,7 +200,9 @@ def solve_m_matrix(m: SparseMatrix, b, tol: float = 1e-12,
 
     Gauss-Seidel converges for M-matrices, and starting from zero with
     b >= 0 every iterate stays nonnegative.  Stops when the rows satisfy
-    ``||M u - b||_inf <= tol * ||b||_inf``.
+    ``||M u - b||_inf <= tol * ||b||_inf``; raises ``ConvergenceError`` when
+    ``max_sweeps`` run out or ``STALL_SWEEPS`` sweeps in a row bring no new
+    smallest residual.
 
     Parameters
     ----------
@@ -211,21 +219,18 @@ def solve_m_matrix(m: SparseMatrix, b, tol: float = 1e-12,
     if scale == 0.0:
         return np.zeros(m.n_rows)
     target = tol * scale
-    diag = m.diagonal()
-    rows = m.row_entries()
-    n = m.n_rows
-    u = np.zeros(n)
-    for _ in range(max_sweeps):
-        for j in range(n):
-            cols, vals = rows[j]
-            s = b[j]
-            for t in range(len(cols)):
-                c = cols[t]
-                if c != j:
-                    s -= vals[t] * u[c]
-            u[j] = s / diag[j]
-        if float(np.max(np.abs(spmv(m, u) - b))) <= target:
+    best, since_best, sweeps = np.inf, 0, 0
+    u = np.zeros(m.n_rows)
+    while sweeps < max_sweeps and since_best < STALL_SWEEPS:
+        u = gauss_seidel_sweep(m, b, u)
+        sweeps += 1
+        residual = float(np.max(np.abs(spmv(m, u) - b)))
+        if residual <= target:
             return u
+        if residual < best:
+            best, since_best = residual, 0
+        else:
+            since_best += 1
     raise ConvergenceError(
         f"Gauss-Seidel stalled: residual target {target:.3g} not met "
-        f"within {max_sweeps} sweeps")
+        f"within {sweeps} sweeps")

@@ -6,6 +6,10 @@ no explicitly stored zero values are admitted.  Canonical form makes
 entrywise comparisons between matrices a merged-pattern traversal and pins a
 deterministic (ascending-column) summation order for matrix-vector products.
 
+``gauss_seidel_sweep`` is the one sweep kernel behind forward substitution
+and every Gauss-Seidel sweep.  Each row subtracts its products in ascending
+column order, so it is bit-identical to a sequential row loop.
+
 All values are immutable after construction; instances are safe to share
 between threads.
 """
@@ -180,20 +184,6 @@ class SparseMatrix:
         a.eliminate_zeros()
         return SparseMatrix(a.shape[0], a.shape[1], a.indptr, a.indices, a.data)
 
-    def row_entries(self):
-        """Per-row ``(columns, values)`` lists, cached (for sequential kernels)."""
-        cached = self._caches.get("rows")
-        if cached is None:
-            cols = self.col_indices.tolist()
-            vals = self.values.tolist()
-            offs = self.row_offsets.tolist()
-            cached = [
-                (cols[offs[j]:offs[j + 1]], vals[offs[j]:offs[j + 1]])
-                for j in range(self.n_rows)
-            ]
-            self._caches["rows"] = cached
-        return cached
-
     def diagonal(self) -> np.ndarray:
         """Main-diagonal entries as a dense vector (0 where structurally absent)."""
         cached = self._caches.get("diag")
@@ -279,23 +269,72 @@ def abs_matrix(a: SparseMatrix) -> SparseMatrix:
     return a.same_pattern(np.abs(a.values))
 
 
+def _sweep_schedule(a: SparseMatrix):
+    """Level schedule of ``gauss_seidel_sweep`` for ``a`` (cached).
+
+    A level holds the rows whose strictly-lower entries read earlier levels
+    only.  Position k of a level's (position x row) slot and value arrays is
+    each row's k-th off-diagonal entry in ascending column order.  Slots index
+    the work vector [new iterate | previous iterate | 0]; shorter rows read
+    the zero with value 0.0, and subtracting ``0.0 * 0.0`` changes no sum.
+    """
+    cached = a._caches.get("sweep")
+    if cached is None:
+        n, rows, cols = a.n_rows, a.entry_rows(), a.col_indices
+        level = [0] * n
+        for j, c in zip(rows[cols < rows].tolist(), cols[cols < rows].tolist()):
+            # CSR order: a row's lower neighbours are final before it
+            level[j] = max(level[j], level[c] + 1)
+        level = np.asarray(level, dtype=np.int64)
+        off = rows != cols
+        r, c, v = rows[off], cols[off], a.values[off]
+        rank = np.arange(len(r)) - np.searchsorted(r, r)
+        slot = np.where(c < r, c, n + c)
+        levels = []
+        for lv in range(level.max(initial=-1) + 1):
+            members = np.flatnonzero(level == lv)
+            e = level[r] == lv
+            idx = np.full((rank[e].max(initial=-1) + 1, len(members)), 2 * n)
+            val = np.zeros(idx.shape)
+            at = (rank[e], np.searchsorted(members, r[e]))
+            idx[at], val[at] = slot[e], v[e]
+            levels.append((members, a.diagonal()[members], idx, val))
+        cached = a._caches["sweep"] = (levels, bool(np.any(cols > rows)))
+    return cached
+
+
+def gauss_seidel_sweep(a: SparseMatrix, f, x_old=None,
+                       project: bool = False) -> np.ndarray:
+    """One Gauss-Seidel sweep for ``a y = f``, rows in order.
+
+    Row j takes ``(f_j - sum_{c<j} a_jc y_c - sum_{c>j} a_jc x_old_c) / a_jj``,
+    set to 0.0 when negative if ``project``.  Without ``x_old`` the matrix
+    must be lower triangular (forward substitution).  The rows of a level are
+    updated together (Anderson & Saad 1989; Saltz 1990).  The caller checks
+    that the diagonal is nonzero.
+    """
+    levels, has_upper = _sweep_schedule(a)
+    n = a.n_rows
+    work = np.zeros(2 * n + 1)
+    if x_old is not None:
+        work[n:2 * n] = x_old
+    elif has_upper:
+        raise ValueError("forward substitution requires a lower-triangular matrix")
+    f = np.asarray(f, dtype=np.float64)
+    for members, diag, idx, val in levels:
+        s = f[members]
+        for products in val * work[idx]:
+            s = s - products
+        y = s / diag
+        work[members] = np.where(y < 0.0, 0.0, y) if project else y
+    return work[:n].copy()
+
+
 def solve_lower_triangular(l: SparseMatrix, b) -> np.ndarray:
     """Forward substitution for a lower-triangular matrix with nonzero diagonal."""
     b = as_vector(b, l.n_rows, name="b")
     if not l.is_square:
         raise ValueError("triangular solve requires a square matrix")
-    diag = l.diagonal()
-    if np.any(diag == 0.0):
+    if np.any(l.diagonal() == 0.0):
         raise ValueError("triangular solve requires a nonzero diagonal")
-    rows = l.row_entries()
-    x = np.empty(l.n_rows)
-    for j in range(l.n_rows):
-        cols, vals = rows[j]
-        s = b[j]
-        for t in range(len(cols)):
-            c = cols[t]
-            if c >= j:
-                break
-            s -= vals[t] * x[c]
-        x[j] = s / diag[j]
-    return x
+    return gauss_seidel_sweep(l, b)

@@ -6,7 +6,9 @@ The subproblem for a factor M and forcing vector F is: find y with
 
 For diagonal M this is a componentwise clamp; for lower-triangular M a
 single projected forward sweep produces the exact solution row by row; for
-general M projected Gauss-Seidel is iterated to a tolerance.
+general M projected Gauss-Seidel is iterated to a tolerance.  Both sweeps
+are calls to ``mslcp.sparse.gauss_seidel_sweep`` with projection, which
+gives the same bits as the sequential row loop.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .sparse import SparseMatrix, as_vector, spmv
+from .sparse import SparseMatrix, as_vector, gauss_seidel_sweep, spmv
 
 
 @dataclass(frozen=True)
@@ -57,56 +59,20 @@ def natural_residual(prob: LcpProblem, x) -> float:
     return float(np.max(np.abs(np.minimum(x, slack))))
 
 
-def _projected_forward_sweep(m: SparseMatrix, f_vec: np.ndarray) -> np.ndarray:
-    """Exact solution for lower-triangular M with positive diagonal: row j's
-    conditions involve only y_1..y_j, so clamping row by row settles them."""
-    rows = m.row_entries()
-    diag = m.diagonal()
-    y = np.zeros(m.n_rows)
-    for j in range(m.n_rows):
-        cols, vals = rows[j]
-        s = f_vec[j]
-        for t in range(len(cols)):
-            c = cols[t]
-            if c >= j:
-                break
-            s -= vals[t] * y[c]
-        v = s / diag[j]
-        y[j] = v if v > 0.0 else 0.0
-    return y
-
-
 def projected_gauss_seidel(a: SparseMatrix, f_vec: np.ndarray,
                            x0: np.ndarray | None = None,
                            tol: float = 1e-12,
                            max_sweeps: int = 200000):
     """Projected Gauss-Seidel sweeps until the iterate moves less than ``tol``
     in the max norm.  Returns (x, sweeps, last_change)."""
-    n = a.n_rows
-    diag = a.diagonal()
-    if np.any(diag <= 0.0):
+    if np.any(a.diagonal() <= 0.0):
         raise ValueError("projected Gauss-Seidel needs a positive diagonal")
-    rows = a.row_entries()
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    x = np.zeros(a.n_rows) if x0 is None else np.array(x0, dtype=np.float64)
     delta = np.inf
     for sweep in range(1, max_sweeps + 1):
-        delta = 0.0
-        for j in range(n):
-            cols, vals = rows[j]
-            s = f_vec[j]
-            for t in range(len(cols)):
-                c = cols[t]
-                if c != j:
-                    s -= vals[t] * x[c]
-            new = s / diag[j]
-            if new < 0.0:
-                new = 0.0
-            d = new - x[j]
-            if d < 0.0:
-                d = -d
-            if d > delta:
-                delta = d
-            x[j] = new
+        new = gauss_seidel_sweep(a, f_vec, x, project=True)
+        delta = float(np.max(np.abs(new - x), initial=0.0))
+        x = new
         if delta < tol:
             return x, sweep, delta
     raise ConvergenceError(
@@ -133,7 +99,7 @@ def solve_sub_lcp(m: SparseMatrix, structure: str, f_vec,
     if structure == "lower_triangular":
         strict_lower = m.col_indices < m.entry_rows()
         if np.all(m.values[strict_lower] <= 0.0):
-            return _projected_forward_sweep(m, f_vec)
+            return gauss_seidel_sweep(m, f_vec, project=True)
     x, _, _ = projected_gauss_seidel(m, f_vec, tol=iter_tol, max_sweeps=max_iters)
     return x
 

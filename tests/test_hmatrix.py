@@ -161,3 +161,11 @@ class TestSolveMMatrix:
         m = SparseMatrix.from_dense([[4.0, -1.0], [-1.0, 4.0]])
         with pytest.raises(ConvergenceError):
             solve_m_matrix(m, [1.0, 1.0], tol=1e-15, max_sweeps=1)
+
+    def test_stall_below_rounding_floor_raises_early(self, grid_problem):
+        # on the 256-row grid the residual bottoms out near 1.1e-14, above
+        # the 1e-14 target: the stall rule gives up about STALL_SWEEPS
+        # sweeps later instead of running out the 200000-sweep budget
+        a = grid_problem(16).A
+        with pytest.raises(ConvergenceError, match=r"stalled.* within \d{1,4} sweeps"):
+            solve_m_matrix(a, np.ones(a.n_rows), tol=1e-14)

@@ -170,3 +170,10 @@ class TestLowerTriangularSolve:
         l = SparseMatrix.from_dense([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="diagonal"):
             solve_lower_triangular(l, [1.0, 1.0])
+
+    def test_upper_entries_rejected(self):
+        # a strictly-upper entry used to be skipped silently, returning the
+        # solution of the lower triangle alone
+        a = SparseMatrix.from_dense([[2.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="lower-triangular"):
+            solve_lower_triangular(a, [1.0, 1.0])

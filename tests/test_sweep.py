@@ -1,0 +1,138 @@
+"""The level-scheduled sweep kernel against the sequential row loop it replaced.
+
+``sequential_sweep`` is the row loop that forward substitution, the
+projected forward sweep, Gauss-Seidel and projected Gauss-Seidel each used
+to run in Python.  The kernel reorders the rows by level but keeps every
+row's arithmetic, so the two must agree bit for bit, signed zeros included.
+"""
+
+import numpy as np
+import pytest
+
+from mslcp import (GridLcpSpec, Partition, SparseMatrix, build_block_splitting,
+                   make_grid_lcp, solve_sub_lcp)
+from mslcp.sparse import gauss_seidel_sweep, solve_lower_triangular
+from mslcp.sublcp import projected_gauss_seidel
+
+
+def sequential_sweep(a, f, x_old=None, project=False):
+    """Reference: rows in order, each subtracting its off-diagonal products
+    in ascending column order; lower entries read this sweep's values,
+    upper entries the previous iterate (zero when there is none)."""
+    offs = a.row_offsets.tolist()
+    cols = a.col_indices.tolist()
+    vals = a.values.tolist()
+    diag = a.diagonal()
+    x = np.zeros(a.n_rows) if x_old is None else np.array(x_old, dtype=np.float64)
+    for j in range(a.n_rows):
+        s = f[j]
+        for t in range(offs[j], offs[j + 1]):
+            c = cols[t]
+            if c != j:
+                s -= vals[t] * x[c]
+        new = s / diag[j]
+        if project and new < 0.0:
+            new = 0.0
+        x[j] = new
+    return x
+
+
+def random_matrix(rng, n, density, lower):
+    """Random sparse matrix with a positive diagonal and mixed-sign,
+    mixed-magnitude off-diagonal entries."""
+    d = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 3, (n, n))
+    d *= rng.random((n, n)) < density
+    if lower:
+        d = np.tril(d)
+    np.fill_diagonal(d, rng.uniform(0.5, 4.0, n))
+    return SparseMatrix.from_dense(d)
+
+
+def random_forcing(rng, n):
+    f = rng.standard_normal(n)
+    # signed zeros: a row with no nonzero products must keep f_j's sign
+    f[rng.random(n) < 0.2] = -0.0
+    f[rng.random(n) < 0.1] = 0.0
+    return f
+
+
+def block_lower_factor(p, i):
+    prob = make_grid_lcp(GridLcpSpec(p=p))
+    ms = build_block_splitting(prob.A, Partition.contiguous(prob.n, 4),
+                               "block_lower_triangular")
+    return ms.splittings[i].M
+
+
+CASES = [(n, density) for n in (1, 2, 7, 30, 90) for density in (0.05, 0.3, 0.8)]
+
+
+@pytest.mark.parametrize("project", [False, True])
+@pytest.mark.parametrize("n,density", CASES)
+def test_lower_triangular_matches_row_loop(n, density, project):
+    rng = np.random.default_rng([n, int(density * 100), project])
+    for _ in range(3):
+        a = random_matrix(rng, n, density, lower=True)
+        f = random_forcing(rng, n)
+        expected = sequential_sweep(a, f, project=project)
+        assert gauss_seidel_sweep(a, f, project=project).tobytes() \
+            == expected.tobytes()
+
+
+@pytest.mark.parametrize("project", [False, True])
+@pytest.mark.parametrize("n,density", CASES)
+def test_general_with_previous_iterate_matches_row_loop(n, density, project):
+    rng = np.random.default_rng([n, int(density * 100), project, 1])
+    for _ in range(3):
+        a = random_matrix(rng, n, density, lower=False)
+        f = random_forcing(rng, n)
+        x_old = rng.standard_normal(n)
+        x_old[rng.random(n) < 0.2] = -0.0
+        expected = sequential_sweep(a, f, x_old, project=project)
+        assert gauss_seidel_sweep(a, f, x_old, project=project).tobytes() \
+            == expected.tobytes()
+
+
+def test_repeated_sweeps_on_grid_match_row_loop(grid_problem):
+    a = grid_problem(6).A
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(a.n_rows)
+    x = y = np.zeros(a.n_rows)
+    for _ in range(10):
+        x = gauss_seidel_sweep(a, f, x, project=True)
+        y = sequential_sweep(a, f, y, project=True)
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("p", [4, 8, 16])
+def test_block_lower_factors_match_row_loop(p):
+    rng = np.random.default_rng(p)
+    for i in range(4):
+        m = block_lower_factor(p, i)
+        f = rng.standard_normal(m.n_rows)
+        for project in (False, True):
+            assert gauss_seidel_sweep(m, f, project=project).tobytes() \
+                == sequential_sweep(m, f, project=project).tobytes()
+
+
+def test_public_callers_match_row_loop():
+    rng = np.random.default_rng(23)
+    low = random_matrix(rng, 40, 0.2, lower=True)
+    low = low.same_pattern(np.where(low.entry_rows() == low.col_indices,
+                                    low.values, -np.abs(low.values)))
+    f = random_forcing(rng, 40)
+    assert solve_lower_triangular(low, f).tobytes() \
+        == sequential_sweep(low, f).tobytes()
+    assert solve_sub_lcp(low, "lower_triangular", f).tobytes() \
+        == sequential_sweep(low, f, project=True).tobytes()
+
+
+def test_empty_matrix():
+    empty = SparseMatrix(0, 0, np.zeros(1, dtype=np.int64),
+                         np.zeros(0, dtype=np.int64), np.zeros(0))
+    no_rows = np.zeros(0)
+    assert gauss_seidel_sweep(empty, no_rows).shape == (0,)
+    assert solve_lower_triangular(empty, no_rows).shape == (0,)
+    assert solve_sub_lcp(empty, "lower_triangular", no_rows).shape == (0,)
+    x, sweeps, change = projected_gauss_seidel(empty, no_rows)
+    assert x.shape == (0,) and sweeps == 1 and change == 0.0
+
