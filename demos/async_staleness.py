@@ -48,19 +48,21 @@ print()
 print("=== trace-level staleness accounting ===")
 sched = AsyncSchedule(staleness_bound=3, policy=RoundRobin(2),
                       reads="uniform", reads_seed=7)
-cfg_hist = SolverConfig(omega=1.0, schedule=InnerSchedule.fixed(2),
-                        outer_tol=1e-6, record_history=True)
-_, rep = solve_async_sim(prob, ms, cfg_hist, sched)
-lags = [k - r for k, reads in enumerate(rep.read_steps) for r in reads]
+events = []
+_, rep = solve_async_sim(prob, ms, cfg, sched, on_step=events.append)
+lags = [e.k - r for e in events for r in e.reads]
 print(f"{rep.outer_iterations} steps; read lag min={min(lags)} "
       f"max={max(lags)} mean={np.mean(lags):.2f} (bound 3)")
-print(f"first update sets: {rep.update_sets[:6]} ...")
+print(f"first update sets: {[list(e.updated) for e in events[:6]]} ...")
 
 print()
 print("=== determinism of the simulator ===")
-x1, r1 = solve_async_sim(prob, ms, cfg_hist, sched)
-x2, r2 = solve_async_sim(prob, ms, cfg_hist, sched)
-print(f"two replays identical: {np.array_equal(x1, x2) and r1.update_norms == r2.update_norms}")
+norms1, norms2 = [], []
+x1, _ = solve_async_sim(prob, ms, cfg, sched,
+                        on_step=lambda e: norms1.append(e.update_norm))
+x2, _ = solve_async_sim(prob, ms, cfg, sched,
+                        on_step=lambda e: norms2.append(e.update_norm))
+print(f"two replays identical: {np.array_equal(x1, x2) and norms1 == norms2}")
 
 print()
 print("=== genuinely concurrent execution ===")

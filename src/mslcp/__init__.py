@@ -15,7 +15,7 @@ from .splitting import (ContractionOperator, MultisplittingSet,
                         min_inner_count, validate_multisplitting)
 from .sublcp import (LcpProblem, LcpSolution, brute_force_lcp, natural_residual,
                      projected_gauss_seidel, solve_sub_lcp)
-from .sync import (InnerSchedule, IterationReport, SolverConfig,
+from .sync import (InnerSchedule, IterationReport, SolverConfig, StepEvent,
                    schedule_inner_count, solve_sync)
 from .asynchronous import (AllEveryStep, AsyncSchedule, AsyncState, RandomFair,
                            RoundRobin, solve_async_sim, solve_async_threaded)
@@ -27,13 +27,13 @@ __all__ = [
     "LcpProblem", "LcpSolution", "MatrixClass", "MultisplittingSet",
     "MultisplittingValidation", "Partition", "RandomFair", "RoundRobin",
     "SolverConfig", "SparseMatrix", "SpectralRadiusEstimate", "Splitting",
-    "WeightingScheme", "abs_matrix", "brute_force_lcp", "build_block_splitting",
-    "classify", "comparison_matrix", "compute_eta", "make_grid_lcp",
-    "min_inner_count", "natural_residual", "projected_gauss_seidel",
-    "reference_solve", "schedule_inner_count", "solve_async_sim",
-    "solve_async_threaded", "solve_m_matrix", "solve_sub_lcp", "solve_sync",
-    "spectral_radius_nonneg", "spmv", "validate_multisplitting",
-    "weighted_max_norm",
+    "StepEvent", "WeightingScheme", "abs_matrix", "brute_force_lcp",
+    "build_block_splitting", "classify", "comparison_matrix", "compute_eta",
+    "make_grid_lcp", "min_inner_count", "natural_residual",
+    "projected_gauss_seidel", "reference_solve", "schedule_inner_count",
+    "solve_async_sim", "solve_async_threaded", "solve_m_matrix",
+    "solve_sub_lcp", "solve_sync", "spectral_radius_nonneg", "spmv",
+    "validate_multisplitting", "weighted_max_norm",
 ]
 
 __version__ = "0.1.0"

@@ -25,12 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .sparse import as_vector
 from .sublcp import LcpProblem, natural_residual
 from .splitting import MultisplittingSet
-from .sync import (IterationReport, SolverConfig, _accumulate, _blend,
-                   _omega_bound, _run_processor_inner, schedule_inner_count)
+from .sync import (SolverConfig, StepEvent, _accumulate, _blend, _prologue,
+                   _run_processor_inner, _run_processors)
 
 READ_RULES = ("latest", "stalest", "uniform")
 
@@ -154,43 +152,21 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     Returns (x, IterationReport) where x is the stream with the smallest
     natural residual (ties to the lowest index).
     """
-    if ms.n != prob.n:
-        raise ValueError("multisplitting size does not match the problem")
     start = time.perf_counter()
+    report, x_init, resolved = _prologue(prob, ms, cfg, x0)
     m = ms.m
-    bound = _omega_bound(prob, ms)
-    report = IterationReport(omega_bound=bound,
-                             omega_in_range=0.0 < cfg.omega < bound)
-    if cfg.record_history:
-        report.read_steps = []
-        report.update_sets = []
-
-    x_init = np.zeros(prob.n) if x0 is None \
-        else as_vector(x0, prob.n, name="x0").copy()
-    x_init.setflags(write=False)
     state = AsyncState(local_iterates=[x_init] * m, global_step=0,
                        ring=deque([tuple([x_init] * m)],
                                   maxlen=sched.staleness_bound + 1))
     policy_rng = np.random.default_rng(getattr(sched.policy, "seed", 0))
     reads_rng = np.random.default_rng(sched.reads_seed)
-    resolved = [schedule_inner_count(cfg.schedule, i, ms) for i in range(m)]
     window = sched.policy.fairness_window(m) + sched.staleness_bound
     recent_changes = deque(maxlen=window)
-    ys = [None] * m
 
     for k in range(cfg.max_outer):
         reads = _pick_reads(sched, k, m, reads_rng)
-        counts = [0] * m
-        for i in range(m):
-            y0 = state.read(reads[i], i)
-            try:
-                ys[i], counts[i] = _run_processor_inner(
-                    prob, ms.splittings[i], y0, resolved[i], cfg.sub_iter_tol,
-                    cfg.sub_max_iters)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"subproblem solve failed at step {k}, processor {i}: "
-                    f"{exc}") from exc
+        starts = tuple(state.read(reads[i], i) for i in range(m))
+        ys, counts = _run_processors(prob, ms, cfg, resolved, starts, k)
         acc = _accumulate(ys, ms.weighting)
         updated = sched.policy.update_set(k, m, policy_rng)
         step_delta = 0.0
@@ -206,15 +182,10 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
         state.ring.append(tuple(state.local_iterates))
         report.outer_iterations = k + 1
         report.total_inner_iterations += sum(counts)
-        if cfg.record_history:
-            report.update_norms.append(step_delta)
-            report.natural_residuals.append(
-                natural_residual(prob, state.local_iterates[min(updated)]))
-            report.inner_counts.append(list(counts))
-            report.read_steps.append(list(reads))
-            report.update_sets.append(sorted(updated))
         if on_step is not None:
-            on_step(k, tuple(state.local_iterates))
+            on_step(StepEvent(k, tuple(reads), starts, ys, counts,
+                              tuple(sorted(updated)), step_delta,
+                              tuple(state.local_iterates)))
         if len(recent_changes) == window and max(recent_changes) < cfg.outer_tol:
             report.converged = True
             break
@@ -229,11 +200,9 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
 class _SharedIterate:
     """Lock-guarded published iterate; readers take the current reference,
     writers publish a fresh immutable array, so a read never sees a torn
-    vector."""
+    vector.  The initial ``x`` must already be a read-only private copy."""
 
     def __init__(self, x: np.ndarray):
-        x = x.copy()
-        x.setflags(write=False)
         self.x = x
         self.lock = threading.Lock()
 
@@ -256,23 +225,16 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
     if not ms.weighting.is_indicator:
         raise ValueError("threaded execution requires an indicator weighting "
                          "(each worker must own a block to publish)")
-    if ms.n != prob.n:
-        raise ValueError("multisplitting size does not match the problem")
     start = time.perf_counter()
+    report, x_init, resolved = _prologue(prob, ms, cfg, x0)
     m = ms.m
-    bound = _omega_bound(prob, ms)
-    report = IterationReport(omega_bound=bound,
-                             omega_in_range=0.0 < cfg.omega < bound)
     owners = ms.weighting.indicator_owners
-    resolved = [schedule_inner_count(cfg.schedule, i, ms) for i in range(m)]
-    cell = _SharedIterate(np.zeros(prob.n) if x0 is None else
-                          as_vector(x0, prob.n, name="x0"))
+    cell = _SharedIterate(x_init)
     stop = threading.Event()
     last_change = np.full(m, np.inf)
     sweeps = np.zeros(m, dtype=np.int64)
     inner_total = np.zeros(m, dtype=np.int64)
     failures: list = []
-    history_lock = threading.Lock()
 
     def worker(i: int):
         idx = owners[i]
@@ -286,19 +248,13 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
                 with cell.lock:
                     cur = cell.x
                     new = cur.copy()
-                    if cfg.omega == 1.0:
-                        new[idx] = y[idx]
-                    else:
-                        new[idx] = cfg.omega * y[idx] + (1.0 - cfg.omega) * cur[idx]
+                    new[idx] = _blend(y[idx], cfg.omega, cur[idx])
                     change = float(np.max(np.abs(new[idx] - cur[idx])))
                     new.setflags(write=False)
                     cell.x = new
                     last_change[i] = change
                     sweeps[i] += 1
                     inner_total[i] += count
-                    if cfg.record_history:
-                        with history_lock:
-                            report.update_norms.append(change)
         except Exception as exc:  # surfaced by the monitor with context
             failures.append((i, exc))
             stop.set()

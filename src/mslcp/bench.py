@@ -37,7 +37,7 @@ from .io import read_matrix_market, read_partition, read_vector, \
     write_matrix_market, write_vector
 from .problems import GridLcpSpec, make_grid_lcp
 from .splitting import Partition, build_block_splitting
-from .sublcp import LcpProblem
+from .sublcp import LcpProblem, natural_residual
 from .sync import InnerSchedule, SolverConfig, solve_sync
 
 EXIT_OK = 0
@@ -110,6 +110,9 @@ class BenchConfig:
                                          or self.reads != "stalest"):
             raise UsageError("--staleness, --policy and --reads apply only "
                              "to --mode async-sim")
+        if self.history and self.mode == "async-threaded":
+            raise UsageError("--history applies only to --mode sync, smm "
+                             "and async-sim")
         parse_schedule(self.schedule)
         parse_policy(self.policy, self.seed)
 
@@ -237,13 +240,12 @@ def write_summary(path: str, fmt: str, rec: dict, resolved_config: dict) -> None
                          else str(rec[c]) for c in cols])
 
 
-def write_history(path: str, report) -> None:
-    with open(path, "w") as fh:
-        fh.write(HISTORY_HEADER + "\n")
-        for k in range(len(report.update_norms)):
-            inner = ";".join(str(c) for c in report.inner_counts[k])
-            fh.write(f"{k},{_float_cell(report.update_norms[k])},"
-                     f"{_float_cell(report.natural_residuals[k])},{inner}\n")
+def history_row(prob: LcpProblem, event) -> str:
+    """One history CSV row; the residual is that of the first updated stream."""
+    residual = natural_residual(prob, event.iterates[event.updated[0]])
+    inner = ";".join(str(c) for c in event.inner_counts)
+    return (f"{event.k},{_float_cell(event.update_norm)},"
+            f"{_float_cell(residual)},{inner}\n")
 
 
 def run_bench(cfg: BenchConfig) -> int:
@@ -271,17 +273,20 @@ def run_bench(cfg: BenchConfig) -> int:
     schedule = (InnerSchedule.inner_tolerance(1e-8) if cfg.mode == "smm"
                 else parse_schedule(cfg.schedule))
     solver_cfg = SolverConfig(omega=cfg.omega, schedule=schedule,
-                              outer_tol=cfg.outer_tol, max_outer=cfg.max_outer,
-                              record_history=cfg.history)
+                              outer_tol=cfg.outer_tol, max_outer=cfg.max_outer)
+    rows = [HISTORY_HEADER + "\n"]
+    on_step = (lambda e: rows.append(history_row(prob, e))) \
+        if cfg.history and cfg.output else None
 
     try:
         if cfg.mode in ("sync", "smm"):
-            x, report = solve_sync(prob, ms, solver_cfg)
+            x, report = solve_sync(prob, ms, solver_cfg, on_step=on_step)
         elif cfg.mode == "async-sim":
             sched = AsyncSchedule(staleness_bound=cfg.staleness,
                                   policy=parse_policy(cfg.policy, cfg.seed),
                                   reads=cfg.reads, reads_seed=cfg.seed)
-            x, report = solve_async_sim(prob, ms, solver_cfg, sched)
+            x, report = solve_async_sim(prob, ms, solver_cfg, sched,
+                                        on_step=on_step)
         else:
             x, report = solve_async_threaded(prob, ms, solver_cfg, workers=ms.m)
     except (ConvergenceError, RuntimeError) as exc:
@@ -292,7 +297,8 @@ def run_bench(cfg: BenchConfig) -> int:
     if cfg.output:
         write_summary(cfg.output, cfg.format, rec, cfg.resolved())
         if cfg.history:
-            write_history(cfg.output + ".history.csv", report)
+            with open(cfg.output + ".history.csv", "w") as fh:
+                fh.writelines(rows)
     print(f"{ident} mode={cfg.mode} m={cfg.m} omega={cfg.omega:g} "
           f"schedule={rec['schedule']} -> converged={report.converged} "
           f"out_iter={report.outer_iterations} "

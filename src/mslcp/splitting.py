@@ -203,8 +203,8 @@ class ContractionOperator:
 class MultisplittingSet:
     """A validated family of splittings plus its weighting and partition.
 
-    ``contraction_estimates[i]`` caches the estimated spectral radius of
-    <M_i>^-1 |N_i| so solvers do not re-run power iteration per outer step.
+    ``contraction_estimates[i]`` estimates rho(<M_i>^-1 |N_i|) at build time;
+    no solver reads it, and ``validate_multisplitting`` recomputes it.
     ``matrix_class`` carries the classification of the matrix the set was
     built from, when known.
     """

@@ -86,7 +86,6 @@ class SolverConfig:
     schedule: InnerSchedule = field(default_factory=lambda: InnerSchedule.fixed(1))
     outer_tol: float = 1e-6
     max_outer: int = 200000
-    record_history: bool = False
     sub_iter_tol: float = 1e-12
     sub_max_iters: int = 200000
 
@@ -101,12 +100,12 @@ class SolverConfig:
 
 @dataclass
 class IterationReport:
-    """Per-run outcome and, when requested, per-step history.
+    """Per-run outcome; per-step detail comes from the ``on_step`` hook.
 
     ``omega_bound`` is 2 / (1 + gamma) for the estimated Jacobi radius gamma
     of the problem matrix; ``omega_in_range`` records whether the configured
     relaxation lies inside (0, omega_bound), the range the convergence
-    theory covers.  History lists are filled only when ``record_history``.
+    theory covers.
     """
 
     outer_iterations: int = 0
@@ -116,11 +115,28 @@ class IterationReport:
     omega_bound: float = float("nan")
     omega_in_range: bool = True
     wall_time_seconds: float = 0.0
-    update_norms: list = field(default_factory=list)
-    natural_residuals: list = field(default_factory=list)
-    inner_counts: list = field(default_factory=list)
-    read_steps: list | None = None
-    update_sets: list | None = None
+
+
+@dataclass(frozen=True)
+class StepEvent:
+    """One outer step k, passed to a solver's ``on_step`` hook.
+
+    Processor i read step ``reads[i]`` = s_i(k), getting ``starts[i]``, and
+    ran ``inner_counts[i]`` solves ending at ``ys[i]``.  The streams in
+    ``updated`` (J(k), ascending) took the combination, moving by at most
+    ``update_norm``; ``iterates`` holds every stream after the step (the
+    synchronous solver repeats its one iterate m times).  No solver writes
+    these vectors afterwards, so a hook may keep them.
+    """
+
+    k: int
+    reads: tuple
+    starts: tuple
+    ys: tuple
+    inner_counts: tuple
+    updated: tuple
+    update_norm: float
+    iterates: tuple
 
 
 def schedule_inner_count(schedule: InnerSchedule, splitting_index: int,
@@ -207,11 +223,41 @@ def _combine(ys, weighting, omega: float, x_prev: np.ndarray) -> np.ndarray:
     return _blend(_accumulate(ys, weighting), omega, x_prev)
 
 
-def _omega_bound(prob: LcpProblem, ms: MultisplittingSet) -> float:
-    cls = ms.matrix_class
-    if cls is None:
-        cls = classify(prob.A)
-    return 2.0 / (1.0 + cls.jacobi_radius_estimate)
+def _prologue(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
+              x0: np.ndarray | None):
+    """Setup shared by every solver; returns (report, x, resolved counts)
+    with ``x`` a read-only copy of ``x0``, or zero when ``x0`` is None."""
+    if ms.n != prob.n:
+        raise ValueError("multisplitting size does not match the problem")
+    cls = ms.matrix_class if ms.matrix_class is not None else classify(prob.A)
+    bound = 2.0 / (1.0 + cls.jacobi_radius_estimate)
+    report = IterationReport(omega_bound=bound,
+                             omega_in_range=0.0 < cfg.omega < bound)
+    x = np.zeros(prob.n) if x0 is None \
+        else as_vector(x0, prob.n, name="x0").copy()
+    x.setflags(write=False)
+    resolved = [schedule_inner_count(cfg.schedule, i, ms) for i in range(ms.m)]
+    return report, x, resolved
+
+
+def _run_processors(prob: LcpProblem, ms: MultisplittingSet,
+                    cfg: SolverConfig, resolved, starts, k: int):
+    """Every processor's inner loop from its start vector at outer step k;
+    returns (ys, counts).  A failed subproblem solve is re-raised naming the
+    step and the processor."""
+    ys, counts = [], []
+    for i, y0 in enumerate(starts):
+        try:
+            y, count = _run_processor_inner(prob, ms.splittings[i], y0,
+                                            resolved[i], cfg.sub_iter_tol,
+                                            cfg.sub_max_iters)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"subproblem solve failed at outer step {k}, "
+                f"processor {i}: {exc}") from exc
+        ys.append(y)
+        counts.append(count)
+    return tuple(ys), tuple(counts)
 
 
 def solve_sync(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
@@ -221,41 +267,22 @@ def solve_sync(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     Starts from zero (feasible and reproducible) unless ``x0`` is given.
     Stops when ``||x_next - x||_inf < cfg.outer_tol`` or ``cfg.max_outer``
     outer steps have run; the report carries the final natural residual
-    either way.  ``on_step(k, x, ys, x_next)`` is called after every
+    either way.  ``on_step(event)`` receives a ``StepEvent`` after every
     combination when provided (observability hook; no effect on iterates).
     """
-    if ms.n != prob.n:
-        raise ValueError("multisplitting size does not match the problem")
     start = time.perf_counter()
-    bound = _omega_bound(prob, ms)
-    report = IterationReport(omega_bound=bound,
-                             omega_in_range=0.0 < cfg.omega < bound)
-    x = np.zeros(prob.n) if x0 is None \
-        else as_vector(x0, prob.n, name="x0").copy()
+    report, x, resolved = _prologue(prob, ms, cfg, x0)
     m = ms.m
-    resolved = [schedule_inner_count(cfg.schedule, i, ms) for i in range(m)]
-    ys = [None] * m
     for k in range(cfg.max_outer):
-        counts = [0] * m
-        for i in range(m):
-            try:
-                ys[i], counts[i] = _run_processor_inner(
-                    prob, ms.splittings[i], x, resolved[i], cfg.sub_iter_tol,
-                    cfg.sub_max_iters)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"subproblem solve failed at outer step {k}, "
-                    f"processor {i}: {exc}") from exc
+        starts = (x,) * m
+        ys, counts = _run_processors(prob, ms, cfg, resolved, starts, k)
         x_next = _combine(ys, ms.weighting, cfg.omega, x)
         delta = float(np.max(np.abs(x_next - x))) if prob.n else 0.0
         report.total_inner_iterations += sum(counts)
         report.outer_iterations = k + 1
-        if cfg.record_history:
-            report.update_norms.append(delta)
-            report.natural_residuals.append(natural_residual(prob, x_next))
-            report.inner_counts.append(list(counts))
         if on_step is not None:
-            on_step(k, x, tuple(ys), x_next)
+            on_step(StepEvent(k, (k,) * m, starts, ys, counts, tuple(range(m)),
+                              delta, (x_next,) * m))
         x = x_next
         if delta < cfg.outer_tol:
             report.converged = True

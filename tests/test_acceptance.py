@@ -178,9 +178,9 @@ def test_c4_contraction_bound(grid_problem, grid_reference,
             bound = omega * t_norm + abs(1.0 - omega) + 1e-8
             ratios = []
 
-            def observe(k, xk, ys, xn):
-                before = weighted_max_norm(xk - x_star, w)
-                after = weighted_max_norm(xn - x_star, w)
+            def observe(e):
+                before = weighted_max_norm(e.starts[0] - x_star, w)
+                after = weighted_max_norm(e.iterates[0] - x_star, w)
                 if before > 1e-10:
                     ratios.append(after / before)
 
@@ -209,7 +209,8 @@ def test_c5_componentwise_recursion(grid_problem):
             ops = [ContractionOperator(s) for s in ms.splittings]
             failures = []
 
-            def observe(k, xk, ys, xn):
+            def observe(e):
+                k, xk, ys = e.k, e.starts[0], e.ys
                 for i, y in enumerate(ys):
                     v = np.abs(xk - x_star)
                     for _ in range(q):
@@ -237,13 +238,13 @@ def test_c6_async(grid_problem, grid_multisplitting):
     # (a) zero staleness, all components: bit-identical iterate sequence
     sync_seq = []
     x_sync, rep_sync = solve_sync(prob, ms, cfg,
-                                  on_step=lambda k, xk, ys, xn:
-                                  sync_seq.append(xn.copy()))
+                                  on_step=lambda e:
+                                  sync_seq.append(e.iterates[0].copy()))
     async_seq = []
     sched0 = AsyncSchedule(staleness_bound=0, policy=AllEveryStep())
     x0, rep0 = solve_async_sim(prob, ms, cfg, sched0,
-                               on_step=lambda k, streams:
-                               async_seq.append(streams[0]))
+                               on_step=lambda e:
+                               async_seq.append(e.iterates[0]))
     assert rep0.outer_iterations == rep_sync.outer_iterations
     assert len(sync_seq) == len(async_seq)
     assert all(np.array_equal(a, b) for a, b in zip(sync_seq, async_seq))

@@ -26,13 +26,13 @@ class TestSimulatorEquivalence:
         cfg = cfg_fixed(2)
         sync_iterates = []
         x_s, rep_s = solve_sync(prob, ms, cfg,
-                                on_step=lambda k, xk, ys, xn:
-                                sync_iterates.append(xn.copy()))
+                                on_step=lambda e:
+                                sync_iterates.append(e.iterates[0].copy()))
         async_iterates = []
         sched = AsyncSchedule(staleness_bound=0, policy=AllEveryStep())
         x_a, rep_a = solve_async_sim(prob, ms, cfg, sched,
-                                     on_step=lambda k, streams:
-                                     async_iterates.append(streams[0].copy()))
+                                     on_step=lambda e:
+                                     async_iterates.append(e.iterates[0].copy()))
         assert rep_s.outer_iterations == rep_a.outer_iterations
         assert len(sync_iterates) == len(async_iterates)
         for xs, xa in zip(sync_iterates, async_iterates):
@@ -80,9 +80,11 @@ class TestScheduleProperties:
         d = 3
         sched = AsyncSchedule(staleness_bound=d, policy=RandomFair(seed=5),
                               reads="uniform", reads_seed=11)
-        cfg = cfg_fixed(1, record_history=True)
-        _, rep = solve_async_sim(prob, ms, cfg, sched)
-        for k, reads in enumerate(rep.read_steps):
+        cfg = cfg_fixed(1)
+        steps = []
+        solve_async_sim(prob, ms, cfg, sched,
+                        on_step=lambda e: steps.append(e.reads))
+        for k, reads in enumerate(steps):
             for r in reads:
                 assert max(0, k - d) <= r <= k
 
@@ -92,10 +94,11 @@ class TestScheduleProperties:
         ms = grid_multisplitting(4, 3, "jacobi")
         for policy in (AllEveryStep(), RoundRobin(2), RandomFair(seed=2)):
             sched = AsyncSchedule(staleness_bound=2, policy=policy)
-            cfg = cfg_fixed(1, record_history=True)
-            _, rep = solve_async_sim(prob, ms, cfg, sched)
+            cfg = cfg_fixed(1)
+            sets = []
+            solve_async_sim(prob, ms, cfg, sched,
+                            on_step=lambda e: sets.append(e.updated))
             window = policy.fairness_window(3)
-            sets = rep.update_sets
             for start in range(0, len(sets) - window + 1):
                 seen = set()
                 for s in sets[start:start + window]:
@@ -107,13 +110,14 @@ class TestScheduleProperties:
         ms = grid_multisplitting(4, 2, "jacobi")
         sched = AsyncSchedule(staleness_bound=4, policy=RandomFair(seed=77),
                               reads="uniform", reads_seed=77)
-        cfg = cfg_fixed(2, record_history=True)
-        x1, r1 = solve_async_sim(prob, ms, cfg, sched)
-        x2, r2 = solve_async_sim(prob, ms, cfg, sched)
+        cfg = cfg_fixed(2)
+        e1, e2 = [], []
+        x1, r1 = solve_async_sim(prob, ms, cfg, sched, on_step=e1.append)
+        x2, r2 = solve_async_sim(prob, ms, cfg, sched, on_step=e2.append)
         assert np.array_equal(x1, x2)
-        assert r1.update_norms == r2.update_norms
-        assert r1.read_steps == r2.read_steps
-        assert r1.update_sets == r2.update_sets
+        assert [e.update_norm for e in e1] == [e.update_norm for e in e2]
+        assert [e.reads for e in e1] == [e.reads for e in e2]
+        assert [e.updated for e in e1] == [e.updated for e in e2]
         assert r1.outer_iterations == r2.outer_iterations
 
 
@@ -145,9 +149,9 @@ class TestEpochContraction:
         sched = AsyncSchedule(staleness_bound=d, policy=policy)
         cfg = cfg_fixed(q, tol=1e-10, max_outer=40 * epoch)
         solve_async_sim(prob, ms, cfg, sched,
-                        on_step=lambda k, streams: errors.append(
+                        on_step=lambda e: errors.append(
                             max(weighted_max_norm(s - x_star, w)
-                                for s in streams)))
+                                for s in e.iterates)))
         delta = weighted_max_norm(x_star, w)  # x0 = 0
         t = 0
         for k in range(epoch - 1, len(errors), epoch):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mslcp.bench import HISTORY_HEADER, main
 from mslcp.io import read_matrix_market, read_vector
 
@@ -56,10 +58,15 @@ class TestExitCodes:
                      "--rhs", str(tmp_path / "bad.rhs")])
         assert code == 64
 
-    def test_async_fields_rejected_outside_async_sim(self):
+    def test_async_fields_rejected_outside_async_sim(self, tmp_path):
         assert main(["--grid", "8", "--mode", "sync", "--staleness", "3"]) == 64
         assert main(["--grid", "8", "--mode", "async-threaded",
                      "--policy", "roundrobin:2"]) == 64
+        out = tmp_path / "r.json"
+        assert main(["--grid", "6", "--m", "2", "--mode", "async-threaded",
+                     "--history", "--output", str(out)]) == 64
+        assert not out.exists()
+        assert not (tmp_path / "r.json.history.csv").exists()
 
 
 class TestReports:
@@ -89,9 +96,12 @@ class TestReports:
         assert "final_residual" in header
         assert len(lines[1].split(",")) == len(header)
 
-    def test_history_csv(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["sync", "async-sim"])
+    def test_history_csv(self, tmp_path, mode):
+        extra = ("--staleness", "3", "--policy", "random:9") \
+            if mode == "async-sim" else ()
         out = tmp_path / "r.json"
-        run(tmp_path, "--history", output=out)
+        run(tmp_path, "--history", *extra, mode=mode, output=out)
         hist = (tmp_path / "r.json.history.csv").read_text().splitlines()
         assert hist[0] == HISTORY_HEADER
         rec = json.loads(out.read_text())

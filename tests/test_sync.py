@@ -25,7 +25,7 @@ class TestBasicSolves:
         ms = build_block_splitting(a, Partition.contiguous(1, 1), "jacobi")
         history = []
         x, rep = solve_sync(prob, ms, fixed_cfg(1, tol=1e-12),
-                            on_step=lambda k, xk, ys, xn: history.append(xn.copy()))
+                            on_step=lambda e: history.append(e.iterates[0].copy()))
         # the splitting has N = 0, so the first subproblem solve is exact
         assert np.array_equal(history[0], [1.0])
         assert np.array_equal(x, [1.0])
@@ -95,8 +95,10 @@ class TestSchedules:
         theta = 1e-8
         cfg = SolverConfig(omega=1.0,
                            schedule=InnerSchedule.inner_tolerance(theta),
-                           outer_tol=1e-6, record_history=True)
-        x, rep = solve_sync(prob, ms, cfg)
+                           outer_tol=1e-6)
+        counts = []
+        x, rep = solve_sync(prob, ms, cfg,
+                            on_step=lambda e: counts.append(e.inner_counts))
         assert rep.converged
         # replay the first outer step: the recorded count must equal the
         # first inner index whose iterate has complementarity gap below theta
@@ -110,15 +112,17 @@ class TestSchedules:
             gap = abs(float(y @ (spmv(prob.A, y) - prob.f)))
             if gap < theta:
                 break
-        assert rep.inner_counts[0][0] == count
+        assert counts[0][0] == count
 
     def test_min_count_floor(self, grid_problem, grid_multisplitting):
         prob = grid_problem(2)
         ms = grid_multisplitting(2, 1, "jacobi")
         sched = InnerSchedule.inner_tolerance(1e3, min_count=3)
-        cfg = SolverConfig(schedule=sched, record_history=True, outer_tol=1e-8)
-        _, rep = solve_sync(prob, ms, cfg)
-        assert all(c[0] == 3 for c in rep.inner_counts)
+        cfg = SolverConfig(schedule=sched, outer_tol=1e-8)
+        counts = []
+        solve_sync(prob, ms, cfg,
+                   on_step=lambda e: counts.append(e.inner_counts))
+        assert all(c[0] == 3 for c in counts)
 
 
 class TestReducesToProjectedJacobi:
@@ -129,7 +133,7 @@ class TestReducesToProjectedJacobi:
         cfg = SolverConfig(omega=1.0, schedule=InnerSchedule.fixed(1),
                            outer_tol=0.0 + 1e-300, max_outer=10)
         solve_sync(prob, ms, cfg,
-                   on_step=lambda k, xk, ys, xn: seen.append(xn.copy()))
+                   on_step=lambda e: seen.append(e.iterates[0].copy()))
         diag = prob.A.diagonal()
         n_mat = ms.splittings[0].N
         x = np.zeros(prob.n)
@@ -152,7 +156,8 @@ class TestErrorRecursion:
             ops = [ContractionOperator(s) for s in ms.splittings]
             q = 2
 
-            def check(k, xk, ys, xn):
+            def check(e):
+                xk, ys = e.starts[0], e.ys
                 bound = None
                 for i, y in enumerate(ys):
                     v = np.abs(xk - x_star)
@@ -194,9 +199,9 @@ class TestContractionBound:
                 cfg = SolverConfig(omega=omega, schedule=InnerSchedule.fixed(q),
                                    outer_tol=1e-5)
                 solve_sync(prob, ms, cfg,
-                           on_step=lambda k, xk, ys, xn: errors.append(
-                               (weighted_max_norm(xk - x_star, w),
-                                weighted_max_norm(xn - x_star, w))))
+                           on_step=lambda e: errors.append(
+                               (weighted_max_norm(e.starts[0] - x_star, w),
+                                weighted_max_norm(e.iterates[0] - x_star, w))))
                 for before, after in errors:
                     if before > 1e-9:
                         assert after <= bound * before + 1e-8
@@ -232,11 +237,18 @@ class TestReport:
     def test_history_lengths(self, grid_problem, grid_multisplitting):
         prob = grid_problem(4)
         ms = grid_multisplitting(4, 2, "jacobi")
-        _, rep = solve_sync(prob, ms, fixed_cfg(2, record_history=True))
-        assert len(rep.update_norms) == rep.outer_iterations
-        assert len(rep.natural_residuals) == rep.outer_iterations
-        assert len(rep.inner_counts) == rep.outer_iterations
-        assert rep.total_inner_iterations == sum(sum(c) for c in rep.inner_counts)
+        norms, residuals, counts = [], [], []
+
+        def record(e):
+            norms.append(e.update_norm)
+            residuals.append(natural_residual(prob, e.iterates[0]))
+            counts.append(e.inner_counts)
+
+        _, rep = solve_sync(prob, ms, fixed_cfg(2), on_step=record)
+        assert len(norms) == rep.outer_iterations
+        assert len(residuals) == rep.outer_iterations
+        assert len(counts) == rep.outer_iterations
+        assert rep.total_inner_iterations == sum(sum(c) for c in counts)
 
     def test_nonconvergence_returns_best_iterate(self, grid_problem,
                                                  grid_multisplitting):
