@@ -213,12 +213,14 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
     """Genuinely concurrent asynchronous solve with one thread per processor.
 
     Each worker loops: snapshot the shared iterate (possibly stale), run its
-    inner solves, atomically publish its weighted block.  Requires the
-    indicator weighting (block ownership is what makes publication local)
-    and ``workers == m``.  A monitor declares convergence when no worker's
-    last sweep moved its block by ``cfg.outer_tol`` and the shared iterate's
-    natural residual is below ``cfg.outer_tol * (1 + ||f||_inf)``; it gives
-    up after ``cfg.max_outer * m`` total publications.
+    inner solves, then publish its weighted block under the lock.  Requires
+    the indicator weighting (block ownership is what makes publication local)
+    and ``workers == m``.  The publishing worker tests the stop rule under
+    the same lock: the run has converged when no worker's last publication
+    moved its block by ``cfg.outer_tol`` and the new iterate's natural
+    residual is below ``cfg.outer_tol * (1 + ||f||_inf)``; it gives up after
+    ``cfg.max_outer * m`` publications.  Once either holds no further
+    publication lands, so the returned iterate is the one the rule judged.
     """
     if workers != ms.m:
         raise ValueError("workers must equal the number of splittings")
@@ -232,8 +234,9 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
     cell = _SharedIterate(x_init)
     stop = threading.Event()
     last_change = np.full(m, np.inf)
-    sweeps = np.zeros(m, dtype=np.int64)
-    inner_total = np.zeros(m, dtype=np.int64)
+    scale = 1.0 + (float(np.max(np.abs(prob.f))) if prob.n else 0.0)
+    residual_tol = cfg.outer_tol * scale
+    budget = cfg.max_outer * m
     failures: list = []
 
     def worker(i: int):
@@ -241,21 +244,30 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
         split = ms.splittings[i]
         try:
             while not stop.is_set():
-                snap = cell.x
-                y, count = _run_processor_inner(prob, split, snap,
+                y, count = _run_processor_inner(prob, split, cell.x,
                                                 resolved[i], cfg.sub_iter_tol,
                                                 cfg.sub_max_iters)
                 with cell.lock:
+                    if stop.is_set():
+                        return
                     cur = cell.x
                     new = cur.copy()
                     new[idx] = _blend(y[idx], cfg.omega, cur[idx])
-                    change = float(np.max(np.abs(new[idx] - cur[idx])))
+                    last_change[i] = float(np.max(np.abs(new[idx] - cur[idx])))
                     new.setflags(write=False)
                     cell.x = new
-                    last_change[i] = change
-                    sweeps[i] += 1
-                    inner_total[i] += count
-        except Exception as exc:  # surfaced by the monitor with context
+                    report.outer_iterations += 1
+                    report.total_inner_iterations += count
+                    quiet = bool(np.all(last_change < cfg.outer_tol))
+                    spent = report.outer_iterations >= budget
+                    if quiet or spent:
+                        report.final_residual = natural_residual(prob, new)
+                        report.converged = (quiet and report.final_residual
+                                            < residual_tol)
+                        if report.converged or spent:
+                            stop.set()
+                time.sleep(0)  # let the other workers take the interpreter
+        except Exception as exc:  # re-raised by the caller with context
             failures.append((i, exc))
             stop.set()
 
@@ -263,30 +275,11 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
                for i in range(m)]
     for t in threads:
         t.start()
-
-    scale = 1.0 + (float(np.max(np.abs(prob.f))) if prob.n else 0.0)
-    budget = cfg.max_outer * m
-    converged = False
-    while True:
-        time.sleep(0.0002)
-        if failures:
-            break
-        if np.all(sweeps >= 1) and bool(np.all(last_change < cfg.outer_tol)):
-            if natural_residual(prob, cell.x) < cfg.outer_tol * scale:
-                converged = True
-                break
-        if int(sweeps.sum()) >= budget:
-            break
-    stop.set()
     for t in threads:
         t.join()
     if failures:
         i, exc = failures[0]
         raise RuntimeError(f"async worker for processor {i} failed: {exc}") from exc
 
-    report.converged = converged
-    report.outer_iterations = int(sweeps.sum())
-    report.total_inner_iterations = int(inner_total.sum())
-    report.final_residual = natural_residual(prob, cell.x)
     report.wall_time_seconds = time.perf_counter() - start
     return cell.x, report

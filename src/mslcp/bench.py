@@ -110,6 +110,9 @@ class BenchConfig:
                                          or self.reads != "stalest"):
             raise UsageError("--staleness, --policy and --reads apply only "
                              "to --mode async-sim")
+        if self.history and not self.output:
+            raise UsageError("--history needs --output (the history is "
+                             "written to OUTPUT.history.csv)")
         if self.history and self.mode == "async-threaded":
             raise UsageError("--history applies only to --mode sync, smm "
                              "and async-sim")
@@ -276,7 +279,7 @@ def run_bench(cfg: BenchConfig) -> int:
                               outer_tol=cfg.outer_tol, max_outer=cfg.max_outer)
     rows = [HISTORY_HEADER + "\n"]
     on_step = (lambda e: rows.append(history_row(prob, e))) \
-        if cfg.history and cfg.output else None
+        if cfg.history else None
 
     try:
         if cfg.mode in ("sync", "smm"):

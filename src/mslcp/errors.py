@@ -3,3 +3,7 @@
 
 class ConvergenceError(RuntimeError):
     """An iterative procedure exhausted its budget without meeting its target."""
+
+
+class NonFiniteError(ValueError):
+    """An array that must be finite holds NaN or Inf."""

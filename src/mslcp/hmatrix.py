@@ -212,10 +212,12 @@ def solve_m_matrix(m: SparseMatrix, b, tol: float = 1e-12,
     b = as_vector(b, m.n_rows, name="b")
     if np.any(b < 0.0):
         raise ValueError("right-hand side must be nonnegative")
+    if m.n_rows == 0:
+        return np.zeros(0)
     cls = matrix_class if matrix_class is not None else classify(m)
     if not cls.is_m_matrix:
         raise ValueError("coefficient matrix is not classified as an M-matrix")
-    scale = float(np.max(b)) if len(b) else 0.0
+    scale = float(np.max(b))
     if scale == 0.0:
         return np.zeros(m.n_rows)
     target = tol * scale

@@ -20,11 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 
 def require_finite(name: str, arr: np.ndarray) -> None:
     """Reject NaN/Inf at public operation boundaries."""
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
 
 
 def as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
@@ -234,24 +236,17 @@ class SparseMatrix:
 
 
 def spmv(a: SparseMatrix, x) -> np.ndarray:
-    """Matrix-vector product ``a @ x``.
+    """Matrix-vector product ``a @ x`` by scipy's CSR matvec.
 
-    Each output entry is accumulated over the row's stored entries in
-    ascending column order, so two calls with identical inputs are
-    bit-identical.
+    Each output entry adds the row's products one after another in stored
+    (ascending-column) order, so it is bit-identical to a sequential row
+    loop.  The scipy view is cached in ``a._caches["csr"]``.
     """
     x = as_vector(x, a.n_cols, name="x")
-    out = np.zeros(a.n_rows)
-    if a.nnz == 0:
-        return out
-    prod = a.values * x[a.col_indices]
-    starts = a.row_offsets[:-1]
-    ends = a.row_offsets[1:]
-    nonempty = starts < ends
-    # reduceat sums each segment sequentially in storage order; empty rows are
-    # excluded (they would otherwise alias the next segment's first element)
-    out[nonempty] = np.add.reduceat(prod, starts[nonempty])
-    return out
+    csr = a._caches.get("csr")
+    if csr is None:
+        csr = a._caches["csr"] = a.to_scipy()
+    return csr @ x
 
 
 def comparison_matrix(a: SparseMatrix) -> SparseMatrix:

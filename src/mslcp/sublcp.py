@@ -80,6 +80,21 @@ def projected_gauss_seidel(a: SparseMatrix, f_vec: np.ndarray,
         f"after {max_sweeps} sweeps")
 
 
+def _checked_factor(m: SparseMatrix):
+    """(diagonal, strict-lower entries all nonpositive) of a subproblem
+    factor.  Both checks run once per factor and the result is cached in
+    ``m._caches``: a ``SparseMatrix`` never changes."""
+    cached = m._caches.get("sub_lcp")
+    if cached is None:
+        diag = m.diagonal()
+        if np.any(diag <= 0.0):
+            raise ValueError("subproblem factor must have a positive diagonal")
+        strict_lower = m.col_indices < m.entry_rows()
+        cached = (diag, bool(np.all(m.values[strict_lower] <= 0.0)))
+        m._caches["sub_lcp"] = cached
+    return cached
+
+
 def solve_sub_lcp(m: SparseMatrix, structure: str, f_vec,
                   iter_tol: float = 1e-12, max_iters: int = 200000) -> np.ndarray:
     """Solve the subproblem for the factor M with the given structure tag.
@@ -89,17 +104,14 @@ def solve_sub_lcp(m: SparseMatrix, structure: str, f_vec,
     to ``iter_tol``.  The forward sweep is only trusted when the strict-lower
     entries are nonpositive, where earlier components can only relax later
     constraints; positive strict-lower entries fall back to the general path.
+    The forcing vector is checked for finiteness on every call.
     """
     f_vec = as_vector(f_vec, m.n_rows, name="forcing vector")
-    diag = m.diagonal()
-    if np.any(diag <= 0.0):
-        raise ValueError("subproblem factor must have a positive diagonal")
+    diag, lower_nonpositive = _checked_factor(m)
     if structure == "diagonal":
         return np.maximum(0.0, f_vec / diag)
-    if structure == "lower_triangular":
-        strict_lower = m.col_indices < m.entry_rows()
-        if np.all(m.values[strict_lower] <= 0.0):
-            return gauss_seidel_sweep(m, f_vec, project=True)
+    if structure == "lower_triangular" and lower_nonpositive:
+        return gauss_seidel_sweep(m, f_vec, project=True)
     x, _, _ = projected_gauss_seidel(m, f_vec, tol=iter_tol, max_sweeps=max_iters)
     return x
 

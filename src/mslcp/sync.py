@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NonFiniteError
 from .hmatrix import classify
 from .splitting import MultisplittingSet, min_inner_count
 from .sublcp import LcpProblem, natural_residual, solve_sub_lcp
@@ -172,27 +172,29 @@ def _run_processor_inner(prob: LcpProblem, splitting, y0: np.ndarray,
                          sub_max_iters: int = 200000):
     """Run one processor's inner loop from y0; returns (y, solve count).
 
-    ``resolved`` is either an int count or a stop predicate from
+    ``resolved`` is either an int count (at least 1) or a stop predicate from
     ``schedule_inner_count``.  Each solve refreshes the forcing vector from
-    the newest local iterate: F = f + N y.
+    the newest local iterate: F = f + N y.  A non-finite y or F means the
+    iteration diverged; it is raised as ``ConvergenceError`` naming the
+    inner solve.
     """
-    y = y0
-    count = 0
-    if isinstance(resolved, int):
-        for _ in range(resolved):
+    y, count = y0, 0
+    try:
+        while True:
             f_vec = prob.f + spmv(splitting.N, y)
             y = solve_sub_lcp(splitting.M, splitting.structure, f_vec,
                               iter_tol=sub_iter_tol, max_iters=sub_max_iters)
             count += 1
-        return y, count
-    while True:
-        f_vec = prob.f + spmv(splitting.N, y)
-        y = solve_sub_lcp(splitting.M, splitting.structure, f_vec,
-                          iter_tol=sub_iter_tol, max_iters=sub_max_iters)
-        count += 1
-        gap = abs(float(y @ (spmv(prob.A, y) - prob.f)))
-        if resolved(count, gap):
-            return y, count
+            if isinstance(resolved, int):
+                done = count >= resolved
+            else:
+                gap = abs(float(y @ (spmv(prob.A, y) - prob.f)))
+                done = resolved(count, gap)
+            if done:
+                return y, count
+    except NonFiniteError as exc:
+        raise ConvergenceError(
+            f"iteration diverged in inner solve {count + 1}: {exc}") from exc
 
 
 def _accumulate(ys, weighting) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Asynchronous solvers: determinism, staleness traces, threaded agreement."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -240,4 +242,26 @@ class TestThreaded:
                            outer_tol=1e-15, max_outer=3)
         x, rep = solve_async_threaded(prob, ms, cfg, workers=2)
         assert not rep.converged
+        # the publication budget max_outer * m is exact: no worker publishes
+        # after the stop
+        assert rep.outer_iterations == 6
         assert np.all(np.isfinite(x))
+
+    def test_budget_exact_under_frequent_switches(self, grid_problem,
+                                                  grid_multisplitting):
+        # more workers than cores and a tiny switch interval: a lost
+        # publication, or one landing after the stop, breaks the exact counts
+        prob = grid_problem(8)
+        ms = grid_multisplitting(8, 4, "jacobi")
+        cfg = SolverConfig(omega=1.0, schedule=InnerSchedule.fixed(2),
+                           outer_tol=1e-15, max_outer=5)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                _, rep = solve_async_threaded(prob, ms, cfg, workers=4)
+                assert not rep.converged
+                assert rep.outer_iterations == 20
+                assert rep.total_inner_iterations == 40
+        finally:
+            sys.setswitchinterval(old)

@@ -69,6 +69,15 @@ class TestExitCodes:
         assert not (tmp_path / "r.json.history.csv").exists()
 
 
+    def test_history_without_output_exits_64(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(tmp_path, "--history") == 64
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("grid = 6\nhistory = true\n")
+        assert main(["--config", str(cfgfile)]) == 64
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 class TestReports:
     def test_json_embeds_resolved_config(self, tmp_path):
         out = tmp_path / "r.json"

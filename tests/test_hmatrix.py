@@ -163,9 +163,15 @@ class TestSolveMMatrix:
             solve_m_matrix(m, [1.0, 1.0], tol=1e-15, max_sweeps=1)
 
     def test_stall_below_rounding_floor_raises_early(self, grid_problem):
-        # on the 256-row grid the residual bottoms out near 1.1e-14, above
-        # the 1e-14 target: the stall rule gives up about STALL_SWEEPS
-        # sweeps later instead of running out the 200000-sweep budget
+        # on the 256-row grid the residual (sequential row sums) bottoms out
+        # near 1e-14, above the 1e-15 target: the stall rule gives up about
+        # STALL_SWEEPS sweeps later instead of running out the 200000-sweep
+        # budget
         a = grid_problem(16).A
         with pytest.raises(ConvergenceError, match=r"stalled.* within \d{1,4} sweeps"):
-            solve_m_matrix(a, np.ones(a.n_rows), tol=1e-14)
+            solve_m_matrix(a, np.ones(a.n_rows), tol=1e-15)
+
+    def test_empty_matrix_returns_empty_vector(self):
+        empty = SparseMatrix.from_coo(0, 0, [], [], [])
+        u = solve_m_matrix(empty, np.zeros(0))
+        assert u.shape == (0,)

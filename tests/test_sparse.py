@@ -99,6 +99,32 @@ class TestSpmv:
         second = spmv(a, x)
         assert first.tobytes() == second.tobytes()
 
+    def test_bitwise_equal_to_sequential_row_loop(self):
+        def row_loop(a, x):
+            out = np.zeros(a.n_rows)
+            for r in range(a.n_rows):
+                s = 0.0
+                for j in range(a.row_offsets[r], a.row_offsets[r + 1]):
+                    s += a.values[j] * x[a.col_indices[j]]
+                out[r] = s
+            return out
+
+        rng = np.random.default_rng(11)
+        cases = [SparseMatrix.from_dense([[2.5]]),
+                 SparseMatrix.from_coo(0, 4, [], [], []),
+                 SparseMatrix.from_dense([[0.0, 0.0], [1.0, 3.0]])]
+        for _ in range(60):
+            rows, cols = (int(v) for v in rng.integers(1, 30, 2))
+            dense = rng.standard_normal((rows, cols)) \
+                * (rng.random((rows, cols)) < rng.uniform(0.1, 0.9))
+            dense[rng.random(rows) < 0.2] = 0.0  # some empty rows
+            cases.append(SparseMatrix.from_dense(dense))
+        for a in cases:
+            # magnitudes spread over ten decades make summation order visible
+            x = rng.standard_normal(a.n_cols) \
+                * 10.0 ** rng.uniform(-5, 5, a.n_cols)
+            assert spmv(a, x).tobytes() == row_loop(a, x).tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(small_dense())
     def test_matches_dense_product(self, a):

@@ -277,6 +277,20 @@ class TestReport:
         with pytest.raises(ConvergenceError, match="outer step 0, processor 1"):
             solve_sync(prob, ms, cfg)
 
+    def test_divergence_names_step_processor_and_inner_solve(
+            self, grid_problem, grid_multisplitting):
+        from mslcp import ConvergenceError
+        # omega = 1.2 lies beyond 2 / (1 + rho_J) on this grid; with one inner
+        # solve per step the iterates grow until F = f + N y overflows
+        prob = grid_problem(32)
+        ms = grid_multisplitting(32, 4, "jacobi")
+        cfg = SolverConfig(omega=1.2, schedule=InnerSchedule.fixed(1),
+                           outer_tol=1e-6)
+        with pytest.raises(ConvergenceError,
+                           match=r"outer step \d+, processor \d: iteration "
+                                 r"diverged in inner solve 1: .*non-finite"):
+            solve_sync(prob, ms, cfg)
+
     def test_rejects_nonfinite_start(self, grid_problem, grid_multisplitting):
         prob = grid_problem(3)
         ms = grid_multisplitting(3, 2, "jacobi")
