@@ -255,28 +255,34 @@ def run_bench(cfg: BenchConfig) -> int:
     """Run one configuration; writes report files and prints a summary line.
 
     Returns the process exit code (0 converged, 2 not converged).  All
-    configuration validation happens before any output file is opened.
+    configuration validation happens before any output file is opened, and a
+    ValueError or OSError raised while setting up the problem, partition,
+    splitting or solver configuration becomes a UsageError (exit 64).
     """
     cfg.validate()
-    prob, ident = load_problem(cfg)
-    partition = load_partition(cfg, prob.n)
-    if cfg.export_problem:
-        write_matrix_market(cfg.export_problem + ".mtx", prob.A)
-        write_vector(cfg.export_problem + ".rhs.txt", prob.f)
-
     try:
+        prob, ident = load_problem(cfg)
+        partition = load_partition(cfg, prob.n)
+        if cfg.export_problem:
+            write_matrix_market(cfg.export_problem + ".mtx", prob.A)
+            write_vector(cfg.export_problem + ".rhs.txt", prob.f)
         cls = classify(prob.A, max_power_iters=cfg.max_power_iters)
+        if not cls.is_h_plus:
+            raise UsageError("problem matrix is not H+ (positive-diagonal H-matrix)")
+        ms = build_block_splitting(prob.A, partition, cfg.variant,
+                                   matrix_class=cls,
+                                   max_power_iters=cfg.max_power_iters)
+        schedule = (InnerSchedule.inner_tolerance(1e-8) if cfg.mode == "smm"
+                    else parse_schedule(cfg.schedule))
+        solver_cfg = SolverConfig(omega=cfg.omega, schedule=schedule,
+                                  outer_tol=cfg.outer_tol,
+                                  max_outer=cfg.max_outer)
+    except UsageError:
+        raise
     except ConvergenceError as exc:
         raise UsageError(f"classification failed: {exc}") from exc
-    if not cls.is_h_plus:
-        raise UsageError("problem matrix is not H+ (positive-diagonal H-matrix)")
-    ms = build_block_splitting(prob.A, partition, cfg.variant, matrix_class=cls,
-                               max_power_iters=cfg.max_power_iters)
-
-    schedule = (InnerSchedule.inner_tolerance(1e-8) if cfg.mode == "smm"
-                else parse_schedule(cfg.schedule))
-    solver_cfg = SolverConfig(omega=cfg.omega, schedule=schedule,
-                              outer_tol=cfg.outer_tol, max_outer=cfg.max_outer)
+    except (ValueError, OSError) as exc:
+        raise UsageError(f"set-up failed: {exc}") from exc
     rows = [HISTORY_HEADER + "\n"]
     on_step = (lambda e: rows.append(history_row(prob, e))) \
         if cfg.history else None

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import spsolve
 
 from .errors import ConvergenceError
-from .sparse import (SparseMatrix, as_vector, comparison_matrix,
-                     gauss_seidel_sweep, spmv)
+from .sparse import SparseMatrix, as_vector, comparison_matrix, spmv
 
 
 @dataclass(frozen=True)
@@ -188,21 +188,12 @@ def weighted_max_norm(v, w) -> float:
     return float(np.max(np.abs(v) / w))
 
 
-# solve_m_matrix gives up after this many sweeps without a new smallest
-# residual: a target below the residual's rounding floor is never met.
-STALL_SWEEPS = 1000
+def solve_m_matrix(m: SparseMatrix, b,
+                   matrix_class: MatrixClass | None = None) -> np.ndarray:
+    """Solve M u = b for an M-matrix M and b >= 0 by scipy's sparse LU.
 
-
-def solve_m_matrix(m: SparseMatrix, b, tol: float = 1e-12,
-                   matrix_class: MatrixClass | None = None,
-                   max_sweeps: int = 200000) -> np.ndarray:
-    """Solve M u = b for an M-matrix M and b >= 0 by Gauss-Seidel sweeps.
-
-    Gauss-Seidel converges for M-matrices, and starting from zero with
-    b >= 0 every iterate stays nonnegative.  Stops when the rows satisfy
-    ``||M u - b||_inf <= tol * ||b||_inf``; raises ``ConvergenceError`` when
-    ``max_sweeps`` run out or ``STALL_SWEEPS`` sweeps in a row bring no new
-    smallest residual.
+    M^-1 >= 0, so the exact u is nonnegative; entries the direct solve
+    leaves a few ulps below zero are clamped to 0.0.
 
     Parameters
     ----------
@@ -217,22 +208,4 @@ def solve_m_matrix(m: SparseMatrix, b, tol: float = 1e-12,
     cls = matrix_class if matrix_class is not None else classify(m)
     if not cls.is_m_matrix:
         raise ValueError("coefficient matrix is not classified as an M-matrix")
-    scale = float(np.max(b))
-    if scale == 0.0:
-        return np.zeros(m.n_rows)
-    target = tol * scale
-    best, since_best, sweeps = np.inf, 0, 0
-    u = np.zeros(m.n_rows)
-    while sweeps < max_sweeps and since_best < STALL_SWEEPS:
-        u = gauss_seidel_sweep(m, b, u)
-        sweeps += 1
-        residual = float(np.max(np.abs(spmv(m, u) - b)))
-        if residual <= target:
-            return u
-        if residual < best:
-            best, since_best = residual, 0
-        else:
-            since_best += 1
-    raise ConvergenceError(
-        f"Gauss-Seidel stalled: residual target {target:.3g} not met "
-        f"within {sweeps} sweeps")
+    return np.maximum(spsolve(m.to_scipy().tocsc(), b), 0.0)

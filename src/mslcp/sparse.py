@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import NonFiniteError
 
@@ -103,11 +104,7 @@ class SparseMatrix:
         if a.ndim != 2:
             raise ValueError("dense input must be two-dimensional")
         require_finite("matrix", a)
-        rows, cols = np.nonzero(a)
-        offsets = np.zeros(a.shape[0] + 1, dtype=np.int64)
-        np.add.at(offsets, rows + 1, 1)
-        offsets = np.cumsum(offsets)
-        return SparseMatrix(a.shape[0], a.shape[1], offsets, cols, a[rows, cols])
+        return SparseMatrix.from_scipy(scipy.sparse.csr_array(a))
 
     @staticmethod
     def from_coo(n_rows: int, n_cols: int, rows, cols, vals) -> "SparseMatrix":
@@ -121,37 +118,18 @@ class SparseMatrix:
         if len(rows):
             if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("coordinate index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if len(rows):
-            key_change = np.empty(len(rows), dtype=bool)
-            key_change[0] = True
-            key_change[1:] = (np.diff(rows) != 0) | (np.diff(cols) != 0)
-            group = np.cumsum(key_change) - 1
-            summed = np.zeros(group[-1] + 1)
-            np.add.at(summed, group, vals)
-            rows, cols, vals = rows[key_change], cols[key_change], summed
-            keep = vals != 0.0
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(offsets, rows + 1, 1)
-        offsets = np.cumsum(offsets)
-        return SparseMatrix(n_rows, n_cols, offsets, cols, vals)
+        coo = scipy.sparse.coo_array((vals, (rows, cols)), shape=(n_rows, n_cols))
+        return SparseMatrix.from_scipy(coo)
 
     @staticmethod
     def identity(n: int) -> "SparseMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return SparseMatrix(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
+        return SparseMatrix.from_diagonal(np.ones(n))
 
     @staticmethod
     def from_diagonal(d) -> "SparseMatrix":
         d = as_vector(d, name="diagonal")
-        n = len(d)
-        keep = d != 0.0
-        cols = np.arange(n, dtype=np.int64)[keep]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(offsets, cols + 1, 1)
-        return SparseMatrix(n, n, np.cumsum(offsets), cols, d[keep])
+        return SparseMatrix.from_scipy(
+            scipy.sparse.dia_array((d[None, :], [0]), shape=(len(d), len(d))))
 
     # -- basic queries -----------------------------------------------------
 
@@ -164,16 +142,11 @@ class SparseMatrix:
         return self.n_rows == self.n_cols
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n_rows, self.n_cols))
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
-        a[rows, self.col_indices] = self.values
-        return a
+        return self.to_scipy().toarray()
 
     def to_scipy(self):
         """Zero-copy view as a scipy CSR array (for entrywise arithmetic glue)."""
-        from scipy.sparse import csr_array
-
-        return csr_array(
+        return scipy.sparse.csr_array(
             (self.values, self.col_indices, self.row_offsets),
             shape=(self.n_rows, self.n_cols),
         )
@@ -192,12 +165,8 @@ class SparseMatrix:
         if cached is None:
             if not self.is_square:
                 raise ValueError("diagonal requires a square matrix")
-            d = np.zeros(self.n_rows)
-            rows = np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
-            on_diag = rows == self.col_indices
-            d[rows[on_diag]] = self.values[on_diag]
-            d.setflags(write=False)
-            cached = d
+            cached = self.to_scipy().diagonal()
+            cached.setflags(write=False)
             self._caches["diag"] = cached
         return cached
 

@@ -67,14 +67,8 @@ class Partition:
         first blocks."""
         if not 1 <= m <= n:
             raise ValueError("need 1 <= m <= n")
-        base, rem = divmod(n, m)
-        sets = []
-        start = 0
-        for i in range(m):
-            size = base + (1 if i < rem else 0)
-            sets.append(np.arange(start, start + size, dtype=np.int64))
-            start += size
-        return Partition(n, m, tuple(sets))
+        blocks = np.array_split(np.arange(n, dtype=np.int64), m)
+        return Partition(n, m, tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -171,12 +165,11 @@ class Splitting:
 class ContractionOperator:
     """Application v -> <M>^-1 (|N| v) without forming the product matrix."""
 
-    def __init__(self, splitting: Splitting, solve_tol: float = 1e-13):
+    def __init__(self, splitting: Splitting):
         self.comp_m = comparison_matrix(splitting.M)
         self.abs_n = abs_matrix(splitting.N)
         self.structure = splitting.structure
         self.n = splitting.n
-        self.solve_tol = solve_tol
         self._diag = None
         self._cls = None
         if self.structure == "diagonal":
@@ -195,8 +188,7 @@ class ContractionOperator:
             return w / self._diag
         if self.structure == "lower_triangular":
             return solve_lower_triangular(self.comp_m, w)
-        return solve_m_matrix(self.comp_m, w, tol=self.solve_tol,
-                              matrix_class=self._cls)
+        return solve_m_matrix(self.comp_m, w, matrix_class=self._cls)
 
 
 @dataclass(frozen=True)

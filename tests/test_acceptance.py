@@ -161,7 +161,7 @@ def test_c4_contraction_bound(grid_problem, grid_reference,
                               grid_multisplitting):
     prob = grid_problem(8)
     x_star = grid_reference(8, tol=1e-13).x
-    w = solve_m_matrix(prob.A, np.ones(prob.n), tol=1e-14)
+    w = solve_m_matrix(prob.A, np.ones(prob.n))
     q = 2
     checked = 0
     for variant in ("jacobi", "block_lower_triangular"):

@@ -132,7 +132,7 @@ class TestEpochContraction:
         prob = grid_problem(3)
         ms = grid_multisplitting(3, 3, "jacobi")
         x_star = reference_solve(prob, tol=1e-13).x
-        w = solve_m_matrix(prob.A, np.ones(prob.n), tol=1e-13)
+        w = solve_m_matrix(prob.A, np.ones(prob.n))
         q = 2
         ops = [ContractionOperator(s) for s in ms.splittings]
         thetas = []

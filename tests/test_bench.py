@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from mslcp.bench import HISTORY_HEADER, main
@@ -76,6 +77,34 @@ class TestExitCodes:
         cfgfile.write_text("grid = 6\nhistory = true\n")
         assert main(["--config", str(cfgfile)]) == 64
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--grid", "4", "--m", "2", "--partition", "contiguous:x"],
+        ["--grid", "4", "--m", "2", "--partition", "file:{tmp}/missing.txt"],
+        ["--grid", "2", "--m", "2", "--partition", "file:{tmp}/part99.txt"],
+        ["--grid", "2", "--m", "9"],
+        ["--grid", "4", "--m", "2", "--max-outer", "0"],
+        ["--grid", "4", "--m", "2", "--shift", "-4"],
+        ["--matrix", "{tmp}/rect.mtx", "--rhs", "{tmp}/rhs2.txt"],
+        ["--matrix", "{tmp}/zero_diag.mtx", "--rhs", "{tmp}/rhs2.txt"],
+    ], ids=["partition-count", "partition-file-missing",
+            "partition-index-range", "m-above-n", "max-outer-zero",
+            "zero-diagonal-shift", "rectangular-matrix", "zero-diagonal-matrix"])
+    def test_bad_setup_input_exits_64_with_one_line(self, tmp_path, capsys,
+                                                     argv):
+        from mslcp import SparseMatrix
+        from mslcp.io import write_matrix_market, write_vector
+        (tmp_path / "part99.txt").write_text("0 1\n2 99\n")
+        write_matrix_market(tmp_path / "rect.mtx",
+                            SparseMatrix.from_dense(np.ones((2, 3))))
+        write_matrix_market(tmp_path / "zero_diag.mtx",
+                            SparseMatrix.from_dense([[0.0, -1.0], [-1.0, 2.0]]))
+        write_vector(tmp_path / "rhs2.txt", [1.0, 1.0])
+        code = main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert err.startswith("mslcp-bench: error: ")
+        assert err.count("\n") == 1
 
 
 class TestReports:

@@ -1,5 +1,7 @@
 """Sparse matrix primitives: construction invariants, products, entrywise maps."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,32 @@ class TestConstruction:
         sp = SparseMatrix.from_coo(2, 2, [0, 0, 1, 1], [1, 1, 0, 0],
                                    [2.0, 3.0, 1.0, -1.0])
         assert np.array_equal(sp.to_dense(), [[0.0, 5.0], [0.0, 0.0]])
+
+    def test_from_coo_duplicate_sums_within_rounding_bound(self):
+        # each stored entry is a k-term floating-point sum, so it lies within
+        # (k-1) * 2^-52 * sum|v| of the exact sum; exact zero sums are dropped
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            n = int(rng.integers(1, 5))
+            k = int(rng.integers(1, 120))
+            rows, cols = rng.integers(0, n, k), rng.integers(0, n, k)
+            vals = rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 8, k)
+            cancel = rng.random(k) < 0.1  # pairs x, -x make exact zeros
+            rows = np.concatenate([rows, rows[cancel]])
+            cols = np.concatenate([cols, cols[cancel]])
+            vals = np.concatenate([vals, -vals[cancel]])
+            sp = SparseMatrix.from_coo(n, n, rows, cols, vals)
+            assert np.all(sp.values != 0.0)
+            dense = sp.to_dense()
+            for r in range(n):
+                for c in range(n):
+                    dup = vals[(rows == r) & (cols == c)]
+                    bound = max(len(dup) - 1, 0) * 2.0 ** -52 \
+                        * float(np.sum(np.abs(dup)))
+                    assert abs(dense[r, c] - math.fsum(dup)) <= bound
+        zero = SparseMatrix.from_coo(1, 1, [0, 0, 0], [0, 0, 0],
+                                     [1e8, 1.0, -1e8 - 1.0])
+        assert zero.nnz == 0
 
     def test_values_are_immutable(self):
         sp = SparseMatrix.identity(2)

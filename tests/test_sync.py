@@ -177,7 +177,7 @@ class TestContractionBound:
         prob = grid_problem(4)
         ref = reference_solve(prob, tol=1e-14)
         x_star = ref.x
-        w = solve_m_matrix(prob.A, np.ones(prob.n), tol=1e-14)
+        w = solve_m_matrix(prob.A, np.ones(prob.n))
         for variant in ("jacobi", "block_lower_triangular"):
             ms = grid_multisplitting(4, 2, variant)
             q = 2
