@@ -17,12 +17,12 @@ from .sublcp import (LcpProblem, LcpSolution, brute_force_lcp, natural_residual,
                      projected_gauss_seidel, solve_sub_lcp)
 from .sync import (InnerSchedule, IterationReport, SolverConfig, StepEvent,
                    schedule_inner_count, solve_sync)
-from .asynchronous import (AllEveryStep, AsyncSchedule, AsyncState, RandomFair,
-                           RoundRobin, solve_async_sim, solve_async_threaded)
+from .asynchronous import (AllEveryStep, AsyncSchedule, RandomFair, RoundRobin,
+                           solve_async_sim, solve_async_threaded)
 from .problems import GridLcpSpec, make_grid_lcp, reference_solve
 
 __all__ = [
-    "AllEveryStep", "AsyncSchedule", "AsyncState", "ConvergenceError",
+    "AllEveryStep", "AsyncSchedule", "ConvergenceError",
     "ContractionOperator", "GridLcpSpec", "InnerSchedule", "IterationReport",
     "LcpProblem", "LcpSolution", "MatrixClass", "MultisplittingSet",
     "MultisplittingValidation", "Partition", "RandomFair", "RoundRobin",

@@ -12,8 +12,9 @@ combination arithmetic:
   published iterate; reads may be stale but always see a complete published
   version.  Run-to-run iterate sequences are not reproducible, the limit is.
 
-Staleness 0 with the all-components policy makes the simulator coincide,
-bit for bit, with the synchronous solver.
+The synchronous solver is the simulator at staleness 0 with the
+all-components policy: ``sync.solve_sync`` calls ``solve_async_sim`` with
+``AsyncSchedule()``.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .sublcp import LcpProblem, natural_residual
 from .splitting import MultisplittingSet
 from .sync import (SolverConfig, StepEvent, _accumulate, _blend, _prologue,
-                   _run_processor_inner, _run_processors)
+                   _run_processor_inner)
 
 READ_RULES = ("latest", "stalest", "uniform")
 
@@ -106,26 +108,6 @@ class AsyncSchedule:
             raise ValueError(f"unknown read rule {self.reads!r}")
 
 
-@dataclass
-class AsyncState:
-    """Simulator state: per-processor iterates plus the ring of recent steps.
-
-    ``ring[j]`` is the tuple of stream vectors at global step
-    ``global_step - len(ring) + 1 + j``; its depth is staleness_bound + 1 so
-    any admissible stale read is available.
-    """
-
-    local_iterates: list
-    global_step: int
-    ring: deque
-
-    def read(self, step: int, processor: int) -> np.ndarray:
-        offset = step - (self.global_step - (len(self.ring) - 1))
-        if not 0 <= offset < len(self.ring):
-            raise ValueError(f"step {step} is outside the retained window")
-        return self.ring[offset][processor]
-
-
 def _pick_reads(sched: AsyncSchedule, k: int, m: int, rng) -> list:
     lo = max(0, k - sched.staleness_bound)
     if sched.reads == "latest":
@@ -155,9 +137,8 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     start = time.perf_counter()
     report, x_init, resolved = _prologue(prob, ms, cfg, x0)
     m = ms.m
-    state = AsyncState(local_iterates=[x_init] * m, global_step=0,
-                       ring=deque([tuple([x_init] * m)],
-                                  maxlen=sched.staleness_bound + 1))
+    # ring[-1] holds the streams after step k; a read of step s is ring[s - k - 1]
+    ring = deque([(x_init,) * m], maxlen=sched.staleness_bound + 1)
     policy_rng = np.random.default_rng(getattr(sched.policy, "seed", 0))
     reads_rng = np.random.default_rng(sched.reads_seed)
     window = sched.policy.fairness_window(m) + sched.staleness_bound
@@ -165,46 +146,51 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
 
     for k in range(cfg.max_outer):
         reads = _pick_reads(sched, k, m, reads_rng)
-        starts = tuple(state.read(reads[i], i) for i in range(m))
-        ys, counts = _run_processors(prob, ms, cfg, resolved, starts, k)
+        starts = tuple(ring[s - k - 1][i] for i, s in enumerate(reads))
+        ys, counts = [], []
+        for i, y0 in enumerate(starts):
+            try:
+                y, count = _run_processor_inner(prob, ms.splittings[i], y0,
+                                                resolved[i], cfg.sub_iter_tol,
+                                                cfg.sub_max_iters)
+            except ConvergenceError as exc:
+                raise ConvergenceError(
+                    f"subproblem solve failed at outer step {k}, "
+                    f"processor {i}: {exc}") from exc
+            ys.append(y)
+            counts.append(count)
         acc = _accumulate(ys, ms.weighting)
         updated = sched.policy.update_set(k, m, policy_rng)
+        streams = list(ring[-1])
+        # one blend per distinct array; ring[-1] keeps the keyed arrays alive
+        blended = {}
         step_delta = 0.0
         for l in updated:
-            new_l = _blend(acc, cfg.omega, state.local_iterates[l])
-            change = float(np.max(np.abs(new_l - state.local_iterates[l]))) \
-                if prob.n else 0.0
-            new_l.setflags(write=False)
-            state.local_iterates[l] = new_l
-            step_delta = max(step_delta, change)
+            prev = streams[l]
+            if id(prev) not in blended:
+                new = _blend(acc, cfg.omega, prev)
+                change = float(np.max(np.abs(new - prev))) if prob.n else 0.0
+                new.setflags(write=False)
+                blended[id(prev)] = new
+                step_delta = max(step_delta, change)
+            streams[l] = blended[id(prev)]
         recent_changes.append(step_delta)
-        state.global_step = k + 1
-        state.ring.append(tuple(state.local_iterates))
+        ring.append(tuple(streams))
         report.outer_iterations = k + 1
         report.total_inner_iterations += sum(counts)
         if on_step is not None:
-            on_step(StepEvent(k, tuple(reads), starts, ys, counts,
-                              tuple(sorted(updated)), step_delta,
-                              tuple(state.local_iterates)))
+            on_step(StepEvent(k, tuple(reads), starts, tuple(ys), tuple(counts),
+                              tuple(sorted(updated)), step_delta, ring[-1]))
         if len(recent_changes) == window and max(recent_changes) < cfg.outer_tol:
             report.converged = True
             break
 
-    residuals = [natural_residual(prob, xl) for xl in state.local_iterates]
+    distinct = list({id(xl): xl for xl in ring[-1]}.values())
+    residuals = [natural_residual(prob, xl) for xl in distinct]
     best = int(np.argmin(residuals))
     report.final_residual = residuals[best]
     report.wall_time_seconds = time.perf_counter() - start
-    return state.local_iterates[best], report
-
-
-class _SharedIterate:
-    """Lock-guarded published iterate; readers take the current reference,
-    writers publish a fresh immutable array, so a read never sees a torn
-    vector.  The initial ``x`` must already be a read-only private copy."""
-
-    def __init__(self, x: np.ndarray):
-        self.x = x
-        self.lock = threading.Lock()
+    return distinct[best], report
 
 
 def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
@@ -231,7 +217,11 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
     report, x_init, resolved = _prologue(prob, ms, cfg, x0)
     m = ms.m
     owners = ms.weighting.indicator_owners
-    cell = _SharedIterate(x_init)
+    # Readers take the current reference; writers publish a fresh read-only
+    # array under the lock, so a read never sees a torn vector.  x_init is
+    # already a read-only private copy.
+    published = x_init
+    lock = threading.Lock()
     stop = threading.Event()
     last_change = np.full(m, np.inf)
     scale = 1.0 + (float(np.max(np.abs(prob.f))) if prob.n else 0.0)
@@ -240,22 +230,23 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
     failures: list = []
 
     def worker(i: int):
+        nonlocal published
         idx = owners[i]
         split = ms.splittings[i]
         try:
             while not stop.is_set():
-                y, count = _run_processor_inner(prob, split, cell.x,
+                y, count = _run_processor_inner(prob, split, published,
                                                 resolved[i], cfg.sub_iter_tol,
                                                 cfg.sub_max_iters)
-                with cell.lock:
+                with lock:
                     if stop.is_set():
                         return
-                    cur = cell.x
+                    cur = published
                     new = cur.copy()
                     new[idx] = _blend(y[idx], cfg.omega, cur[idx])
                     last_change[i] = float(np.max(np.abs(new[idx] - cur[idx])))
                     new.setflags(write=False)
-                    cell.x = new
+                    published = new
                     report.outer_iterations += 1
                     report.total_inner_iterations += count
                     quiet = bool(np.all(last_change < cfg.outer_tol))
@@ -282,4 +273,4 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
         raise RuntimeError(f"async worker for processor {i} failed: {exc}") from exc
 
     report.wall_time_seconds = time.perf_counter() - start
-    return cell.x, report
+    return published, report

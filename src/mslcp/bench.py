@@ -263,9 +263,6 @@ def run_bench(cfg: BenchConfig) -> int:
     try:
         prob, ident = load_problem(cfg)
         partition = load_partition(cfg, prob.n)
-        if cfg.export_problem:
-            write_matrix_market(cfg.export_problem + ".mtx", prob.A)
-            write_vector(cfg.export_problem + ".rhs.txt", prob.f)
         cls = classify(prob.A, max_power_iters=cfg.max_power_iters)
         if not cls.is_h_plus:
             raise UsageError("problem matrix is not H+ (positive-diagonal H-matrix)")
@@ -277,6 +274,9 @@ def run_bench(cfg: BenchConfig) -> int:
         solver_cfg = SolverConfig(omega=cfg.omega, schedule=schedule,
                                   outer_tol=cfg.outer_tol,
                                   max_outer=cfg.max_outer)
+        if cfg.export_problem:
+            write_matrix_market(cfg.export_problem + ".mtx", prob.A)
+            write_vector(cfg.export_problem + ".rhs.txt", prob.f)
     except UsageError:
         raise
     except ConvergenceError as exc:

@@ -32,6 +32,9 @@ class GridLcpSpec:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("grid side must be at least 2")
+        if not (np.isfinite(self.shift) and 4.0 + self.shift > 0.0):
+            raise ValueError(f"shift {self.shift} must be finite and leave the "
+                             f"grid diagonal 4 + shift positive")
 
     @property
     def n(self) -> int:

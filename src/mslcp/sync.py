@@ -8,11 +8,12 @@ with its newest local iterate each time), and the weighted combination
 
 closes the step.  With indicator weights the combination only reads block i
 of processor i's result, which is implemented as masked accumulation.
+
+``solve_sync`` runs this as the asynchronous simulator's zero-delay case.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import ConvergenceError, NonFiniteError
 from .hmatrix import classify
 from .splitting import MultisplittingSet, min_inner_count
+# natural_residual stays bound here because perfbench's tracer patches it
 from .sublcp import LcpProblem, natural_residual, solve_sub_lcp
 from .sparse import as_vector, spmv
 
@@ -140,8 +142,8 @@ class StepEvent:
 
 
 def schedule_inner_count(schedule: InnerSchedule, splitting_index: int,
-                         ms: MultisplittingSet, k: int = 0):
-    """Resolve the inner-solve count for one processor at one outer step.
+                         ms: MultisplittingSet):
+    """Resolve the inner-solve count for one processor.
 
     Returns an int for ``fixed``/``adaptive`` (the adaptive count is cached
     on the multisplitting set), or a stop predicate ``(count, gap) -> bool``
@@ -220,11 +222,6 @@ def _blend(acc: np.ndarray, omega: float, x_prev: np.ndarray) -> np.ndarray:
     return omega * acc + (1.0 - omega) * x_prev
 
 
-def _combine(ys, weighting, omega: float, x_prev: np.ndarray) -> np.ndarray:
-    """Weighted combination omega * sum_i E_i y_i + (1 - omega) * x_prev."""
-    return _blend(_accumulate(ys, weighting), omega, x_prev)
-
-
 def _prologue(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
               x0: np.ndarray | None):
     """Setup shared by every solver; returns (report, x, resolved counts)
@@ -242,26 +239,6 @@ def _prologue(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     return report, x, resolved
 
 
-def _run_processors(prob: LcpProblem, ms: MultisplittingSet,
-                    cfg: SolverConfig, resolved, starts, k: int):
-    """Every processor's inner loop from its start vector at outer step k;
-    returns (ys, counts).  A failed subproblem solve is re-raised naming the
-    step and the processor."""
-    ys, counts = [], []
-    for i, y0 in enumerate(starts):
-        try:
-            y, count = _run_processor_inner(prob, ms.splittings[i], y0,
-                                            resolved[i], cfg.sub_iter_tol,
-                                            cfg.sub_max_iters)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"subproblem solve failed at outer step {k}, "
-                f"processor {i}: {exc}") from exc
-        ys.append(y)
-        counts.append(count)
-    return tuple(ys), tuple(counts)
-
-
 def solve_sync(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
                x0: np.ndarray | None = None, on_step=None):
     """Synchronous multisplitting solve; returns (x, IterationReport).
@@ -271,24 +248,8 @@ def solve_sync(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     outer steps have run; the report carries the final natural residual
     either way.  ``on_step(event)`` receives a ``StepEvent`` after every
     combination when provided (observability hook; no effect on iterates).
+    This is the simulator with no delay (``AsyncSchedule()``).
     """
-    start = time.perf_counter()
-    report, x, resolved = _prologue(prob, ms, cfg, x0)
-    m = ms.m
-    for k in range(cfg.max_outer):
-        starts = (x,) * m
-        ys, counts = _run_processors(prob, ms, cfg, resolved, starts, k)
-        x_next = _combine(ys, ms.weighting, cfg.omega, x)
-        delta = float(np.max(np.abs(x_next - x))) if prob.n else 0.0
-        report.total_inner_iterations += sum(counts)
-        report.outer_iterations = k + 1
-        if on_step is not None:
-            on_step(StepEvent(k, (k,) * m, starts, ys, counts, tuple(range(m)),
-                              delta, (x_next,) * m))
-        x = x_next
-        if delta < cfg.outer_tol:
-            report.converged = True
-            break
-    report.final_residual = natural_residual(prob, x)
-    report.wall_time_seconds = time.perf_counter() - start
-    return x, report
+    # a local import: the simulator imports this module
+    from .asynchronous import AsyncSchedule, solve_async_sim
+    return solve_async_sim(prob, ms, cfg, AsyncSchedule(), x0, on_step)

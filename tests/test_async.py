@@ -107,6 +107,34 @@ class TestScheduleProperties:
                     seen.update(s)
                 assert seen == {0, 1, 2}
 
+    @pytest.mark.parametrize("policy", [RoundRobin(2), RandomFair(seed=3)],
+                             ids=["roundrobin", "randomfair"])
+    def test_updates_blend_and_the_rest_carry_forward(self, grid_problem,
+                                                      grid_multisplitting,
+                                                      policy):
+        prob = grid_problem(4)
+        ms = grid_multisplitting(4, 3, "block_lower_triangular")
+        omega = 0.8
+        sched = AsyncSchedule(staleness_bound=3, policy=policy,
+                              reads="uniform", reads_seed=4)
+        cfg = SolverConfig(omega=omega, schedule=InnerSchedule.fixed(2),
+                           outer_tol=1e-8)
+        events = []
+        solve_async_sim(prob, ms, cfg, sched, on_step=events.append)
+        assert len(events) > 20
+        prev = events[0].starts  # every stream starts at x0 and reads step 0
+        for e in events:
+            acc = np.empty(prob.n)
+            for i, idx in enumerate(ms.partition.owner_sets):
+                acc[idx] = e.ys[i][idx]
+            for l in range(ms.m):
+                if l in e.updated:
+                    want = omega * acc + (1.0 - omega) * prev[l]
+                    assert e.iterates[l].tobytes() == want.tobytes()
+                else:
+                    assert e.iterates[l] is prev[l]
+            prev = e.iterates
+
     def test_simulator_determinism(self, grid_problem, grid_multisplitting):
         prob = grid_problem(4)
         ms = grid_multisplitting(4, 2, "jacobi")

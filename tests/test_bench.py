@@ -56,8 +56,17 @@ class TestExitCodes:
                             SparseMatrix.from_dense([[1.0, -2.0], [-2.0, 1.0]]))
         write_vector(tmp_path / "bad.rhs", [1.0, 1.0])
         code = main(["--matrix", str(tmp_path / "bad.mtx"),
-                     "--rhs", str(tmp_path / "bad.rhs")])
+                     "--rhs", str(tmp_path / "bad.rhs"),
+                     "--export-problem", str(tmp_path / "out")])
         assert code == 64
+        assert not (tmp_path / "out.mtx").exists()
+        assert not (tmp_path / "out.rhs.txt").exists()
+
+    def test_bad_shift_error_names_the_shift(self, capsys):
+        assert main(["--grid", "4", "--m", "2", "--shift", "-4"]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("mslcp-bench: error: ")
+        assert "shift" in err
 
     def test_async_fields_rejected_outside_async_sim(self, tmp_path):
         assert main(["--grid", "8", "--mode", "sync", "--staleness", "3"]) == 64

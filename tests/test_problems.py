@@ -56,6 +56,11 @@ class TestGridAssembly:
         with pytest.raises(ValueError):
             GridLcpSpec(p=1)
 
+    @pytest.mark.parametrize("shift", [-4.0, -5.0, float("nan"), float("inf")])
+    def test_rejects_shift_without_positive_diagonal(self, shift):
+        with pytest.raises(ValueError, match="shift"):
+            GridLcpSpec(p=3, shift=shift)
+
     @pytest.mark.parametrize("p", [4, 8, 16])
     def test_jacobi_radius_matches_stencil_value(self, p, grid_problem):
         # classical value for this stencil, cross-checked densely for p <= 8

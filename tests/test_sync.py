@@ -126,20 +126,33 @@ class TestSchedules:
 
 
 class TestReducesToProjectedJacobi:
-    def test_bitwise_match_for_ten_steps(self, grid_problem, grid_multisplitting):
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("omega", [1.0, 0.8, 1.2])
+    def test_bitwise_match_for_ten_steps(self, grid_problem, grid_multisplitting,
+                                         omega, m, q):
         prob = grid_problem(4)
-        ms = grid_multisplitting(4, 1, "jacobi")
+        ms = grid_multisplitting(4, m, "jacobi")
         seen = []
-        cfg = SolverConfig(omega=1.0, schedule=InnerSchedule.fixed(1),
+        cfg = SolverConfig(omega=omega, schedule=InnerSchedule.fixed(q),
                            outer_tol=0.0 + 1e-300, max_outer=10)
         solve_sync(prob, ms, cfg,
                    on_step=lambda e: seen.append(e.iterates[0].copy()))
+        assert len(seen) == 10
         diag = prob.A.diagonal()
-        n_mat = ms.splittings[0].N
         x = np.zeros(prob.n)
         for step in range(10):
-            x = np.maximum(0.0, (prob.f + spmv(n_mat, x)) / diag)
-            assert np.array_equal(seen[step], x)
+            # relaxed block projected Jacobi: processor i runs q projected
+            # Jacobi sweeps from x and contributes its own block
+            acc = np.empty(prob.n)
+            for i, idx in enumerate(ms.partition.owner_sets):
+                y = x
+                for _ in range(q):
+                    y = np.maximum(
+                        0.0, (prob.f + spmv(ms.splittings[i].N, y)) / diag)
+                acc[idx] = y[idx]
+            x = acc if omega == 1.0 else omega * acc + (1.0 - omega) * x
+            assert seen[step].tobytes() == x.tobytes()
 
 
 class TestErrorRecursion:
