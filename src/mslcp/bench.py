@@ -27,7 +27,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .asynchronous import AllEveryStep, AsyncSchedule, RandomFair, RoundRobin, \
     solve_async_sim, solve_async_threaded
@@ -57,74 +56,33 @@ class UsageError(ValueError):
     """Configuration problem; maps to exit code 64."""
 
 
-@dataclass
-class BenchConfig:
-    """Fully resolved benchmark configuration."""
+def validate(args: argparse.Namespace) -> None:
+    """The rules that span options; each single value is checked where it
+    is parsed or used."""
+    if (args.grid is None) == (args.matrix is None):
+        raise UsageError("specify exactly one of --grid or --matrix")
+    if args.matrix is not None and args.rhs is None:
+        raise UsageError("--matrix requires --rhs")
+    if args.mode != "async-sim" and (args.staleness != 0
+                                     or args.policy != "all"
+                                     or args.reads != "stalest"):
+        raise UsageError("--staleness, --policy and --reads apply only "
+                         "to --mode async-sim")
+    if args.history and not args.output:
+        raise UsageError("--history needs --output (the history is "
+                         "written to OUTPUT.history.csv)")
+    if args.history and args.mode == "async-threaded":
+        raise UsageError("--history applies only to --mode sync, smm "
+                         "and async-sim")
+    parse_schedule(args.schedule)
+    parse_policy(args.policy, args.seed)
 
-    grid: int | None = None
-    shift: float = 0.0
-    matrix: str | None = None
-    rhs: str | None = None
-    m: int = 2
-    variant: str = "jacobi"
-    partition: str = "contiguous"
-    omega: float = 1.0
-    schedule: str = "fixed:1"
-    mode: str = "sync"
-    staleness: int = 0
-    policy: str = "all"
-    reads: str = "stalest"
-    outer_tol: float = 1e-6
-    max_outer: int = 200000
-    seed: int = 0
-    output: str | None = None
-    format: str = "json"
-    history: bool = False
-    timing: bool = False
-    max_power_iters: int = 200000
-    export_problem: str | None = None
 
-    def validate(self) -> None:
-        if (self.grid is None) == (self.matrix is None):
-            raise UsageError("specify exactly one of --grid or --matrix")
-        if self.matrix is not None and self.rhs is None:
-            raise UsageError("--matrix requires --rhs")
-        if self.mode not in MODES:
-            raise UsageError(f"unknown mode {self.mode!r}")
-        if self.variant not in ("jacobi", "block_lower_triangular"):
-            raise UsageError(f"unknown variant {self.variant!r}")
-        if self.m < 1:
-            raise UsageError("--m must be at least 1")
-        if self.omega <= 0.0:
-            raise UsageError("--omega must be positive")
-        if self.outer_tol <= 0.0:
-            raise UsageError("--outer-tol must be positive")
-        if self.staleness < 0:
-            raise UsageError("--staleness must be nonnegative")
-        if self.format not in ("json", "csv"):
-            raise UsageError(f"unknown format {self.format!r}")
-        if self.reads not in ("latest", "stalest", "uniform"):
-            raise UsageError(f"unknown reads rule {self.reads!r}")
-        if self.mode != "async-sim" and (self.staleness != 0
-                                         or self.policy != "all"
-                                         or self.reads != "stalest"):
-            raise UsageError("--staleness, --policy and --reads apply only "
-                             "to --mode async-sim")
-        if self.history and not self.output:
-            raise UsageError("--history needs --output (the history is "
-                             "written to OUTPUT.history.csv)")
-        if self.history and self.mode == "async-threaded":
-            raise UsageError("--history applies only to --mode sync, smm "
-                             "and async-sim")
-        parse_schedule(self.schedule)
-        parse_policy(self.policy, self.seed)
-
-    def resolved(self) -> dict:
-        """Solver-relevant configuration; output locations are excluded so the
-        report bytes depend only on what was computed."""
-        skip = ("output", "export_problem")
-        return {k: getattr(self, k) for k in self.__dataclass_fields__
-                if k not in skip}
+def resolved(args: argparse.Namespace) -> dict:
+    """Solver-relevant configuration; output locations are excluded so the
+    report bytes depend only on what was computed."""
+    skip = ("config", "compare", "output", "export_problem")
+    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 def parse_schedule(text: str) -> InnerSchedule:
@@ -157,11 +115,9 @@ def parse_policy(text: str, seed: int):
                      "or random:seed)")
 
 
-def load_problem(cfg: BenchConfig):
+def load_problem(cfg: argparse.Namespace):
     """Returns (LcpProblem, identity string)."""
     if cfg.grid is not None:
-        if cfg.grid < 2:
-            raise UsageError("--grid must be at least 2")
         prob = make_grid_lcp(GridLcpSpec(p=cfg.grid, shift=cfg.shift))
         ident = f"grid:p={cfg.grid}"
         if cfg.shift:
@@ -179,7 +135,7 @@ def load_problem(cfg: BenchConfig):
     return prob, ident
 
 
-def load_partition(cfg: BenchConfig, n: int) -> Partition:
+def load_partition(cfg: argparse.Namespace, n: int) -> Partition:
     if cfg.partition == "contiguous" or cfg.partition.startswith("contiguous:"):
         _, _, arg = cfg.partition.partition(":")
         m = int(arg) if arg else cfg.m
@@ -199,7 +155,7 @@ def _float_cell(v) -> str:
     return repr(float(v))
 
 
-def summary_record(cfg: BenchConfig, ident: str, n: int, report,
+def summary_record(cfg: argparse.Namespace, ident: str, n: int, report,
                    schedule: InnerSchedule) -> dict:
     rec = {
         "problem": ident,
@@ -211,7 +167,7 @@ def summary_record(cfg: BenchConfig, ident: str, n: int, report,
         "schedule": schedule.label(),
         "outer_tol": cfg.outer_tol,
         "seed": cfg.seed,
-        "staleness": cfg.staleness if cfg.mode.startswith("async") else 0,
+        "staleness": cfg.staleness,
         "policy": cfg.policy if cfg.mode == "async-sim" else "-",
         "reads": cfg.reads if cfg.mode == "async-sim" else "-",
         "out_iterations": report.outer_iterations,
@@ -251,16 +207,26 @@ def history_row(prob: LcpProblem, event) -> str:
             f"{_float_cell(residual)},{inner}\n")
 
 
-def run_bench(cfg: BenchConfig) -> int:
+def run_bench(cfg: argparse.Namespace) -> int:
     """Run one configuration; writes report files and prints a summary line.
 
     Returns the process exit code (0 converged, 2 not converged).  All
     configuration validation happens before any output file is opened, and a
     ValueError or OSError raised while setting up the problem, partition,
-    splitting or solver configuration becomes a UsageError (exit 64).
+    splitting, solver configuration or asynchronous schedule becomes a
+    UsageError (exit 64).
     """
-    cfg.validate()
+    validate(cfg)
     try:
+        # solver settings first: a bad value fails before problem assembly
+        schedule = (InnerSchedule.inner_tolerance(1e-8) if cfg.mode == "smm"
+                    else parse_schedule(cfg.schedule))
+        solver_cfg = SolverConfig(omega=cfg.omega, schedule=schedule,
+                                  outer_tol=cfg.outer_tol,
+                                  max_outer=cfg.max_outer)
+        sched = AsyncSchedule(staleness_bound=cfg.staleness,
+                              policy=parse_policy(cfg.policy, cfg.seed),
+                              reads=cfg.reads, reads_seed=cfg.seed)
         prob, ident = load_problem(cfg)
         partition = load_partition(cfg, prob.n)
         cls = classify(prob.A, max_power_iters=cfg.max_power_iters)
@@ -269,11 +235,6 @@ def run_bench(cfg: BenchConfig) -> int:
         ms = build_block_splitting(prob.A, partition, cfg.variant,
                                    matrix_class=cls,
                                    max_power_iters=cfg.max_power_iters)
-        schedule = (InnerSchedule.inner_tolerance(1e-8) if cfg.mode == "smm"
-                    else parse_schedule(cfg.schedule))
-        solver_cfg = SolverConfig(omega=cfg.omega, schedule=schedule,
-                                  outer_tol=cfg.outer_tol,
-                                  max_outer=cfg.max_outer)
         if cfg.export_problem:
             write_matrix_market(cfg.export_problem + ".mtx", prob.A)
             write_vector(cfg.export_problem + ".rhs.txt", prob.f)
@@ -291,9 +252,6 @@ def run_bench(cfg: BenchConfig) -> int:
         if cfg.mode in ("sync", "smm"):
             x, report = solve_sync(prob, ms, solver_cfg, on_step=on_step)
         elif cfg.mode == "async-sim":
-            sched = AsyncSchedule(staleness_bound=cfg.staleness,
-                                  policy=parse_policy(cfg.policy, cfg.seed),
-                                  reads=cfg.reads, reads_seed=cfg.seed)
             x, report = solve_async_sim(prob, ms, solver_cfg, sched,
                                         on_step=on_step)
         else:
@@ -304,7 +262,7 @@ def run_bench(cfg: BenchConfig) -> int:
 
     rec = summary_record(cfg, ident, prob.n, report, schedule)
     if cfg.output:
-        write_summary(cfg.output, cfg.format, rec, cfg.resolved())
+        write_summary(cfg.output, cfg.format, rec, resolved(cfg))
         if cfg.history:
             with open(cfg.output + ".history.csv", "w") as fh:
                 fh.writelines(rows)
@@ -362,34 +320,43 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
+    """The one table of options: flags, types, choices and defaults."""
     p = _Parser(prog="mslcp-bench", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--config", help="key=value file; flags override it")
     p.add_argument("--grid", type=int, help="grid side p of the built-in family (n=p^2)")
-    p.add_argument("--shift", type=float, help="diagonal shift for the grid family")
+    p.add_argument("--shift", type=float, default=0.0,
+                   help="diagonal shift for the grid family")
     p.add_argument("--matrix", help="MatrixMarket coefficient matrix")
     p.add_argument("--rhs", help="right-hand-side vector file (one value per line)")
-    p.add_argument("--m", type=int, help="number of processors/splittings")
+    p.add_argument("--m", type=int, default=2,
+                   help="number of processors/splittings")
     p.add_argument("--variant", choices=["jacobi", "block_lower_triangular"],
-                   help="splitting family")
-    p.add_argument("--partition", help="contiguous[:m] or file:PATH")
-    p.add_argument("--omega", type=float, help="relaxation parameter")
-    p.add_argument("--schedule", help="fixed:q | adaptive:eta | innertol:theta")
-    p.add_argument("--mode", choices=list(MODES))
-    p.add_argument("--staleness", type=int, help="staleness bound d (async-sim)")
-    p.add_argument("--policy", help="all | roundrobin:period | random:seed")
+                   default="jacobi", help="splitting family")
+    p.add_argument("--partition", default="contiguous",
+                   help="contiguous[:m] or file:PATH")
+    p.add_argument("--omega", type=float, default=1.0,
+                   help="relaxation parameter")
+    p.add_argument("--schedule", default="fixed:1",
+                   help="fixed:q | adaptive:eta | innertol:theta")
+    p.add_argument("--mode", choices=list(MODES), default="sync")
+    p.add_argument("--staleness", type=int, default=0,
+                   help="staleness bound d (async-sim)")
+    p.add_argument("--policy", default="all",
+                   help="all | roundrobin:period | random:seed")
     p.add_argument("--reads", choices=["latest", "stalest", "uniform"],
-                   help="stale-read rule (async-sim)")
-    p.add_argument("--outer-tol", type=float, dest="outer_tol")
-    p.add_argument("--max-outer", type=int, dest="max_outer")
-    p.add_argument("--seed", type=int)
+                   default="stalest", help="stale-read rule (async-sim)")
+    p.add_argument("--outer-tol", type=float, default=1e-6, dest="outer_tol")
+    p.add_argument("--max-outer", type=int, default=200000, dest="max_outer")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="report file path")
-    p.add_argument("--format", choices=["json", "csv"])
-    p.add_argument("--history", action="store_true", default=None,
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--history", action="store_true",
                    help="also write per-iteration CSV next to the report")
-    p.add_argument("--timing", action="store_true", default=None,
+    p.add_argument("--timing", action="store_true",
                    help="embed wall time in report files (breaks byte-identity)")
-    p.add_argument("--max-power-iters", type=int, dest="max_power_iters")
+    p.add_argument("--max-power-iters", type=int, default=200000,
+                   dest="max_power_iters")
     p.add_argument("--export-problem", dest="export_problem",
                    help="write the problem as PREFIX.mtx and PREFIX.rhs.txt")
     p.add_argument("--compare", nargs="+", metavar="REPORT",
@@ -397,13 +364,15 @@ def build_parser() -> _Parser:
     return p
 
 
-_BOOL_KEYS = ("history", "timing")
-_INT_KEYS = ("grid", "m", "staleness", "max_outer", "seed", "max_power_iters")
-_FLOAT_KEYS = ("shift", "omega", "outer_tol")
+def config_argv(parser: _Parser, path: str) -> list:
+    """The flags a key=value config file stands for.
 
-
-def read_config_file(path: str) -> dict:
-    out = {}
+    Keys are the resolved option names (``-`` or ``_``); a key whose default
+    is a bool is a switch, set by 1, true, yes or on.  The values are
+    checked when the flags are parsed.
+    """
+    defaults = resolved(parser.parse_args([]))
+    out = []
     try:
         fh = open(path)
     except OSError as exc:
@@ -418,45 +387,29 @@ def read_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key not in BenchConfig.__dataclass_fields__:
+            if key not in defaults:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                if key in _BOOL_KEYS:
-                    out[key] = value.lower() in ("1", "true", "yes", "on")
-                elif key in _INT_KEYS:
-                    out[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    out[key] = float(value)
-                else:
-                    out[key] = value
-            except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: {exc}") from exc
+            flag = "--" + key.replace("_", "-")
+            if not isinstance(defaults[key], bool):
+                out.append(f"{flag}={value}")
+            elif value.lower() in ("1", "true", "yes", "on"):
+                out.append(flag)
     return out
 
 
-def config_from_args(args: argparse.Namespace) -> BenchConfig:
-    cfg = BenchConfig()
-    if args.config:
-        for key, value in read_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for key in BenchConfig.__dataclass_fields__:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
-
-
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
         if args.compare:
             return compare_runs(args.compare)
-        cfg = config_from_args(args)
-        return run_bench(cfg)
+        if args.config:
+            # the file's flags come first, so the command line wins
+            args = parser.parse_args(config_argv(parser, args.config) + argv)
+        return run_bench(args)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except UsageError as exc:
         print(f"mslcp-bench: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

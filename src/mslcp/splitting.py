@@ -77,8 +77,9 @@ class WeightingScheme:
 
     Entries are nonnegative, the diagonals sum to one entrywise (within
     1e-15), and every E_i carries at least one strictly positive entry.
-    Indicator weightings (exact 0/1 diagonals from a partition) are detected
-    and enable masked accumulation in the solvers.
+    Indicator weightings (exact 0/1 diagonals from a partition) are detected;
+    the threaded executor needs them, since each worker publishes only the
+    block it owns.
     """
 
     weights: tuple

@@ -6,8 +6,8 @@ with its newest local iterate each time), and the weighted combination
 
     x_next = omega * sum_i E_i y_i + (1 - omega) * x
 
-closes the step.  With indicator weights the combination only reads block i
-of processor i's result, which is implemented as masked accumulation.
+closes the step.  Indicator weights need no separate path: 0.0 * y_i and
+1.0 * y_i are exact, so the sum takes each block exactly from its owner.
 
 ``solve_sync`` runs this as the asynchronous simulator's zero-delay case.
 """
@@ -201,17 +201,10 @@ def _run_processor_inner(prob: LcpProblem, splitting, y0: np.ndarray,
 
 def _accumulate(ys, weighting) -> np.ndarray:
     """sum_i E_i y_i with a fixed accumulation order over i, so serial and
-    concurrent inner loops produce identical results.  Indicator weightings
-    copy block i from y_i (masked accumulation)."""
-    owners = weighting.indicator_owners
-    if owners is not None:
-        acc = np.empty(weighting.n)
-        for i, idx in enumerate(owners):
-            acc[idx] = ys[i][idx]
-    else:
-        acc = np.zeros(weighting.n)
-        for i, w in enumerate(weighting.weights):
-            acc += w * ys[i]
+    concurrent inner loops produce identical results."""
+    acc = np.zeros(weighting.n)
+    for w, y in zip(weighting.weights, ys):
+        acc += w * y
     return acc
 
 

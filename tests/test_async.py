@@ -21,26 +21,6 @@ def cfg_fixed(q, tol=1e-6, **kw):
 
 
 class TestSimulatorEquivalence:
-    def test_zero_staleness_matches_sync_bitwise(self, grid_problem,
-                                                 grid_multisplitting):
-        prob = grid_problem(4)
-        ms = grid_multisplitting(4, 2, "jacobi")
-        cfg = cfg_fixed(2)
-        sync_iterates = []
-        x_s, rep_s = solve_sync(prob, ms, cfg,
-                                on_step=lambda e:
-                                sync_iterates.append(e.iterates[0].copy()))
-        async_iterates = []
-        sched = AsyncSchedule(staleness_bound=0, policy=AllEveryStep())
-        x_a, rep_a = solve_async_sim(prob, ms, cfg, sched,
-                                     on_step=lambda e:
-                                     async_iterates.append(e.iterates[0].copy()))
-        assert rep_s.outer_iterations == rep_a.outer_iterations
-        assert len(sync_iterates) == len(async_iterates)
-        for xs, xa in zip(sync_iterates, async_iterates):
-            assert np.array_equal(xs, xa)
-        assert np.array_equal(x_s, x_a)
-
     def test_nonpositive_forcing(self):
         a = SparseMatrix.from_dense([[2.0]])
         prob = LcpProblem(a, [-2.0])

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mslcp.bench import HISTORY_HEADER, main
+from mslcp.bench import HISTORY_HEADER, build_parser, main, resolved
 from mslcp.io import read_matrix_market, read_vector
 
 
@@ -96,9 +96,16 @@ class TestExitCodes:
         ["--grid", "4", "--m", "2", "--shift", "-4"],
         ["--matrix", "{tmp}/rect.mtx", "--rhs", "{tmp}/rhs2.txt"],
         ["--matrix", "{tmp}/zero_diag.mtx", "--rhs", "{tmp}/rhs2.txt"],
+        ["--grid", "4", "--m", "2", "--omega", "0"],
+        ["--grid", "4", "--m", "2", "--outer-tol", "-1"],
+        ["--grid", "4", "--m", "0"],
+        ["--grid", "1"],
+        ["--grid", "4", "--m", "2", "--mode", "async-sim", "--staleness", "-1"],
     ], ids=["partition-count", "partition-file-missing",
             "partition-index-range", "m-above-n", "max-outer-zero",
-            "zero-diagonal-shift", "rectangular-matrix", "zero-diagonal-matrix"])
+            "zero-diagonal-shift", "rectangular-matrix", "zero-diagonal-matrix",
+            "omega-zero", "outer-tol-negative", "m-zero", "grid-one",
+            "staleness-negative"])
     def test_bad_setup_input_exits_64_with_one_line(self, tmp_path, capsys,
                                                      argv):
         from mslcp import SparseMatrix
@@ -246,6 +253,70 @@ class TestConfigFile:
         cfgfile = tmp_path / "bench.cfg"
         cfgfile.write_text("grid=8\nnot_a_key=1\n")
         assert main(["--config", str(cfgfile)]) == 64
+
+    @pytest.mark.parametrize("key", ["config", "compare", "output",
+                                     "export_problem"])
+    def test_config_file_cannot_name_locations(self, tmp_path, capsys, key):
+        cfgfile = tmp_path / "bench.cfg"
+        cfgfile.write_text(f"grid=6\n{key}={tmp_path / 'x'}\n")
+        assert main(["--config", str(cfgfile)]) == 64
+        assert f"{cfgfile}:2: unknown key {key!r}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bench.cfg"]
+
+    @pytest.mark.parametrize("line", ["omega=abc", "m=two", "mode=bogus",
+                                      "reads=never", "no equals sign"])
+    def test_bad_config_value_exits_64(self, tmp_path, line):
+        cfgfile = tmp_path / "bench.cfg"
+        cfgfile.write_text(f"grid=6\n{line}\n")
+        assert main(["--config", str(cfgfile)]) == 64
+
+    # every resolved key, split by problem source (grid and matrix exclude
+    # each other); timing stays off so the reports can be compared
+    COMMON = {"m": 3, "variant": "block_lower_triangular",
+              "partition": "contiguous:3", "omega": 0.9, "schedule": "fixed:2",
+              "mode": "async-sim", "staleness": 2, "policy": "random:4",
+              "reads": "uniform", "outer_tol": 1e-7, "max_outer": 5000,
+              "seed": 3, "format": "json", "history": True, "timing": False,
+              "max_power_iters": 100000}
+
+    def _cases(self, tmp_path):
+        from mslcp import GridLcpSpec, make_grid_lcp
+        from mslcp.io import write_matrix_market, write_vector
+        prob = make_grid_lcp(GridLcpSpec(p=5, shift=0.25))
+        write_matrix_market(tmp_path / "a.mtx", prob.A)
+        write_vector(tmp_path / "f.txt", prob.f)
+        return {"grid": dict(self.COMMON, grid=6, shift=0.5),
+                "matrix": dict(self.COMMON, matrix=str(tmp_path / "a.mtx"),
+                               rhs=str(tmp_path / "f.txt"))}
+
+    def test_cases_cover_every_resolved_key(self, tmp_path):
+        keys = set(resolved(build_parser().parse_args([])))
+        cases = self._cases(tmp_path).values()
+        assert set().union(*cases) == keys
+
+    @pytest.mark.parametrize("source", ["grid", "matrix"])
+    def test_config_file_equals_flags_bytewise(self, tmp_path, source):
+        values = self._cases(tmp_path)[source]
+        lines, flags = [], []
+        for i, (key, value) in enumerate(values.items()):
+            flag = "--" + key.replace("_", "-")
+            name = flag[2:] if i % 2 else key  # keys may use - or _
+            if isinstance(value, bool):
+                lines.append(f"{name} = {'yes' if value else 'no'}")
+                flags += [flag] if value else []
+            else:
+                lines.append(f"{name} = {value}")
+                flags += [flag, str(value)]
+        cfgfile = tmp_path / "bench.cfg"
+        cfgfile.write_text("\n".join(lines) + "\n")
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["--config", str(cfgfile), "--output", str(a)]) == 0
+        assert main(flags + ["--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert (tmp_path / "a.json.history.csv").read_bytes() == \
+            (tmp_path / "b.json.history.csv").read_bytes()
+        config = json.loads(a.read_text())["config"]
+        assert all(config[k] == v for k, v in values.items())
 
 
 class TestModes:

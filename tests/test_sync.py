@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from mslcp import (InnerSchedule, LcpProblem, Partition, SolverConfig,
-                   SparseMatrix, brute_force_lcp, build_block_splitting,
-                   natural_residual, reference_solve, schedule_inner_count,
-                   solve_sync, spmv, weighted_max_norm)
+from mslcp import (AsyncSchedule, InnerSchedule, LcpProblem, Partition,
+                   SolverConfig, SparseMatrix, brute_force_lcp,
+                   build_block_splitting, natural_residual, reference_solve,
+                   schedule_inner_count, solve_async_sim, solve_sync, spmv,
+                   weighted_max_norm)
 from mslcp.hmatrix import solve_m_matrix
 from mslcp.splitting import ContractionOperator
 
@@ -125,34 +126,57 @@ class TestSchedules:
         assert all(c[0] == 3 for c in counts)
 
 
+def _bitwise_match_for_ten_steps(prob, ms, omega, q, d):
+    """Ten outer steps against relaxed block projected Jacobi where step k
+    reads x_max(0, k-d) and blends against x_k."""
+    seen = []
+
+    def hook(e):
+        seen.append(e.iterates[0].copy())
+
+    cfg = SolverConfig(omega=omega, schedule=InnerSchedule.fixed(q),
+                       outer_tol=0.0 + 1e-300, max_outer=10)
+    if d == 0:
+        solve_sync(prob, ms, cfg, on_step=hook)
+    else:
+        solve_async_sim(prob, ms, cfg, AsyncSchedule(staleness_bound=d),
+                        on_step=hook)
+    assert len(seen) == 10
+    diag = prob.A.diagonal()
+    xs = [np.zeros(prob.n)]
+    for step in range(10):
+        # processor i runs q projected Jacobi sweeps from the read iterate
+        # and contributes its own block
+        acc = np.empty(prob.n)
+        for i, idx in enumerate(ms.partition.owner_sets):
+            y = xs[max(0, step - d)]
+            for _ in range(q):
+                y = np.maximum(
+                    0.0, (prob.f + spmv(ms.splittings[i].N, y)) / diag)
+            acc[idx] = y[idx]
+        x = xs[step]
+        xs.append(acc if omega == 1.0 else omega * acc + (1.0 - omega) * x)
+        assert seen[step].tobytes() == xs[-1].tobytes()
+
+
 class TestReducesToProjectedJacobi:
     @pytest.mark.parametrize("q", [1, 3])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("omega", [1.0, 0.8, 1.2])
     def test_bitwise_match_for_ten_steps(self, grid_problem, grid_multisplitting,
                                          omega, m, q):
-        prob = grid_problem(4)
-        ms = grid_multisplitting(4, m, "jacobi")
-        seen = []
-        cfg = SolverConfig(omega=omega, schedule=InnerSchedule.fixed(q),
-                           outer_tol=0.0 + 1e-300, max_outer=10)
-        solve_sync(prob, ms, cfg,
-                   on_step=lambda e: seen.append(e.iterates[0].copy()))
-        assert len(seen) == 10
-        diag = prob.A.diagonal()
-        x = np.zeros(prob.n)
-        for step in range(10):
-            # relaxed block projected Jacobi: processor i runs q projected
-            # Jacobi sweeps from x and contributes its own block
-            acc = np.empty(prob.n)
-            for i, idx in enumerate(ms.partition.owner_sets):
-                y = x
-                for _ in range(q):
-                    y = np.maximum(
-                        0.0, (prob.f + spmv(ms.splittings[i].N, y)) / diag)
-                acc[idx] = y[idx]
-            x = acc if omega == 1.0 else omega * acc + (1.0 - omega) * x
-            assert seen[step].tobytes() == x.tobytes()
+        _bitwise_match_for_ten_steps(grid_problem(4),
+                                     grid_multisplitting(4, m, "jacobi"),
+                                     omega, q, d=0)
+
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("omega", [1.0, 0.8, 1.2])
+    def test_bitwise_match_at_staleness_two(self, grid_problem,
+                                            grid_multisplitting, omega, m, q):
+        _bitwise_match_for_ten_steps(grid_problem(4),
+                                     grid_multisplitting(4, m, "jacobi"),
+                                     omega, q, d=2)
 
 
 class TestErrorRecursion:
