@@ -29,8 +29,8 @@ import numpy as np
 from .errors import ConvergenceError
 from .sublcp import LcpProblem, natural_residual
 from .splitting import MultisplittingSet
-from .sync import (SolverConfig, StepEvent, _accumulate, _blend, _prologue,
-                   _run_processor_inner)
+from .sync import (SolverConfig, StepEvent, _accumulate, _blend,
+                   _processor_groups, _prologue, _run_processor_inner)
 
 READ_RULES = ("latest", "stalest", "uniform")
 
@@ -131,6 +131,10 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     cannot be an artifact of reads older than the window), or at
     ``cfg.max_outer``.
 
+    The processors of a ``sync._processor_groups`` group run as one inner
+    loop on their stacked starts; ``ys[i]`` in a ``StepEvent`` is then a
+    read-only slice of the group's stacked iterate.
+
     Returns (x, IterationReport) where x is the stream with the smallest
     natural residual (ties to the lowest index).
     """
@@ -144,21 +148,30 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     window = sched.policy.fairness_window(m) + sched.staleness_bound
     recent_changes = deque(maxlen=window)
 
+    n = prob.n
+    groups = [(g, ms.stacked(g), np.tile(prob.f, len(g)))
+              for g in _processor_groups(ms, resolved)]
+
     for k in range(cfg.max_outer):
         reads = _pick_reads(sched, k, m, reads_rng)
         starts = tuple(ring[s - k - 1][i] for i, s in enumerate(reads))
-        ys, counts = [], []
-        for i, y0 in enumerate(starts):
+        ys, counts = [None] * m, [0] * m
+        for members, split, f in groups:
+            y0 = np.concatenate([starts[i] for i in members])
             try:
-                y, count = _run_processor_inner(prob, ms.splittings[i], y0,
-                                                resolved[i], cfg.sub_iter_tol,
+                y, count = _run_processor_inner(prob, split, f, y0,
+                                                resolved[members[0]],
+                                                cfg.sub_iter_tol,
                                                 cfg.sub_max_iters)
             except ConvergenceError as exc:
+                i = members[getattr(exc, "member", 0)]
                 raise ConvergenceError(
                     f"subproblem solve failed at outer step {k}, "
                     f"processor {i}: {exc}") from exc
-            ys.append(y)
-            counts.append(count)
+            y.setflags(write=False)
+            for j, i in enumerate(members):
+                ys[i] = y[j * n:(j + 1) * n]
+                counts[i] = count
         acc = _accumulate(ys, ms.weighting)
         updated = sched.policy.update_set(k, m, policy_rng)
         streams = list(ring[-1])
@@ -235,8 +248,9 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
         split = ms.splittings[i]
         try:
             while not stop.is_set():
-                y, count = _run_processor_inner(prob, split, published,
-                                                resolved[i], cfg.sub_iter_tol,
+                y, count = _run_processor_inner(prob, split, prob.f,
+                                                published, resolved[i],
+                                                cfg.sub_iter_tol,
                                                 cfg.sub_max_iters)
                 with lock:
                     if stop.is_set():

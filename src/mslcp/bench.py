@@ -368,8 +368,9 @@ def config_argv(parser: _Parser, path: str) -> list:
     """The flags a key=value config file stands for.
 
     Keys are the resolved option names (``-`` or ``_``); a key whose default
-    is a bool is a switch, set by 1, true, yes or on.  The values are
-    checked when the flags are parsed.
+    is a bool is a switch, set by 1, true, yes or on and left off by 0,
+    false, no or off (any case); any other switch value is a usage error.
+    The other values are checked when the flags are parsed.
     """
     defaults = resolved(parser.parse_args([]))
     out = []
@@ -394,6 +395,10 @@ def config_argv(parser: _Parser, path: str) -> list:
                 out.append(f"{flag}={value}")
             elif value.lower() in ("1", "true", "yes", "on"):
                 out.append(flag)
+            elif value.lower() not in ("0", "false", "no", "off"):
+                raise UsageError(f"{path}:{lineno}: {key} must be one of "
+                                 "1/true/yes/on or 0/false/no/off, "
+                                 f"got {value!r}")
     return out
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ConvergenceError
 from .hmatrix import MatrixClass, classify, solve_m_matrix, spectral_radius_nonneg
@@ -200,6 +201,12 @@ class MultisplittingSet:
     no solver reads it, and ``validate_multisplitting`` recomputes it.
     ``matrix_class`` carries the classification of the matrix the set was
     built from, when known.
+
+    ``_caches`` holds derived data built on first use: contraction operators,
+    adaptive inner counts, and under ``"stacks"`` the stacked splitting of
+    each processor group the simulator runs together.  A stack of g members
+    stores its members' factors once more: for the shared Jacobi factor at
+    n = 1600 and g = 4 that is g copies of M and N, about 0.6 MB.
     """
 
     splittings: tuple
@@ -225,6 +232,25 @@ class MultisplittingSet:
     @property
     def n(self) -> int:
         return self.splittings[0].n
+
+    def stacked(self, members: tuple) -> Splitting:
+        """The splitting (blockdiag(M_i), blockdiag(N_i)) over ``members``,
+        which share one structure tag; cached per member tuple.  One member
+        is its own splitting."""
+        if len(members) == 1:
+            return self.splittings[members[0]]
+        stacks = self._caches.setdefault("stacks", {})
+        if members not in stacks:
+            parts = [self.splittings[i] for i in members]
+
+            def block(mats):
+                return SparseMatrix.from_scipy(scipy.sparse.block_diag(
+                    [a.to_scipy() for a in mats], format="csr"))
+
+            stacks[members] = Splitting(block(s.M for s in parts),
+                                        block(s.N for s in parts),
+                                        parts[0].structure)
+        return stacks[members]
 
     def contraction_operator(self, i: int) -> ContractionOperator:
         ops = self._caches.setdefault("ops", {})

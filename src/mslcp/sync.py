@@ -9,6 +9,14 @@ with its newest local iterate each time), and the weighted combination
 closes the step.  Indicator weights need no separate path: 0.0 * y_i and
 1.0 * y_i are exact, so the sum takes each block exactly from its owner.
 
+Processors whose subproblem is an exact row-local solve (the ``diagonal``
+clamp, or the projected forward sweep of a ``lower_triangular`` factor with
+nonpositive strict-lower entries) and whose inner count is one fixed int
+run together: ``_processor_groups`` collects them by (tag, count), and one
+inner loop solves the stacked system blockdiag(M_i), blockdiag(N_i) on the
+concatenated starts.  Each stacked row does the arithmetic of its member's
+row in the same order, so the slices are bit-identical to separate loops.
+
 ``solve_sync`` runs this as the asynchronous simulator's zero-delay case.
 """
 
@@ -22,7 +30,7 @@ from .errors import ConvergenceError, NonFiniteError
 from .hmatrix import classify
 from .splitting import MultisplittingSet, min_inner_count
 # natural_residual stays bound here because perfbench's tracer patches it
-from .sublcp import LcpProblem, natural_residual, solve_sub_lcp
+from .sublcp import LcpProblem, _checked_factor, natural_residual, solve_sub_lcp
 from .sparse import as_vector, spmv
 
 SCHEDULE_KINDS = ("fixed", "adaptive", "inner_tolerance")
@@ -169,21 +177,44 @@ def schedule_inner_count(schedule: InnerSchedule, splitting_index: int,
     return stop
 
 
-def _run_processor_inner(prob: LcpProblem, splitting, y0: np.ndarray,
-                         resolved, sub_iter_tol: float,
-                         sub_max_iters: int = 200000):
-    """Run one processor's inner loop from y0; returns (y, solve count).
+def _processor_groups(ms: MultisplittingSet, resolved) -> list:
+    """Processor index tuples that share one stacked inner loop.
 
-    ``resolved`` is either an int count (at least 1) or a stop predicate from
-    ``schedule_inner_count``.  Each solve refreshes the forcing vector from
-    the newest local iterate: F = f + N y.  A non-finite y or F means the
-    iteration diverged; it is raised as ``ConvergenceError`` naming the
-    inner solve.
+    Processors with an exact row-local subproblem (``diagonal``, or
+    ``lower_triangular`` with nonpositive strict-lower entries) and an int
+    count are grouped by (tag, count); every other processor is a group of
+    one.  Tags never mix: the clamp and the sweep treat -0.0 differently.
+    Groups come in order of their lowest member.
     """
-    y, count = y0, 0
+    groups = {}
+    for i, (split, count) in enumerate(zip(ms.splittings, resolved)):
+        exact = split.structure == "diagonal" or (
+            split.structure == "lower_triangular"
+            and _checked_factor(split.M)[1])
+        key = (split.structure, count) if exact and isinstance(count, int) \
+            else i
+        groups.setdefault(key, []).append(i)
+    return [tuple(g) for g in groups.values()]
+
+
+def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
+                         y0: np.ndarray, resolved, sub_iter_tol: float,
+                         sub_max_iters: int = 200000):
+    """Run one processor group's inner loop from y0; returns (y, solve count).
+
+    ``splitting`` is a processor's splitting with ``f`` = ``prob.f``, or a
+    group's stacked splitting with ``f`` the matching copies of ``prob.f``
+    end to end.  ``resolved`` is either an int count (at least 1) or, for a
+    single processor, a stop predicate from ``schedule_inner_count``.  Each
+    solve refreshes the forcing vector from the newest local iterate:
+    F = f + N y.  A non-finite y or F means the iteration diverged; it is
+    raised as ``ConvergenceError`` naming the inner solve, with ``member``
+    the position in the group of the first non-finite slice.
+    """
+    y, f_vec, count = y0, f, 0
     try:
         while True:
-            f_vec = prob.f + spmv(splitting.N, y)
+            f_vec = f + spmv(splitting.N, y)
             y = solve_sub_lcp(splitting.M, splitting.structure, f_vec,
                               iter_tol=sub_iter_tol, max_iters=sub_max_iters)
             count += 1
@@ -195,8 +226,12 @@ def _run_processor_inner(prob: LcpProblem, splitting, y0: np.ndarray,
             if done:
                 return y, count
     except NonFiniteError as exc:
-        raise ConvergenceError(
-            f"iteration diverged in inner solve {count + 1}: {exc}") from exc
+        err = ConvergenceError(
+            f"iteration diverged in inner solve {count + 1}: {exc}")
+        # only the vector that failed its check is non-finite
+        bad = ~(np.isfinite(y) & np.isfinite(f_vec))
+        err.member = int(np.argmax(bad)) // prob.n
+        raise err from exc
 
 
 def _accumulate(ys, weighting) -> np.ndarray:

@@ -264,7 +264,8 @@ class TestConfigFile:
         assert [p.name for p in tmp_path.iterdir()] == ["bench.cfg"]
 
     @pytest.mark.parametrize("line", ["omega=abc", "m=two", "mode=bogus",
-                                      "reads=never", "no equals sign"])
+                                      "reads=never", "no equals sign",
+                                      "history=ture"])
     def test_bad_config_value_exits_64(self, tmp_path, line):
         cfgfile = tmp_path / "bench.cfg"
         cfgfile.write_text(f"grid=6\n{line}\n")

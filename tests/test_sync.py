@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from mslcp import (AsyncSchedule, InnerSchedule, LcpProblem, Partition,
-                   SolverConfig, SparseMatrix, brute_force_lcp,
-                   build_block_splitting, natural_residual, reference_solve,
-                   schedule_inner_count, solve_async_sim, solve_sync, spmv,
-                   weighted_max_norm)
+from mslcp import (AsyncSchedule, ConvergenceError, InnerSchedule, LcpProblem,
+                   Partition, RoundRobin, SolverConfig, SparseMatrix,
+                   brute_force_lcp, build_block_splitting, natural_residual,
+                   reference_solve, schedule_inner_count, solve_async_sim,
+                   solve_sync, spmv, weighted_max_norm)
 from mslcp.hmatrix import solve_m_matrix
 from mslcp.splitting import ContractionOperator
 
@@ -333,3 +333,194 @@ class TestReport:
         ms = grid_multisplitting(3, 2, "jacobi")
         with pytest.raises(ValueError, match="non-finite"):
             solve_sync(prob, ms, fixed_cfg(1), x0=np.full(9, np.nan))
+
+
+def _reference_run(prob, ms, cfg, sched, x0=None):
+    """The simulator's outer loop with one ``_run_processor_inner`` call per
+    processor and no grouping; returns (x, report, events)."""
+    from collections import deque
+
+    from mslcp.asynchronous import _pick_reads
+    from mslcp.sync import (StepEvent, _accumulate, _blend, _prologue,
+                            _run_processor_inner)
+
+    report, x, resolved = _prologue(prob, ms, cfg, x0)
+    m = ms.m
+    ring = deque([(x,) * m], maxlen=sched.staleness_bound + 1)
+    policy_rng = np.random.default_rng(getattr(sched.policy, "seed", 0))
+    reads_rng = np.random.default_rng(sched.reads_seed)
+    window = sched.policy.fairness_window(m) + sched.staleness_bound
+    changes, events = deque(maxlen=window), []
+    for k in range(cfg.max_outer):
+        reads = _pick_reads(sched, k, m, reads_rng)
+        starts = tuple(ring[s - k - 1][i] for i, s in enumerate(reads))
+        runs = []
+        for i, y0 in enumerate(starts):
+            try:
+                runs.append(_run_processor_inner(
+                    prob, ms.splittings[i], prob.f, y0, resolved[i],
+                    cfg.sub_iter_tol, cfg.sub_max_iters))
+            except ConvergenceError as exc:
+                raise ConvergenceError(
+                    f"subproblem solve failed at outer step {k}, "
+                    f"processor {i}: {exc}") from exc
+        ys = tuple(y for y, _ in runs)
+        acc = _accumulate(ys, ms.weighting)
+        updated = tuple(sorted(sched.policy.update_set(k, m, policy_rng)))
+        streams = list(ring[-1])
+        delta = 0.0
+        for l in updated:
+            new = _blend(acc, cfg.omega, streams[l])
+            delta = max(delta, float(np.max(np.abs(new - streams[l]))))
+            streams[l] = new
+        changes.append(delta)
+        ring.append(tuple(streams))
+        report.outer_iterations = k + 1
+        report.total_inner_iterations += sum(c for _, c in runs)
+        events.append(StepEvent(k, tuple(reads), starts, ys,
+                                tuple(c for _, c in runs), updated, delta,
+                                ring[-1]))
+        if len(changes) == window and max(changes) < cfg.outer_tol:
+            report.converged = True
+            break
+    residuals = [natural_residual(prob, xl) for xl in ring[-1]]
+    best = int(np.argmin(residuals))
+    report.final_residual = residuals[best]
+    return ring[-1][best], report, events
+
+
+def _event_bytes(e):
+    vectors = [v.tobytes() for group in (e.starts, e.ys, e.iterates)
+               for v in group]
+    return (e.k, e.reads, e.inner_counts, e.updated,
+            np.float64(e.update_norm).tobytes(), vectors)
+
+
+def _report_fields(rep):
+    fields = dict(vars(rep))
+    del fields["wall_time_seconds"]
+    return fields
+
+
+def _uneven_partition(n, single_at):
+    """Four contiguous blocks; block ``single_at`` is a single row."""
+    sizes = [n // 3, n // 4, n - n // 3 - n // 4 - 1]
+    sizes.insert(single_at, 1)
+    bounds = np.cumsum([0] + sizes)
+    return Partition(n, 4, tuple(np.arange(lo, hi)
+                                 for lo, hi in zip(bounds, bounds[1:])))
+
+
+def _positive_lower_problem(grid_problem):
+    """The p=6 grid with entry (13, 12), inside block 1 of three, made
+    positive: still H+, but M_1's forward sweep is no longer exact."""
+    a = grid_problem(6).A
+    vals = a.values.copy()
+    at = np.flatnonzero((a.entry_rows() == 13) & (a.col_indices == 12))
+    vals[at] = -vals[at]
+    return LcpProblem(a.same_pattern(vals), grid_problem(6).f)
+
+
+class TestStackedGroups:
+    """The simulator runs processors with an exact row-local sub-solve and
+    one int count as one stacked solve; every result stays bit-identical to
+    one inner loop per processor."""
+
+    def _case(self, grid_problem, name):
+        prob = grid_problem(6)
+        n = prob.n
+        jac = lambda m: build_block_splitting(
+            prob.A, Partition.contiguous(n, m), "jacobi")
+        low = lambda part: build_block_splitting(
+            prob.A, part, "block_lower_triangular")
+        fixed = InnerSchedule.fixed(3)
+        sync = AsyncSchedule()
+        rr = AsyncSchedule(staleness_bound=2, policy=RoundRobin(2))
+        if name.startswith("jacobi-m"):
+            return prob, jac(int(name[-1])), fixed, sync, 1.2
+        if name.startswith("lower-single-at"):
+            part = _uneven_partition(n, int(name[-1]))
+            return prob, low(part), fixed, sync, 0.8
+        if name == "lower-adaptive":
+            return prob, low(_uneven_partition(n, 0)), \
+                InnerSchedule.adaptive(0.2), sync, 1.0
+        if name == "positive-lower":
+            pos = _positive_lower_problem(grid_problem)
+            ms = build_block_splitting(pos.A, Partition.contiguous(n, 3),
+                                       "block_lower_triangular")
+            return pos, ms, fixed, sync, 1.0
+        if name == "innertol":
+            return prob, jac(2), InnerSchedule.inner_tolerance(1e-6), sync, 1.0
+        if name == "async-jacobi":
+            return prob, jac(4), fixed, rr, 0.9
+        assert name == "async-lower"
+        return prob, low(_uneven_partition(n, 2)), fixed, rr, 1.1
+
+    CASES = {
+        "jacobi-m1": [(0,)],
+        "jacobi-m2": [(0, 1)],
+        "jacobi-m4": [(0, 1, 2, 3)],
+        "lower-single-at-0": [(0,), (1, 2, 3)],
+        "lower-single-at-2": [(0, 1, 3), (2,)],
+        # adaptive counts 20, 18, 17, 18
+        "lower-adaptive": [(0,), (1, 3), (2,)],
+        "positive-lower": [(0, 2), (1,)],
+        "innertol": [(0,), (1,)],
+        "async-jacobi": [(0, 1, 2, 3)],
+        "async-lower": [(0, 1, 3), (2,)],
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_bitwise_equal_to_one_loop_per_processor(self, grid_problem,
+                                                     name):
+        from mslcp.sync import _processor_groups
+        prob, ms, schedule, sched, omega = self._case(grid_problem, name)
+        cfg = SolverConfig(omega=omega, schedule=schedule, outer_tol=1e-8,
+                           max_outer=400)
+        resolved = [schedule_inner_count(schedule, i, ms)
+                    for i in range(ms.m)]
+        assert _processor_groups(ms, resolved) == self.CASES[name]
+        events = []
+        x, rep = solve_async_sim(prob, ms, cfg, sched, on_step=events.append)
+        x_ref, rep_ref, events_ref = _reference_run(prob, ms, cfg, sched)
+        assert x.tobytes() == x_ref.tobytes()
+        assert _report_fields(rep) == _report_fields(rep_ref)
+        assert rep.total_inner_iterations == sum(
+            sum(e.inner_counts) for e in events)
+        assert len(events) == len(events_ref) == rep.outer_iterations
+        for e, e_ref in zip(events, events_ref):
+            assert _event_bytes(e) == _event_bytes(e_ref)
+            assert all(len(y) == prob.n and not y.flags.writeable
+                       for y in e.ys)
+
+    @pytest.mark.parametrize("bad, inner", [(2, 1), (1, 2)])
+    def test_divergence_names_the_lowest_nonfinite_member(self, grid_problem,
+                                                          bad, inner):
+        from mslcp import MultisplittingSet, Splitting
+        prob = grid_problem(4)
+        base = build_block_splitting(prob.A, Partition.contiguous(16, 4),
+                                     "jacobi")
+        split = base.splittings[0]
+        if inner == 1:
+            # F = f + N y overflows in the first solve of processor ``bad``
+            odd = Splitting(split.M,
+                            split.N.same_pattern(split.N.values * 1e308),
+                            "diagonal")
+        else:
+            # y = F / M overflows, so the second solve's spmv rejects it
+            odd = Splitting(SparseMatrix.from_diagonal(np.full(16, 5e-324)),
+                            split.N, "diagonal")
+        splits = tuple(odd if i == bad else split for i in range(4))
+        ms = MultisplittingSet(splits, base.weighting, base.partition,
+                               base.contraction_estimates,
+                               matrix_class=base.matrix_class)
+        cfg = fixed_cfg(3)
+        x0 = np.ones(16)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ConvergenceError) as got:
+                solve_sync(prob, ms, cfg, x0=x0)
+            with pytest.raises(ConvergenceError) as want:
+                _reference_run(prob, ms, cfg, AsyncSchedule(), x0=x0)
+        assert str(got.value) == str(want.value)
+        assert (f"outer step 0, processor {bad}: iteration diverged in inner "
+                f"solve {inner}: ") in str(got.value)
