@@ -70,12 +70,19 @@ class RandomFair:
 
     seed: int = 0
     full_round_every: int = 8
+    # the subset is a bit mask drawn from [1, 1 << m), whose exclusive
+    # bound numpy's int64 draw accepts up to 1 << 63
+    MAX_M = 63
 
     def __post_init__(self):
         if self.full_round_every < 1:
             raise ValueError("full_round_every must be at least 1")
 
     def fairness_window(self, m: int) -> int:
+        # the simulator asks for the window before step 0
+        if m > self.MAX_M:
+            raise ValueError(f"the random policy supports at most "
+                             f"{self.MAX_M} processors, got {m}")
         return self.full_round_every
 
     def update_set(self, k: int, m: int, rng) -> list:
@@ -132,8 +139,13 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     ``cfg.max_outer``.
 
     The processors of a ``sync._processor_groups`` group run as one inner
-    loop on their stacked starts; ``ys[i]`` in a ``StepEvent`` is then a
-    read-only slice of the group's stacked iterate.
+    loop.  At each step, members with the same splitting object and the same
+    start array (``is``) would compute the same y, so each folds onto the
+    lowest such member; only these representatives' starts are stacked and
+    solved.  ``ys[i]`` in a ``StepEvent`` is a read-only slice of the
+    stacked iterate at processor i's representative, so in the synchronous
+    Jacobi solve (one shared splitting, one start) every processor's ``ys``
+    is the same n values.
 
     Returns (x, IterationReport) where x is the stream with the smallest
     natural residual (ties to the lowest index).
@@ -149,27 +161,40 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     recent_changes = deque(maxlen=window)
 
     n = prob.n
-    groups = [(g, ms.stacked(g), np.tile(prob.f, len(g)))
-              for g in _processor_groups(ms, resolved)]
+    groups = _processor_groups(ms, resolved)
+    tiles = {}  # stack size -> that many copies of prob.f end to end
 
     for k in range(cfg.max_outer):
         reads = _pick_reads(sched, k, m, reads_rng)
         starts = tuple(ring[s - k - 1][i] for i, s in enumerate(reads))
         ys, counts = [None] * m, [0] * m
-        for members, split, f in groups:
-            y0 = np.concatenate([starts[i] for i in members])
+        for members in groups:
+            # members with the same splitting and start compute the same y:
+            # each folds onto the lowest such member, its representative
+            reps, slot, at = [], {}, []
+            for i in members:
+                key = (id(ms.splittings[i]), id(starts[i]))
+                if key not in slot:
+                    slot[key] = len(reps)
+                    reps.append(i)
+                at.append(slot[key])
+            g = len(reps)
+            if g not in tiles:
+                tiles[g] = np.tile(prob.f, g)
+            y0 = np.concatenate([starts[i] for i in reps])
             try:
-                y, count = _run_processor_inner(prob, split, f, y0,
+                y, count = _run_processor_inner(prob, ms.stacked(tuple(reps)),
+                                                tiles[g], y0,
                                                 resolved[members[0]],
                                                 cfg.sub_iter_tol,
                                                 cfg.sub_max_iters)
             except ConvergenceError as exc:
-                i = members[getattr(exc, "member", 0)]
+                i = reps[getattr(exc, "member", 0)]
                 raise ConvergenceError(
                     f"subproblem solve failed at outer step {k}, "
                     f"processor {i}: {exc}") from exc
             y.setflags(write=False)
-            for j, i in enumerate(members):
+            for i, j in zip(members, at):
                 ys[i] = y[j * n:(j + 1) * n]
                 counts[i] = count
         acc = _accumulate(ys, ms.weighting)

@@ -49,6 +49,9 @@ SUMMARY_COLUMNS = (
     "seed", "staleness", "policy", "reads", "out_iterations", "converged",
     "final_residual", "omega_bound", "omega_in_range", "total_inner_iterations",
 )
+# the report keys that --compare reads; wall_time_seconds is optional
+COMPARE_KEYS = ("problem", "n", "m", "mode", "omega", "schedule",
+                "out_iterations", "total_inner_iterations")
 HISTORY_HEADER = "k,update_norm,natural_residual,inner_counts"
 
 
@@ -227,6 +230,8 @@ def run_bench(cfg: argparse.Namespace) -> int:
         sched = AsyncSchedule(staleness_bound=cfg.staleness,
                               policy=parse_policy(cfg.policy, cfg.seed),
                               reads=cfg.reads, reads_seed=cfg.seed)
+        # the policy rejects an m it cannot schedule, before any assembly
+        sched.policy.fairness_window(cfg.m)
         prob, ident = load_problem(cfg)
         partition = load_partition(cfg, prob.n)
         cls = classify(prob.A, max_power_iters=cfg.max_power_iters)
@@ -288,9 +293,16 @@ def compare_runs(paths) -> int:
     for p in paths:
         try:
             with open(p) as fh:
-                recs.append(json.load(fh))
+                rec = json.load(fh)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read report {p}: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise UsageError(f"report {p} is not a JSON object")
+        missing = [k for k in COMPARE_KEYS if k not in rec]
+        if missing:
+            raise UsageError(f"report {p} lacks the keys "
+                             + ", ".join(map(repr, missing)))
+        recs.append(rec)
     ident = {(r.get("problem"), r.get("n")) for r in recs}
     if len(ident) != 1:
         raise UsageError("reports describe different problems: "

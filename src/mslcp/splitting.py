@@ -203,10 +203,12 @@ class MultisplittingSet:
     built from, when known.
 
     ``_caches`` holds derived data built on first use: contraction operators,
-    adaptive inner counts, and under ``"stacks"`` the stacked splitting of
-    each processor group the simulator runs together.  A stack of g members
-    stores its members' factors once more: for the shared Jacobi factor at
-    n = 1600 and g = 4 that is g copies of M and N, about 0.6 MB.
+    adaptive inner counts, and under ``"stacks"`` the stacked splittings the
+    simulator solves, keyed by their sequence of splitting objects.  A stack
+    of g members stores its members' factors once more: at n = 1600 and
+    g = 4 that is g copies of M and N, about 0.6 MB.  The synchronous Jacobi
+    solve, whose processors share one splitting and one start, solves the
+    unstacked splitting and caches no stack.
     """
 
     splittings: tuple
@@ -235,22 +237,26 @@ class MultisplittingSet:
 
     def stacked(self, members: tuple) -> Splitting:
         """The splitting (blockdiag(M_i), blockdiag(N_i)) over ``members``,
-        which share one structure tag; cached per member tuple.  One member
-        is its own splitting."""
+        which share one structure tag.  One member is its own splitting.
+        Stacks are cached by the sequence of splitting objects, so member
+        tuples that name the same objects in the same order (any k members
+        of a set whose processors share one splitting) share one stack."""
         if len(members) == 1:
             return self.splittings[members[0]]
+        parts = [self.splittings[i] for i in members]
+        # the set holds every splitting, so their ids stay valid
+        key = tuple(id(s) for s in parts)
         stacks = self._caches.setdefault("stacks", {})
-        if members not in stacks:
-            parts = [self.splittings[i] for i in members]
+        if key not in stacks:
 
             def block(mats):
                 return SparseMatrix.from_scipy(scipy.sparse.block_diag(
                     [a.to_scipy() for a in mats], format="csr"))
 
-            stacks[members] = Splitting(block(s.M for s in parts),
-                                        block(s.N for s in parts),
-                                        parts[0].structure)
-        return stacks[members]
+            stacks[key] = Splitting(block(s.M for s in parts),
+                                    block(s.N for s in parts),
+                                    parts[0].structure)
+        return stacks[key]
 
     def contraction_operator(self, i: int) -> ContractionOperator:
         ops = self._caches.setdefault("ops", {})

@@ -16,6 +16,11 @@ run together: ``_processor_groups`` collects them by (tag, count), and one
 inner loop solves the stacked system blockdiag(M_i), blockdiag(N_i) on the
 concatenated starts.  Each stacked row does the arithmetic of its member's
 row in the same order, so the slices are bit-identical to separate loops.
+Members with the same splitting object and the same start array would
+compute the same y, so the simulator stacks only one representative of
+each such set per step and gives the others its slice: the synchronous
+Jacobi solve, whose processors share one splitting and one start, runs one
+unstacked inner loop per step.
 
 ``solve_sync`` runs this as the asynchronous simulator's zero-delay case.
 """

@@ -115,6 +115,27 @@ class TestScheduleProperties:
                     assert e.iterates[l] is prev[l]
             prev = e.iterates
 
+    def test_random_policy_rejects_m_above_its_limit_before_step_0(
+            self, grid_problem, grid_multisplitting):
+        prob = grid_problem(8)
+        ms = grid_multisplitting(8, 64, "jacobi")
+        sched = AsyncSchedule(staleness_bound=1, policy=RandomFair(seed=1))
+        steps = []
+        with pytest.raises(ValueError, match="at most 63 processors, got 64"):
+            solve_async_sim(prob, ms, cfg_fixed(1), sched,
+                            on_step=steps.append)
+        assert steps == []
+
+    @pytest.mark.parametrize("m", [1, 4, 62, 63])
+    def test_random_policy_draws_one_mask_below_two_to_the_m(self, m):
+        policy = RandomFair(seed=6)
+        assert policy.fairness_window(m) == 8
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        for k in range(1, 8):
+            mask = int(ref.integers(1, 1 << m))
+            assert policy.update_set(k, m, rng) == \
+                [l for l in range(m) if (mask >> l) & 1]
+
     def test_simulator_determinism(self, grid_problem, grid_multisplitting):
         prob = grid_problem(4)
         ms = grid_multisplitting(4, 2, "jacobi")

@@ -101,11 +101,13 @@ class TestExitCodes:
         ["--grid", "4", "--m", "0"],
         ["--grid", "1"],
         ["--grid", "4", "--m", "2", "--mode", "async-sim", "--staleness", "-1"],
+        ["--grid", "8", "--m", "64", "--mode", "async-sim", "--policy",
+         "random:1", "--staleness", "1"],
     ], ids=["partition-count", "partition-file-missing",
             "partition-index-range", "m-above-n", "max-outer-zero",
             "zero-diagonal-shift", "rectangular-matrix", "zero-diagonal-matrix",
             "omega-zero", "outer-tol-negative", "m-zero", "grid-one",
-            "staleness-negative"])
+            "staleness-negative", "random-policy-m-64"])
     def test_bad_setup_input_exits_64_with_one_line(self, tmp_path, capsys,
                                                      argv):
         from mslcp import SparseMatrix
@@ -376,3 +378,19 @@ class TestCompare:
         b = self._mkreport(tmp_path, "b.json", grid=4)
         assert main(["--compare", str(a), str(b)]) == 64
         assert "different problems" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, missing", [
+        ("[1, 2]", "is not a JSON object"),
+        ('{"problem": "x", "n": 1}', "lacks the keys 'm', 'mode', 'omega', "
+                                     "'schedule', 'out_iterations', "
+                                     "'total_inner_iterations'"),
+    ], ids=["list", "missing-keys"])
+    def test_malformed_report_exits_64_naming_file_and_key(self, tmp_path,
+                                                           capsys, text,
+                                                           missing):
+        good = self._mkreport(tmp_path, "good.json")
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["--compare", str(good), str(bad)]) == 64
+        err = capsys.readouterr().err
+        assert err == f"mslcp-bench: error: report {bad} {missing}\n"

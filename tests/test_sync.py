@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mslcp import (AsyncSchedule, ConvergenceError, InnerSchedule, LcpProblem,
-                   Partition, RoundRobin, SolverConfig, SparseMatrix,
+                   Partition, RandomFair, RoundRobin, SolverConfig,
+                   SparseMatrix,
                    brute_force_lcp, build_block_splitting, natural_residual,
                    reference_solve, schedule_inner_count, solve_async_sim,
                    solve_sync, spmv, weighted_max_norm)
@@ -402,6 +403,24 @@ def _report_fields(rep):
     return fields
 
 
+def _mixed_jacobi(prob):
+    """Jacobi on four blocks where processor 2 alone has the damped splitting
+    M = 2D, N = 2D - A: every processor reads the same start, but processor
+    2's sub-solve differs."""
+    from mslcp import MultisplittingSet, Splitting
+    base = build_block_splitting(prob.A, Partition.contiguous(prob.n, 4),
+                                 "jacobi")
+    split = base.splittings[0]
+    damped = Splitting(split.M.same_pattern(2.0 * split.M.values),
+                       SparseMatrix.from_scipy(split.N.to_scipy()
+                                               + split.M.to_scipy()),
+                       "diagonal")
+    splits = tuple(damped if i == 2 else split for i in range(4))
+    return MultisplittingSet(splits, base.weighting, base.partition,
+                             base.contraction_estimates,
+                             matrix_class=base.matrix_class)
+
+
 def _uneven_partition(n, single_at):
     """Four contiguous blocks; block ``single_at`` is a single row."""
     sizes = [n // 3, n // 4, n - n // 3 - n // 4 - 1]
@@ -453,6 +472,13 @@ class TestStackedGroups:
             return prob, jac(2), InnerSchedule.inner_tolerance(1e-6), sync, 1.0
         if name == "async-jacobi":
             return prob, jac(4), fixed, rr, 0.9
+        if name == "async-random-stalest":
+            fair = AsyncSchedule(staleness_bound=3, policy=RandomFair(seed=4))
+            return prob, jac(4), fixed, fair, 0.9
+        if name == "lower-m4":
+            return prob, low(Partition.contiguous(n, 4)), fixed, sync, 1.0
+        if name == "mixed-splitting":
+            return prob, _mixed_jacobi(prob), fixed, sync, 1.0
         assert name == "async-lower"
         return prob, low(_uneven_partition(n, 2)), fixed, rr, 1.1
 
@@ -468,6 +494,8 @@ class TestStackedGroups:
         "innertol": [(0,), (1,)],
         "async-jacobi": [(0, 1, 2, 3)],
         "async-lower": [(0, 1, 3), (2,)],
+        "async-random-stalest": [(0, 1, 2, 3)],
+        "mixed-splitting": [(0, 1, 2, 3)],
     }
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -492,6 +520,53 @@ class TestStackedGroups:
             assert _event_bytes(e) == _event_bytes(e_ref)
             assert all(len(y) == prob.n and not y.flags.writeable
                        for y in e.ys)
+
+    def test_stacks_are_shared_by_equal_splitting_sequences(self,
+                                                            grid_problem):
+        prob = grid_problem(6)
+        part = Partition.contiguous(prob.n, 4)
+        jac = build_block_splitting(prob.A, part, "jacobi")
+        assert jac.stacked((2,)) is jac.splittings[2]
+        assert jac.stacked((0, 1)) is jac.stacked((1, 3))
+        assert jac.stacked((0, 1)) is not jac.stacked((0, 1, 2))
+        low = build_block_splitting(prob.A, part, "block_lower_triangular")
+        assert low.stacked((0, 1)) is low.stacked((0, 1))
+        assert low.stacked((0, 1)) is not low.stacked((1, 2))
+
+    # rows per sub-solve call at every step, when fixed in advance
+    ROWS = {"jacobi-m4": 1, "lower-m4": 4, "mixed-splitting": 2,
+            "async-random-stalest": None}
+
+    @pytest.mark.parametrize("name", list(ROWS))
+    def test_one_solve_per_distinct_splitting_and_start(self, grid_problem,
+                                                        monkeypatch, name):
+        import mslcp.sync
+        prob, ms, schedule, sched, omega = self._case(grid_problem, name)
+        cfg = SolverConfig(omega=omega, schedule=schedule, outer_tol=1e-8,
+                           max_outer=60)
+        rows, steps = [], []
+        solve = mslcp.sync.solve_sub_lcp
+
+        def counting(M, structure, f_vec, **kw):
+            rows.append(len(f_vec))
+            return solve(M, structure, f_vec, **kw)
+
+        def step(e):
+            pairs = {(id(ms.splittings[i]), id(e.starts[i]))
+                     for i in range(ms.m)}
+            steps.append((len(pairs), rows[:]))
+            rows.clear()
+
+        monkeypatch.setattr(mslcp.sync, "solve_sub_lcp", counting)
+        _, rep = solve_async_sim(prob, ms, cfg, sched, on_step=step)
+        assert len(steps) == rep.outer_iterations > 10
+        for distinct, calls in steps:
+            assert calls == [prob.n * distinct] * 3
+        if self.ROWS[name] is not None:
+            assert {d for d, _ in steps} == {self.ROWS[name]}
+        else:
+            # the streams coincide at some steps and differ at others
+            assert {d for d, _ in steps} > {1}
 
     @pytest.mark.parametrize("bad, inner", [(2, 1), (1, 2)])
     def test_divergence_names_the_lowest_nonfinite_member(self, grid_problem,
