@@ -49,9 +49,10 @@ SUMMARY_COLUMNS = (
     "seed", "staleness", "policy", "reads", "out_iterations", "converged",
     "final_residual", "omega_bound", "omega_in_range", "total_inner_iterations",
 )
-# the report keys that --compare reads; wall_time_seconds is optional
-COMPARE_KEYS = ("problem", "n", "m", "mode", "omega", "schedule",
-                "out_iterations", "total_inner_iterations")
+# the keys --compare reads and their JSON types; wall_time_seconds is optional
+COMPARE_KEYS = {"problem": str, "n": int, "m": int, "mode": str, "omega": (int, float),
+                "schedule": str, "out_iterations": int, "total_inner_iterations": int,
+                "wall_time_seconds": (int, float)}
 HISTORY_HEADER = "k,update_norm,natural_residual,inner_counts"
 
 
@@ -298,20 +299,22 @@ def compare_runs(paths) -> int:
             raise UsageError(f"cannot read report {p}: {exc}") from exc
         if not isinstance(rec, dict):
             raise UsageError(f"report {p} is not a JSON object")
-        missing = [k for k in COMPARE_KEYS if k not in rec]
+        missing = [k for k in COMPARE_KEYS if k not in rec and k != "wall_time_seconds"]
         if missing:
             raise UsageError(f"report {p} lacks the keys "
                              + ", ".join(map(repr, missing)))
+        for k, want in COMPARE_KEYS.items():
+            if k in rec and (isinstance(rec[k], bool) or not isinstance(rec[k], want)):
+                raise UsageError(f"report {p} key {k!r} has the wrong type: {rec[k]!r}")
         recs.append(rec)
     ident = {(r.get("problem"), r.get("n")) for r in recs}
     if len(ident) != 1:
         raise UsageError("reports describe different problems: "
                          + ", ".join(sorted(str(i) for i in ident)))
 
-    timed = all("wall_time_seconds" in r for r in recs)
-    key = (lambda r: r["wall_time_seconds"]) if timed \
-        else (lambda r: r["total_inner_iterations"])
-    best = min(range(len(recs)), key=lambda i: key(recs[i]))
+    rank = "wall_time_seconds" if all("wall_time_seconds" in r for r in recs) \
+        else "total_inner_iterations"
+    best = min(range(len(recs)), key=lambda i: recs[i][rank])
 
     header = f"{'config':40s} {'out_iter':>9s} {'inner':>9s} {'time[s]':>10s} fastest"
     print(header)

@@ -197,14 +197,15 @@ class ContractionOperator:
 class MultisplittingSet:
     """A validated family of splittings plus its weighting and partition.
 
-    ``contraction_estimates[i]`` estimates rho(<M_i>^-1 |N_i|) at build time;
-    no solver reads it, and ``validate_multisplitting`` recomputes it.
-    ``matrix_class`` carries the classification of the matrix the set was
-    built from, when known.
+    ``contraction_estimates[i]`` estimates rho(<M_i>^-1 |N_i|) at build time
+    (Jacobi sets reuse the classification's); no solver reads it, and
+    ``validate_multisplitting`` recomputes it.  ``matrix_class`` carries the
+    classification of the matrix the set was built from, when known.
 
-    ``_caches`` holds derived data built on first use: contraction operators,
-    adaptive inner counts, and under ``"stacks"`` the stacked splittings the
-    simulator solves, keyed by their sequence of splitting objects.  A stack
+    ``_caches`` holds derived data built on first use, keyed by splitting
+    object, not processor index: contraction operators, adaptive inner
+    counts, and under ``"stacks"`` the stacked splittings the simulator
+    solves, keyed by their sequence of splitting objects.  A stack
     of g members stores its members' factors once more: at n = 1600 and
     g = 4 that is g copies of M and N, about 0.6 MB.  The synchronous Jacobi
     solve, whose processors share one splitting and one start, solves the
@@ -259,22 +260,26 @@ class MultisplittingSet:
         return stacks[key]
 
     def contraction_operator(self, i: int) -> ContractionOperator:
+        s = self.splittings[i]
         ops = self._caches.setdefault("ops", {})
-        if i not in ops:
-            ops[i] = ContractionOperator(self.splittings[i])
-        return ops[i]
+        if id(s) not in ops:
+            ops[id(s)] = ContractionOperator(s)
+        return ops[id(s)]
 
 
 def build_block_splitting(a: SparseMatrix, partition: Partition,
                           variant: str = "jacobi",
                           matrix_class: MatrixClass | None = None,
-                          radius_tol: float = 1e-8,
                           max_power_iters: int = 50000) -> MultisplittingSet:
     """Build a Jacobi or block-lower-triangular multisplitting of an H+ matrix.
 
     Factors are produced by masking A's entry array, so M_i - N_i = A holds
     bit-exactly.  The weighting is the indicator scheme of the partition.
-    Contraction radii are estimated once here and cached on the result.
+    Contraction radii are estimated once and cached on the result: Jacobi's
+    <D>^-1 |N| is the Jacobi matrix of <A>, so it takes the classification's
+    ``jacobi_radius_estimate``; block-lower power-iterates each splitting.
+    ``max_power_iters`` also bounds the classification made when
+    ``matrix_class`` is omitted.
 
     Raises
     ------
@@ -285,7 +290,7 @@ def build_block_splitting(a: SparseMatrix, partition: Partition,
         raise ValueError(f"unknown splitting variant {variant!r}")
     if partition.n != a.n_rows:
         raise ValueError("partition size does not match the matrix")
-    cls = matrix_class if matrix_class is not None else classify(a)
+    cls = matrix_class or classify(a, max_power_iters=max_power_iters)
     if not cls.is_h_plus:
         raise ValueError("matrix is not classified H+ (positive diagonal H-matrix); "
                          "refusing to build a multisplitting")
@@ -298,8 +303,8 @@ def build_block_splitting(a: SparseMatrix, partition: Partition,
     if variant == "jacobi":
         m_mat = a.same_pattern(np.where(on_diag, a.values, 0.0))
         n_mat = a.same_pattern(np.where(on_diag, 0.0, -a.values))
-        shared = Splitting(m_mat, n_mat, "diagonal")
-        splittings = [shared] * partition.m
+        splittings = [Splitting(m_mat, n_mat, "diagonal")] * partition.m
+        estimates = [cls.jacobi_radius_estimate] * partition.m
     else:
         for idx in partition.owner_sets:
             member = np.zeros(a.n_rows, dtype=bool)
@@ -309,21 +314,12 @@ def build_block_splitting(a: SparseMatrix, partition: Partition,
             n_mat = a.same_pattern(np.where(keep, 0.0, -a.values))
             tag = "lower_triangular" if np.any(keep & ~on_diag) else "diagonal"
             splittings.append(Splitting(m_mat, n_mat, tag))
+        estimates = [spectral_radius_nonneg(ContractionOperator(s), s.n, tol=1e-8,
+                                            max_iters=max_power_iters).value
+                     for s in splittings]
 
-    weighting = WeightingScheme.indicator(partition)
-    estimates = []
-    shared_estimate = None
-    for i, s in enumerate(splittings):
-        if variant == "jacobi" and shared_estimate is not None:
-            estimates.append(shared_estimate)
-            continue
-        op = ContractionOperator(s)
-        est = spectral_radius_nonneg(op, s.n, tol=radius_tol,
-                                     max_iters=max_power_iters)
-        estimates.append(est.value)
-        if variant == "jacobi":
-            shared_estimate = est.value
-    return MultisplittingSet(tuple(splittings), weighting, partition,
+    return MultisplittingSet(tuple(splittings),
+                             WeightingScheme.indicator(partition), partition,
                              tuple(estimates), matrix_class=cls)
 
 

@@ -159,17 +159,17 @@ def schedule_inner_count(schedule: InnerSchedule, splitting_index: int,
     """Resolve the inner-solve count for one processor.
 
     Returns an int for ``fixed``/``adaptive`` (the adaptive count is cached
-    on the multisplitting set), or a stop predicate ``(count, gap) -> bool``
-    for ``inner_tolerance``.
+    on the multisplitting set by splitting object), or a stop predicate
+    ``(count, gap) -> bool`` for ``inner_tolerance``.
     """
     if schedule.kind == "fixed":
         return schedule.q
     if schedule.kind == "adaptive":
         cache = ms._caches.setdefault("adaptive_counts", {})
-        key = (splitting_index, schedule.eta, schedule.min_count, schedule.max_count)
+        splitting = ms.splittings[splitting_index]
+        key = (id(splitting), schedule.eta, schedule.min_count, schedule.max_count)
         if key not in cache:
-            s = min_inner_count(ms.splittings[splitting_index], schedule.eta,
-                                max_s=schedule.max_count,
+            s = min_inner_count(splitting, schedule.eta, max_s=schedule.max_count,
                                 operator=ms.contraction_operator(splitting_index))
             cache[key] = max(schedule.min_count, s)
         return cache[key]

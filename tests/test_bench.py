@@ -384,12 +384,23 @@ class TestCompare:
         ('{"problem": "x", "n": 1}', "lacks the keys 'm', 'mode', 'omega', "
                                      "'schedule', 'out_iterations', "
                                      "'total_inner_iterations'"),
-    ], ids=["list", "missing-keys"])
+        ({"out_iterations": "7"}, "key 'out_iterations' has the wrong type: '7'"),
+        ({"out_iterations": 7.0}, "key 'out_iterations' has the wrong type: 7.0"),
+        ({"total_inner_iterations": True},
+         "key 'total_inner_iterations' has the wrong type: True"),
+        ({"omega": "x"}, "key 'omega' has the wrong type: 'x'"),
+        ({"wall_time_seconds": "x"}, "key 'wall_time_seconds' has the wrong type: 'x'"),
+        ({"problem": ["grid"]}, "key 'problem' has the wrong type: ['grid']"),
+    ], ids=["list", "missing-keys", "iterations-string", "iterations-float",
+            "inner-bool", "omega-string", "wall-time-string", "problem-list"])
     def test_malformed_report_exits_64_naming_file_and_key(self, tmp_path,
                                                            capsys, text,
                                                            missing):
         good = self._mkreport(tmp_path, "good.json")
         bad = tmp_path / "bad.json"
+        if isinstance(text, dict):
+            # a valid report with one value of the wrong type
+            text = json.dumps({**json.loads(good.read_text()), **text})
         bad.write_text(text)
         assert main(["--compare", str(good), str(bad)]) == 64
         err = capsys.readouterr().err

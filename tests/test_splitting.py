@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mslcp import (ConvergenceError, MultisplittingSet, Partition, SparseMatrix,
-                   Splitting, WeightingScheme, build_block_splitting,
+                   Splitting, WeightingScheme, build_block_splitting, classify,
                    compute_eta, min_inner_count, spectral_radius_nonneg,
                    validate_multisplitting)
 from mslcp.splitting import ContractionOperator
@@ -126,6 +126,80 @@ class TestBuilder:
             ms = build_block_splitting(a, Partition.contiguous(n, m),
                                        variants[trial % 2])
             assert validate_multisplitting(a, ms).ok
+
+
+def _random_hplus_cases():
+    rng = np.random.default_rng(501)
+    cases = []
+    for _ in range(60):
+        n = int(rng.integers(1, 41))
+        m = min(int(rng.choice([1, 2, 3, 4])), n)
+        cases.append((random_sparse_hplus(rng, n, density=0.3,
+                                          dominance=float(rng.uniform(1.05, 2.0))),
+                      m))
+    return cases
+
+
+class TestJacobiEstimateFromClassification:
+    """A Jacobi splitting's contraction operator <D>^-1 |N| is the Jacobi
+    matrix of <A>, so the build takes the classification's radius estimate
+    instead of power-iterating the operator again."""
+
+    @staticmethod
+    def _check(a, m, budget):
+        part = Partition.contiguous(a.n_rows, m)
+        for ms in (build_block_splitting(a, part, "jacobi",
+                                         matrix_class=classify(a, max_power_iters=budget),
+                                         max_power_iters=budget),
+                   build_block_splitting(a, part, "jacobi",
+                                         max_power_iters=budget)):
+            # the estimate the build used to compute by power iteration
+            ref = spectral_radius_nonneg(ContractionOperator(ms.splittings[0]),
+                                         a.n_rows, tol=1e-8, max_iters=budget)
+            assert ms.contraction_estimates == (ref.value,) * m
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    @pytest.mark.parametrize("p", [2, 3, 8, 16, 40, 64])
+    def test_grid_estimates_bit_identical(self, grid_problem, p, shift):
+        self._check(grid_problem(p, shift).A, 4 if p > 2 else 2, 200000)
+
+    def test_random_hplus_estimates_bit_identical(self):
+        for a, m in _random_hplus_cases():
+            self._check(a, m, 20000)
+
+    @pytest.mark.parametrize("variant, calls", [
+        ("jacobi", 0), ("block_lower_triangular", 4)])
+    def test_power_iterations_in_a_classified_build(self, monkeypatch,
+                                                    grid_problem, variant,
+                                                    calls):
+        import mslcp.splitting
+        a = grid_problem(8).A
+        cls = classify(a)
+        seen = []
+        real = mslcp.splitting.spectral_radius_nonneg
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mslcp.splitting, "spectral_radius_nonneg", counting)
+        ms = build_block_splitting(a, Partition.contiguous(64, 4), variant,
+                                   matrix_class=cls)
+        assert len(seen) == calls
+        if variant == "jacobi":
+            assert ms.contraction_estimates == (cls.jacobi_radius_estimate,) * 4
+
+    def test_unclassified_build_bounds_classification_by_its_budget(self):
+        # a budget of one power iteration leaves the classification's
+        # estimate unconverged; the build must hand it the caller's budget
+        a = SparseMatrix.from_dense([[4.0, -1.0, 0.0], [-1.0, 4.0, -1.0],
+                                     [0.0, -1.0, 4.0]])
+        ms = build_block_splitting(a, Partition.contiguous(3, 1), "jacobi",
+                                   max_power_iters=1)
+        one = classify(a, max_power_iters=1).jacobi_radius_estimate
+        assert one != classify(a).jacobi_radius_estimate
+        assert ms.matrix_class.jacobi_radius_estimate == one
+        assert ms.contraction_estimates == (one,)
 
 
 class TestValidator:

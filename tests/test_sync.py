@@ -82,6 +82,31 @@ class TestSchedules:
         assert ms._caches["adaptive_counts"]  # resolved once, reused
         assert schedule_inner_count(sched, 0, ms) == 4
 
+    @pytest.mark.parametrize("variant, calls", [
+        ("jacobi", 1), ("block_lower_triangular", 4)])
+    def test_adaptive_count_once_per_splitting_object(self, monkeypatch,
+                                                      grid_problem, variant,
+                                                      calls):
+        # the Jacobi processors share one splitting object, so one operator
+        # and one count serve all four; block-lower has four splittings
+        import mslcp.sync
+        seen = []
+        real = mslcp.sync.min_inner_count
+
+        def counting(*args, **kwargs):
+            seen.append(kwargs["operator"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mslcp.sync, "min_inner_count", counting)
+        prob = grid_problem(6)
+        ms = build_block_splitting(prob.A, Partition.contiguous(prob.n, 4),
+                                   variant)
+        cfg = SolverConfig(schedule=InnerSchedule.adaptive(0.2), max_outer=3)
+        solve_sync(prob, ms, cfg)
+        assert len(seen) == calls
+        assert len({id(op) for op in seen}) == calls
+        assert len(ms._caches["ops"]) == calls
+
     def test_adaptive_infeasible_raises(self):
         a = SparseMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
         ms = build_block_splitting(a, Partition.contiguous(2, 1), "jacobi")
