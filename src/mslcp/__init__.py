@@ -13,8 +13,8 @@ from .splitting import (ContractionOperator, MultisplittingSet,
                         MultisplittingValidation, Partition, Splitting,
                         WeightingScheme, build_block_splitting, compute_eta,
                         min_inner_count, validate_multisplitting)
-from .sublcp import (LcpProblem, LcpSolution, brute_force_lcp, natural_residual,
-                     projected_gauss_seidel, solve_sub_lcp)
+from .sublcp import (LcpProblem, LcpSolution, brute_force_lcp, factor_structure,
+                     natural_residual, projected_gauss_seidel, solve_sub_lcp)
 from .sync import (InnerSchedule, IterationReport, SolverConfig, StepEvent,
                    schedule_inner_count, solve_sync)
 from .asynchronous import (AllEveryStep, AsyncSchedule, RandomFair, RoundRobin,
@@ -29,7 +29,7 @@ __all__ = [
     "SolverConfig", "SparseMatrix", "SpectralRadiusEstimate", "Splitting",
     "StepEvent", "WeightingScheme", "abs_matrix", "brute_force_lcp",
     "build_block_splitting", "classify", "comparison_matrix", "compute_eta",
-    "make_grid_lcp", "min_inner_count", "natural_residual",
+    "factor_structure", "make_grid_lcp", "min_inner_count", "natural_residual",
     "projected_gauss_seidel", "reference_solve", "schedule_inner_count",
     "solve_async_sim", "solve_async_threaded", "solve_m_matrix",
     "solve_sub_lcp", "solve_sync", "spectral_radius_nonneg", "spmv",

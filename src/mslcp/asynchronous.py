@@ -136,7 +136,8 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     moved less than ``cfg.outer_tol`` (the window covers one full fairness
     round of every stream, and the extra d steps ensure the quiet stretch
     cannot be an artifact of reads older than the window), or at
-    ``cfg.max_outer``.
+    ``cfg.max_outer``.  A non-finite update norm means the iteration
+    diverged; it is raised as ``ConvergenceError`` naming the outer step.
 
     The processors of a ``sync._processor_groups`` group run as one inner
     loop.  At each step, members with the same splitting object and the same
@@ -208,6 +209,10 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
             if id(prev) not in blended:
                 new = _blend(acc, cfg.omega, prev)
                 change = float(np.max(np.abs(new - prev))) if prob.n else 0.0
+                if not np.isfinite(change):
+                    raise ConvergenceError(
+                        f"iteration diverged at outer step {k}: update norm "
+                        f"{change}")
                 new.setflags(write=False)
                 blended[id(prev)] = new
                 step_delta = max(step_delta, change)

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ConvergenceError
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, spmv
 from .sublcp import LcpProblem, LcpSolution, natural_residual, projected_gauss_seidel
-from .sparse import spmv
 
 
 @dataclass(frozen=True)
@@ -42,35 +42,15 @@ class GridLcpSpec:
 
 
 def make_grid_lcp(spec: GridLcpSpec) -> LcpProblem:
-    """Assemble the p^2-sized grid complementarity problem."""
-    p = spec.p
-    n = spec.n
-    diag_val = 4.0 + spec.shift
-    rows = []
-    cols = []
-    vals = []
-    for j in range(n):
-        r, c = divmod(j, p)
-        if r > 0:
-            cols.append(j - p)
-            vals.append(-1.0)
-        if c > 0:
-            cols.append(j - 1)
-            vals.append(-1.0)
-        cols.append(j)
-        vals.append(diag_val)
-        if c < p - 1:
-            cols.append(j + 1)
-            vals.append(-1.0)
-        if r < p - 1:
-            cols.append(j + p)
-            vals.append(-1.0)
-        rows.append(len(cols))
-    offsets = np.concatenate(([0], np.asarray(rows, dtype=np.int64)))
-    a = SparseMatrix(n, n, offsets, np.asarray(cols, dtype=np.int64),
-                     np.asarray(vals))
+    """Assemble the p^2-sized grid complementarity problem: the sum of
+    kron(I, tridiag(-1, 4 + shift, -1)) and kron(tridiag(-1, 0, -1), I)."""
+    p, n = spec.p, spec.n
+    line = scipy.sparse.diags([-1.0, -1.0], [-1, 1], shape=(p, p))
+    eye = scipy.sparse.identity(p)
+    a = scipy.sparse.kron(eye, line + (4.0 + spec.shift) * eye) \
+        + scipy.sparse.kron(line, eye)
     f = np.sin(2.0 * np.pi * (np.arange(n) + 1) / n)
-    return LcpProblem(a, f)
+    return LcpProblem(SparseMatrix.from_scipy(a), f)
 
 
 def reference_solve(prob: LcpProblem, tol: float = 1e-10,

@@ -17,6 +17,7 @@ Arbitrary user splittings are accepted but should be checked with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -25,9 +26,9 @@ from .errors import ConvergenceError
 from .hmatrix import MatrixClass, classify, solve_m_matrix, spectral_radius_nonneg
 from .sparse import SparseMatrix, abs_matrix, as_vector, comparison_matrix, \
     solve_lower_triangular, spmv
+from .sublcp import factor_structure
 
 VARIANTS = ("jacobi", "block_lower_triangular")
-STRUCTURES = ("diagonal", "lower_triangular", "general")
 
 
 @dataclass(frozen=True)
@@ -136,32 +137,33 @@ class WeightingScheme:
 
 @dataclass(frozen=True)
 class Splitting:
-    """One splitting pair (M, N), with a tag describing M's pattern.
+    """One splitting pair (M, N).
 
-    The tag tells the sub-problem solvers how M can be solved exactly:
-    ``diagonal`` and ``lower_triangular`` admit direct sweeps, ``general``
-    falls back to iteration.  Tags are checked against the actual pattern.
+    M alone decides how the subproblem is solved: ``structure`` is
+    ``sublcp.factor_structure(M)``, one of ``diagonal``, ``lower_triangular``
+    and ``general``.  ``contraction_operator`` is built on first use and
+    kept, so processors that share a splitting object share it.
     """
 
     M: SparseMatrix
     N: SparseMatrix
-    structure: str
 
     def __post_init__(self):
-        if self.structure not in STRUCTURES:
-            raise ValueError(f"unknown structure tag {self.structure!r}")
         if not self.M.is_square or self.M.n_rows != self.N.n_rows \
                 or self.N.n_rows != self.N.n_cols:
             raise ValueError("splitting factors must be square and same-sized")
-        rows = self.M.entry_rows()
-        if self.structure == "diagonal" and np.any(rows != self.M.col_indices):
-            raise ValueError("structure tag 'diagonal' but M has off-diagonal entries")
-        if self.structure == "lower_triangular" and np.any(self.M.col_indices > rows):
-            raise ValueError("structure tag 'lower_triangular' but M has upper entries")
 
     @property
     def n(self) -> int:
         return self.M.n_rows
+
+    @property
+    def structure(self) -> str:
+        return factor_structure(self.M)
+
+    @cached_property
+    def contraction_operator(self) -> "ContractionOperator":
+        return ContractionOperator(self)
 
 
 class ContractionOperator:
@@ -170,7 +172,9 @@ class ContractionOperator:
     def __init__(self, splitting: Splitting):
         self.comp_m = comparison_matrix(splitting.M)
         self.abs_n = abs_matrix(splitting.N)
-        self.structure = splitting.structure
+        # <M>'s off-diagonal entries are nonpositive, so any lower-triangular
+        # M gives a <M> that one forward substitution solves
+        self.structure = factor_structure(self.comp_m)
         self.n = splitting.n
         self._diag = None
         self._cls = None
@@ -195,26 +199,27 @@ class ContractionOperator:
 
 @dataclass(frozen=True)
 class MultisplittingSet:
-    """A validated family of splittings plus its weighting and partition.
+    """A validated family of splittings plus its weighting.
 
     ``contraction_estimates[i]`` estimates rho(<M_i>^-1 |N_i|) at build time
     (Jacobi sets reuse the classification's); no solver reads it, and
     ``validate_multisplitting`` recomputes it.  ``matrix_class`` carries the
-    classification of the matrix the set was built from, when known.
+    classification of the matrix the set was built from, when known.  The
+    blocks a processor owns are ``weighting.indicator_owners`` for an
+    indicator weighting.
 
     ``_caches`` holds derived data built on first use, keyed by splitting
-    object, not processor index: contraction operators, adaptive inner
-    counts, and under ``"stacks"`` the stacked splittings the simulator
-    solves, keyed by their sequence of splitting objects.  A stack
-    of g members stores its members' factors once more: at n = 1600 and
-    g = 4 that is g copies of M and N, about 0.6 MB.  The synchronous Jacobi
-    solve, whose processors share one splitting and one start, solves the
-    unstacked splitting and caches no stack.
+    object, not processor index: adaptive inner counts, and under
+    ``"stacks"`` the stacked splittings the simulator solves, keyed by their
+    sequence of splitting objects.  A stack of g members stores its members'
+    factors once more: at n = 1600 and g = 4 that is g copies of M and N,
+    about 0.6 MB.  The synchronous Jacobi solve, whose processors share one
+    splitting and one start, solves the unstacked splitting and caches no
+    stack.
     """
 
     splittings: tuple
     weighting: WeightingScheme
-    partition: Partition
     contraction_estimates: tuple
     matrix_class: MatrixClass | None = None
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
@@ -225,8 +230,8 @@ class MultisplittingSet:
             raise ValueError("multisplitting needs at least one splitting")
         if self.weighting.m != m or len(self.contraction_estimates) != m:
             raise ValueError("splittings, weighting and estimates must agree on m")
-        if self.partition.m != m or self.partition.n != self.splittings[0].n:
-            raise ValueError("partition shape does not match the splittings")
+        if self.weighting.n != self.splittings[0].n:
+            raise ValueError("weighting size does not match the splittings")
 
     @property
     def m(self) -> int:
@@ -238,7 +243,8 @@ class MultisplittingSet:
 
     def stacked(self, members: tuple) -> Splitting:
         """The splitting (blockdiag(M_i), blockdiag(N_i)) over ``members``,
-        which share one structure tag.  One member is its own splitting.
+        which share one structure, so the stack has it too.  One member is
+        its own splitting.
         Stacks are cached by the sequence of splitting objects, so member
         tuples that name the same objects in the same order (any k members
         of a set whose processors share one splitting) share one stack."""
@@ -255,16 +261,8 @@ class MultisplittingSet:
                     [a.to_scipy() for a in mats], format="csr"))
 
             stacks[key] = Splitting(block(s.M for s in parts),
-                                    block(s.N for s in parts),
-                                    parts[0].structure)
+                                    block(s.N for s in parts))
         return stacks[key]
-
-    def contraction_operator(self, i: int) -> ContractionOperator:
-        s = self.splittings[i]
-        ops = self._caches.setdefault("ops", {})
-        if id(s) not in ops:
-            ops[id(s)] = ContractionOperator(s)
-        return ops[id(s)]
 
 
 def build_block_splitting(a: SparseMatrix, partition: Partition,
@@ -303,7 +301,7 @@ def build_block_splitting(a: SparseMatrix, partition: Partition,
     if variant == "jacobi":
         m_mat = a.same_pattern(np.where(on_diag, a.values, 0.0))
         n_mat = a.same_pattern(np.where(on_diag, 0.0, -a.values))
-        splittings = [Splitting(m_mat, n_mat, "diagonal")] * partition.m
+        splittings = [Splitting(m_mat, n_mat)] * partition.m
         estimates = [cls.jacobi_radius_estimate] * partition.m
     else:
         for idx in partition.owner_sets:
@@ -312,14 +310,13 @@ def build_block_splitting(a: SparseMatrix, partition: Partition,
             keep = on_diag | (member[rows] & member[cols] & (cols < rows))
             m_mat = a.same_pattern(np.where(keep, a.values, 0.0))
             n_mat = a.same_pattern(np.where(keep, 0.0, -a.values))
-            tag = "lower_triangular" if np.any(keep & ~on_diag) else "diagonal"
-            splittings.append(Splitting(m_mat, n_mat, tag))
-        estimates = [spectral_radius_nonneg(ContractionOperator(s), s.n, tol=1e-8,
+            splittings.append(Splitting(m_mat, n_mat))
+        estimates = [spectral_radius_nonneg(s.contraction_operator, s.n, tol=1e-8,
                                             max_iters=max_power_iters).value
                      for s in splittings]
 
     return MultisplittingSet(tuple(splittings),
-                             WeightingScheme.indicator(partition), partition,
+                             WeightingScheme.indicator(partition),
                              tuple(estimates), matrix_class=cls)
 
 
@@ -349,53 +346,53 @@ def validate_multisplitting(a: SparseMatrix, ms: MultisplittingSet,
 
     Per splitting: (a) M_i - N_i reconstructs A within ``tol`` relative to
     A's largest entry, (b) <A> <= <M_i> - |N_i| entrywise with slack ``tol``,
-    (c) the estimated contraction radius is below one.  Violations are
-    reported, never raised.
+    (c) the estimated contraction radius is below one.  Each distinct
+    splitting object is checked once; processors that share it get the same
+    entries.  Violations are reported, never raised.
     """
     comp_a = comparison_matrix(a).to_scipy()
     a_sp = a.to_scipy()
     scale = float(np.max(np.abs(a.values))) if a.nnz else 1.0
-    estimates = []
-    recon_errors = []
-    margins = []
-    violations = []
-    for i, s in enumerate(ms.splittings):
-        diff = (s.M.to_scipy() - s.N.to_scipy()) - a_sp
-        err = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
-        recon_errors.append(err)
-        if err > tol * scale:
-            violations.append((i, "sum", f"max |M - N - A| = {err:.3g}"))
 
+    def check(s: Splitting):
+        diff = (s.M.to_scipy() - s.N.to_scipy()) - a_sp
         dom = (comparison_matrix(s.M).to_scipy()
                - abs_matrix(s.N).to_scipy()) - comp_a
-        margin = float(np.min(dom.data)) if dom.nnz else 0.0
-        margins.append(margin)
+        return (float(np.max(np.abs(diff.data))) if diff.nnz else 0.0,
+                float(np.min(dom.data)) if dom.nnz else 0.0,
+                spectral_radius_nonneg(s.contraction_operator, s.n, tol=1e-8))
+
+    # processors that share a splitting object share its checks
+    distinct = {id(s): s for s in ms.splittings}
+    checked = {key: check(s) for key, s in distinct.items()}
+    errors, margins, ests = zip(*(checked[id(s)] for s in ms.splittings))
+    violations = []
+    for i, (err, margin, est) in enumerate(zip(errors, margins, ests)):
+        if err > tol * scale:
+            violations.append((i, "sum", f"max |M - N - A| = {err:.3g}"))
         if margin < -tol * scale:
             violations.append(
                 (i, "domination",
                  f"<M> - |N| falls below <A> by {-margin:.3g}"))
-
-        est = spectral_radius_nonneg(ms.contraction_operator(i), s.n, tol=1e-8)
-        estimates.append(est.value)
         if not est.converged or est.value >= 1.0:
             violations.append(
                 (i, "contraction",
                  f"estimated radius {est.value:.6g}"
                  + ("" if est.converged else " (unconverged)")))
-    return MultisplittingValidation(tuple(estimates), tuple(recon_errors),
-                                    tuple(margins), tuple(violations))
+    return MultisplittingValidation(tuple(e.value for e in ests), errors,
+                                    margins, tuple(violations))
 
 
-def min_inner_count(splitting: Splitting, eta: float, max_s: int = 10000,
-                    operator: ContractionOperator | None = None) -> int:
+def min_inner_count(splitting: Splitting, eta: float, max_s: int = 10000) -> int:
     """Smallest s with ||T^s||_inf <= eta for T = <M>^-1 |N|.
 
     T is nonnegative, so ||T^s||_inf = ||T^s e||_inf; the powers are obtained
-    by repeated operator application without forming T.
+    by repeated application of the splitting's cached contraction operator
+    without forming T.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie strictly between 0 and 1")
-    op = operator if operator is not None else ContractionOperator(splitting)
+    op = splitting.contraction_operator
     v = np.ones(splitting.n)
     for s in range(1, max_s + 1):
         v = op(v)

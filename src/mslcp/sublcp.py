@@ -4,11 +4,12 @@ The subproblem for a factor M and forcing vector F is: find y with
 
     y >= 0,    M y - F >= 0,    y . (M y - F) = 0.
 
-For diagonal M this is a componentwise clamp; for lower-triangular M a
-single projected forward sweep produces the exact solution row by row; for
-general M projected Gauss-Seidel is iterated to a tolerance.  Both sweeps
-are calls to ``mslcp.sparse.gauss_seidel_sweep`` with projection, which
-gives the same bits as the sequential row loop.
+M alone decides how it is solved (``factor_structure``): for diagonal M a
+componentwise clamp; for lower-triangular M with nonpositive strict-lower
+entries a single projected forward sweep produces the exact solution row by
+row; for any other M projected Gauss-Seidel is iterated to a tolerance.
+Both sweeps are calls to ``mslcp.sparse.gauss_seidel_sweep`` with
+projection, which gives the same bits as the sequential row loop.
 """
 
 from __future__ import annotations
@@ -80,37 +81,40 @@ def projected_gauss_seidel(a: SparseMatrix, f_vec: np.ndarray,
         f"after {max_sweeps} sweeps")
 
 
-def _checked_factor(m: SparseMatrix):
-    """(diagonal, strict-lower entries all nonpositive) of a subproblem
-    factor.  Both checks run once per factor and the result is cached in
-    ``m._caches``: a ``SparseMatrix`` never changes."""
-    cached = m._caches.get("sub_lcp")
-    if cached is None:
-        diag = m.diagonal()
-        if np.any(diag <= 0.0):
-            raise ValueError("subproblem factor must have a positive diagonal")
-        strict_lower = m.col_indices < m.entry_rows()
-        cached = (diag, bool(np.all(m.values[strict_lower] <= 0.0)))
-        m._caches["sub_lcp"] = cached
-    return cached
+def factor_structure(m: SparseMatrix) -> str:
+    """How the subproblem for the factor M is solved, read once from M and
+    cached in ``m._caches`` (a ``SparseMatrix`` never changes): ``diagonal``
+    when every entry is on the diagonal; ``lower_triangular`` when M has no
+    upper entries and its strict-lower entries are <= 0, so earlier
+    components can only relax later constraints; ``general`` otherwise."""
+    if "structure" not in m._caches:
+        rows, cols = m.entry_rows(), m.col_indices
+        lower = np.all(cols <= rows) and np.all(m.values[cols < rows] <= 0.0)
+        m._caches["structure"] = "diagonal" if np.all(cols == rows) \
+            else "lower_triangular" if lower else "general"
+    return m._caches["structure"]
 
 
 def solve_sub_lcp(m: SparseMatrix, structure: str, f_vec,
                   iter_tol: float = 1e-12, max_iters: int = 200000) -> np.ndarray:
-    """Solve the subproblem for the factor M with the given structure tag.
+    """Solve the subproblem for the factor M, with ``structure`` its
+    ``factor_structure``.
 
-    ``diagonal`` and ``lower_triangular`` (with nonpositive strict-lower
-    entries) are solved exactly; anything else runs projected Gauss-Seidel
-    to ``iter_tol``.  The forward sweep is only trusted when the strict-lower
-    entries are nonpositive, where earlier components can only relax later
-    constraints; positive strict-lower entries fall back to the general path.
-    The forcing vector is checked for finiteness on every call.
+    ``diagonal`` is a clamp and ``lower_triangular`` one projected forward
+    sweep, both exact; anything else runs projected Gauss-Seidel to
+    ``iter_tol``.  A ``lower_triangular`` claim that M's own structure does
+    not bear out falls back to the general path.  The forcing vector is
+    checked for finiteness on every call.
     """
     f_vec = as_vector(f_vec, m.n_rows, name="forcing vector")
-    diag, lower_nonpositive = _checked_factor(m)
+    diag = m.diagonal()
+    if "positive_diagonal" not in m._caches:  # checked once per factor
+        if np.any(diag <= 0.0):
+            raise ValueError("subproblem factor must have a positive diagonal")
+        m._caches["positive_diagonal"] = True
     if structure == "diagonal":
         return np.maximum(0.0, f_vec / diag)
-    if structure == "lower_triangular" and lower_nonpositive:
+    if structure == "lower_triangular" and factor_structure(m) != "general":
         return gauss_seidel_sweep(m, f_vec, project=True)
     x, _, _ = projected_gauss_seidel(m, f_vec, tol=iter_tol, max_sweeps=max_iters)
     return x

@@ -9,12 +9,12 @@ with its newest local iterate each time), and the weighted combination
 closes the step.  Indicator weights need no separate path: 0.0 * y_i and
 1.0 * y_i are exact, so the sum takes each block exactly from its owner.
 
-Processors whose subproblem is an exact row-local solve (the ``diagonal``
-clamp, or the projected forward sweep of a ``lower_triangular`` factor with
-nonpositive strict-lower entries) and whose inner count is one fixed int
-run together: ``_processor_groups`` collects them by (tag, count), and one
-inner loop solves the stacked system blockdiag(M_i), blockdiag(N_i) on the
-concatenated starts.  Each stacked row does the arithmetic of its member's
+Processors whose subproblem is an exact row-local solve (the clamp of a
+``diagonal`` factor, or the projected forward sweep of a
+``lower_triangular`` one; see ``sublcp.factor_structure``) and whose inner
+count is one fixed int run together: ``_processor_groups`` collects them by
+(structure, count), and one inner loop solves the stacked system
+blockdiag(M_i), blockdiag(N_i) on the concatenated starts.  Each stacked row does the arithmetic of its member's
 row in the same order, so the slices are bit-identical to separate loops.
 Members with the same splitting object and the same start array would
 compute the same y, so the simulator stacks only one representative of
@@ -35,7 +35,7 @@ from .errors import ConvergenceError, NonFiniteError
 from .hmatrix import classify
 from .splitting import MultisplittingSet, min_inner_count
 # natural_residual stays bound here because perfbench's tracer patches it
-from .sublcp import LcpProblem, _checked_factor, natural_residual, solve_sub_lcp
+from .sublcp import LcpProblem, natural_residual, solve_sub_lcp
 from .sparse import as_vector, spmv
 
 SCHEDULE_KINDS = ("fixed", "adaptive", "inner_tolerance")
@@ -70,8 +70,10 @@ class InnerSchedule:
             raise ValueError("fixed schedule needs q >= 1")
         if self.kind == "adaptive" and not (self.eta is not None and 0.0 < self.eta < 1.0):
             raise ValueError("adaptive schedule needs 0 < eta < 1")
-        if self.kind == "inner_tolerance" and (self.theta is None or self.theta <= 0.0):
-            raise ValueError("inner_tolerance schedule needs theta > 0")
+        if self.kind == "inner_tolerance" and not (
+                self.theta is not None and 0.0 < self.theta < np.inf):
+            raise ValueError(f"inner_tolerance schedule needs a finite "
+                             f"theta > 0, got {self.theta}")
 
     @staticmethod
     def fixed(q: int, **kw) -> "InnerSchedule":
@@ -105,10 +107,12 @@ class SolverConfig:
     sub_max_iters: int = 200000
 
     def __post_init__(self):
-        if self.omega <= 0.0:
-            raise ValueError("relaxation parameter must be positive")
-        if self.outer_tol <= 0.0:
-            raise ValueError("outer tolerance must be positive")
+        if not 0.0 < self.omega < np.inf:
+            raise ValueError(f"relaxation parameter must be positive and "
+                             f"finite, got {self.omega}")
+        if not 0.0 < self.outer_tol < np.inf:
+            raise ValueError(f"outer tolerance must be positive and finite, "
+                             f"got {self.outer_tol}")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
 
@@ -169,8 +173,7 @@ def schedule_inner_count(schedule: InnerSchedule, splitting_index: int,
         splitting = ms.splittings[splitting_index]
         key = (id(splitting), schedule.eta, schedule.min_count, schedule.max_count)
         if key not in cache:
-            s = min_inner_count(splitting, schedule.eta, max_s=schedule.max_count,
-                                operator=ms.contraction_operator(splitting_index))
+            s = min_inner_count(splitting, schedule.eta, max_s=schedule.max_count)
             cache[key] = max(schedule.min_count, s)
         return cache[key]
 
@@ -185,19 +188,16 @@ def schedule_inner_count(schedule: InnerSchedule, splitting_index: int,
 def _processor_groups(ms: MultisplittingSet, resolved) -> list:
     """Processor index tuples that share one stacked inner loop.
 
-    Processors with an exact row-local subproblem (``diagonal``, or
-    ``lower_triangular`` with nonpositive strict-lower entries) and an int
-    count are grouped by (tag, count); every other processor is a group of
-    one.  Tags never mix: the clamp and the sweep treat -0.0 differently.
-    Groups come in order of their lowest member.
+    Processors with an exact row-local subproblem (a ``structure`` other
+    than ``general``) and an int count are grouped by (structure, count);
+    every other processor is a group of one.  Structures never mix: the
+    clamp and the sweep treat -0.0 differently.  Groups come in order of
+    their lowest member.
     """
     groups = {}
     for i, (split, count) in enumerate(zip(ms.splittings, resolved)):
-        exact = split.structure == "diagonal" or (
-            split.structure == "lower_triangular"
-            and _checked_factor(split.M)[1])
-        key = (split.structure, count) if exact and isinstance(count, int) \
-            else i
+        exact = split.structure != "general" and isinstance(count, int)
+        key = (split.structure, count) if exact else i
         groups.setdefault(key, []).append(i)
     return [tuple(g) for g in groups.values()]
 

@@ -105,7 +105,7 @@ class TestScheduleProperties:
         prev = events[0].starts  # every stream starts at x0 and reads step 0
         for e in events:
             acc = np.empty(prob.n)
-            for i, idx in enumerate(ms.partition.owner_sets):
+            for i, idx in enumerate(ms.weighting.indicator_owners):
                 acc[idx] = e.ys[i][idx]
             for l in range(ms.m):
                 if l in e.updated:
@@ -232,7 +232,6 @@ class TestThreaded:
         smooth = WeightingScheme((np.full(9, 0.5), np.full(9, 0.5)))
         ms = MultisplittingSet(
             (base.splittings[0], base.splittings[0]), smooth,
-            Partition(9, 2, (np.arange(0, 5), np.arange(5, 9))),
             (base.contraction_estimates[0],) * 2,
             matrix_class=base.matrix_class)
         with pytest.raises(ValueError, match="indicator"):
@@ -256,9 +255,9 @@ class TestThreaded:
         # processor 1 gets a factor with a negative diagonal entry, which the
         # subproblem solver rejects inside the worker thread
         broken_m = SparseMatrix.from_dense(np.diag([-1.0] + [4.0] * 8))
-        broken = Splitting(broken_m, good.splittings[1].N, "diagonal")
+        broken = Splitting(broken_m, good.splittings[1].N)
         ms = MultisplittingSet(
-            (good.splittings[0], broken), good.weighting, good.partition,
+            (good.splittings[0], broken), good.weighting,
             good.contraction_estimates, matrix_class=good.matrix_class)
         with pytest.raises(RuntimeError, match="processor 1"):
             solve_async_threaded(prob, ms, cfg_fixed(1), workers=2)

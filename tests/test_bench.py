@@ -35,6 +35,14 @@ class TestExitCodes:
         assert rec["converged"] is False
         assert rec["out_iterations"] == 3
 
+    def test_nonfinite_update_norm_exits_two(self, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(tmp_path, "--omega", "1e308", grid=4, schedule="fixed:1")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("solver failed: iteration diverged at outer step 1: "
+                       "update norm nan\n")
+
     def test_malformed_config_exits_64_without_outputs(self, tmp_path, capsys):
         out = tmp_path / "never.json"
         code = main(["--grid", "8", "--m", "2", "--schedule", "fixed:oops",
@@ -98,6 +106,11 @@ class TestExitCodes:
         ["--matrix", "{tmp}/zero_diag.mtx", "--rhs", "{tmp}/rhs2.txt"],
         ["--grid", "4", "--m", "2", "--omega", "0"],
         ["--grid", "4", "--m", "2", "--outer-tol", "-1"],
+        ["--grid", "4", "--m", "2", "--omega", "nan"],
+        ["--grid", "4", "--m", "2", "--omega", "inf"],
+        ["--grid", "4", "--m", "2", "--outer-tol", "nan", "--max-outer", "50"],
+        ["--grid", "4", "--m", "2", "--schedule", "innertol:nan",
+         "--max-outer", "2"],
         ["--grid", "4", "--m", "0"],
         ["--grid", "1"],
         ["--grid", "4", "--m", "2", "--mode", "async-sim", "--staleness", "-1"],
@@ -106,7 +119,8 @@ class TestExitCodes:
     ], ids=["partition-count", "partition-file-missing",
             "partition-index-range", "m-above-n", "max-outer-zero",
             "zero-diagonal-shift", "rectangular-matrix", "zero-diagonal-matrix",
-            "omega-zero", "outer-tol-negative", "m-zero", "grid-one",
+            "omega-zero", "outer-tol-negative", "omega-nan", "omega-inf",
+            "outer-tol-nan", "theta-nan", "m-zero", "grid-one",
             "staleness-negative", "random-policy-m-64"])
     def test_bad_setup_input_exits_64_with_one_line(self, tmp_path, capsys,
                                                      argv):

@@ -10,7 +10,47 @@ from mslcp import (GridLcpSpec, LcpProblem, SparseMatrix, brute_force_lcp,
 from conftest import dense_jacobi_matrix, random_sparse_hplus
 
 
+def row_loop_grid(p, shift):
+    """The five-point stencil assembled one row at a time in CSR order: the
+    reference for ``make_grid_lcp``."""
+    n = p * p
+    diag_val = 4.0 + shift
+    rows = []
+    cols = []
+    vals = []
+    for j in range(n):
+        r, c = divmod(j, p)
+        if r > 0:
+            cols.append(j - p)
+            vals.append(-1.0)
+        if c > 0:
+            cols.append(j - 1)
+            vals.append(-1.0)
+        cols.append(j)
+        vals.append(diag_val)
+        if c < p - 1:
+            cols.append(j + 1)
+            vals.append(-1.0)
+        if r < p - 1:
+            cols.append(j + p)
+            vals.append(-1.0)
+        rows.append(len(cols))
+    offsets = np.concatenate(([0], np.asarray(rows, dtype=np.int64)))
+    return SparseMatrix(n, n, offsets, np.asarray(cols, dtype=np.int64),
+                        np.asarray(vals))
+
+
 class TestGridAssembly:
+    @pytest.mark.parametrize("p", [2, 3, 16, 40, 64])
+    @pytest.mark.parametrize("shift", [0.0, 0.5, -3.0, -4.0 + 1e-9])
+    def test_equals_row_loop_assembly(self, p, shift):
+        a = make_grid_lcp(GridLcpSpec(p=p, shift=shift)).A
+        ref = row_loop_grid(p, shift)
+        assert a.row_offsets.dtype == a.col_indices.dtype == np.int64
+        assert a.row_offsets.tobytes() == ref.row_offsets.tobytes()
+        assert a.col_indices.tobytes() == ref.col_indices.tobytes()
+        assert a.values.tobytes() == ref.values.tobytes()
+
     def test_p2_exact_values(self):
         prob = make_grid_lcp(GridLcpSpec(p=2))
         expected = np.array([[4.0, -1.0, -1.0, 0.0],

@@ -5,8 +5,8 @@ import pytest
 
 from mslcp import (ConvergenceError, MultisplittingSet, Partition, SparseMatrix,
                    Splitting, WeightingScheme, build_block_splitting, classify,
-                   compute_eta, min_inner_count, spectral_radius_nonneg,
-                   validate_multisplitting)
+                   compute_eta, factor_structure, min_inner_count,
+                   spectral_radius_nonneg, validate_multisplitting)
 from mslcp.splitting import ContractionOperator
 
 from conftest import dense_contraction_matrix, random_m_matrix, random_sparse_hplus
@@ -57,18 +57,16 @@ class TestWeightingScheme:
 
 
 class TestSplittingType:
-    def test_structure_tags_validated(self):
-        m = SparseMatrix.from_dense([[2.0, 0.0], [-1.0, 3.0]])
-        n = SparseMatrix.from_dense([[0.0, 1.0], [0.0, 0.0]])
-        Splitting(m, n, "lower_triangular")
-        with pytest.raises(ValueError, match="diagonal"):
-            Splitting(m, n, "diagonal")
-
-    def test_upper_entry_rejected_for_lower_tag(self):
-        m = SparseMatrix.from_dense([[2.0, 1.0], [0.0, 3.0]])
-        n = SparseMatrix.identity(2)
-        with pytest.raises(ValueError, match="upper"):
-            Splitting(m, n, "lower_triangular")
+    @pytest.mark.parametrize("dense, structure", [
+        ([[2.0, 0.0], [0.0, 3.0]], "diagonal"),
+        ([[2.0, 0.0], [-1.0, 3.0]], "lower_triangular"),
+        ([[2.0, 0.0], [1.0, 3.0]], "general"),
+        ([[2.0, -1.0], [0.0, 3.0]], "general"),
+    ], ids=["diagonal", "lower-nonpositive", "lower-positive", "upper"])
+    def test_structure_read_from_the_factor(self, dense, structure):
+        m = SparseMatrix.from_dense(dense)
+        split = Splitting(m, SparseMatrix.from_dense([[0.0, 1.0], [0.0, 0.0]]))
+        assert factor_structure(m) == split.structure == structure
 
 
 class TestBuilder:
@@ -215,9 +213,8 @@ class TestValidator:
         m = SparseMatrix.identity(2)
         n = SparseMatrix.from_dense([[0.0, 2.0], [2.0, 0.0]])
         ms = MultisplittingSet(
-            (Splitting(m, n, "diagonal"),),
+            (Splitting(m, n),),
             WeightingScheme((np.ones(2),)),
-            Partition.contiguous(2, 1),
             (2.0,))
         report = validate_multisplitting(a, ms)
         codes = {v[1] for v in report.violations}
@@ -229,44 +226,83 @@ class TestValidator:
         m = SparseMatrix.from_dense([[5.0, 0.0], [0.0, 4.0]])  # wrong diagonal
         n = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
         ms = MultisplittingSet(
-            (Splitting(m, n, "diagonal"),),
+            (Splitting(m, n),),
             WeightingScheme((np.ones(2),)),
-            Partition.contiguous(2, 1),
             (0.25,))
         report = validate_multisplitting(a, ms)
         assert any(v[1] == "sum" for v in report.violations)
+
+    @pytest.mark.parametrize("variant, calls", [
+        ("jacobi", 1), ("block_lower_triangular", 4)])
+    def test_one_estimate_per_splitting_object(self, monkeypatch, grid_problem,
+                                               variant, calls):
+        # the Jacobi processors share one splitting object, so one power
+        # iteration serves all four; block-lower has four splittings
+        import mslcp.splitting
+        a = grid_problem(6).A
+        ms = build_block_splitting(a, Partition.contiguous(36, 4), variant)
+        seen = []
+        real = mslcp.splitting.spectral_radius_nonneg
+
+        def counting(*args, **kwargs):
+            seen.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mslcp.splitting, "spectral_radius_nonneg", counting)
+        report = validate_multisplitting(a, ms)
+        assert len(seen) == calls
+        assert report.ok
+        assert report.contraction_estimates == tuple(
+            real(ContractionOperator(s), s.n, tol=1e-8).value
+            for s in ms.splittings)
+        assert len(report.reconstruction_errors) == len(
+            report.domination_margins) == 4
+
+    def test_shared_splitting_reports_every_processor(self):
+        a = SparseMatrix.from_dense([[1.0, -2.0], [-2.0, 1.0]])
+        n = SparseMatrix.from_dense([[0.0, 2.0], [2.0, 0.0]])
+        shared = Splitting(SparseMatrix.identity(2), n)
+        ms = MultisplittingSet(
+            (shared, shared),
+            WeightingScheme((np.array([1.0, 0.0]), np.array([0.0, 1.0]))),
+            (2.0, 2.0))
+        report = validate_multisplitting(a, ms)
+        assert [v[:2] for v in report.violations] == [
+            (0, "contraction"), (1, "contraction")]
+        assert report.contraction_estimates[0] == \
+            report.contraction_estimates[1]
 
 
 class TestMinInnerCount:
     def test_powers_of_half(self):
         m = SparseMatrix.from_dense([[2.0, 0.0], [0.0, 2.0]])
         n = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
-        s = Splitting(m, n, "diagonal")
+        s = Splitting(m, n)
         # ||T^s||_inf = 0.5^s: first s with 0.5^s <= 0.1 is 4
         assert min_inner_count(s, 0.1) == 4
 
     def test_zero_n_gives_one(self):
         m = SparseMatrix.from_dense([[2.0, 0.0], [0.0, 2.0]])
         n = SparseMatrix.from_coo(2, 2, [], [], [])
-        s = Splitting(m, n, "diagonal")
+        s = Splitting(m, n)
         assert min_inner_count(s, 0.01) == 1
 
     def test_eta_above_norm_gives_one(self):
         m = SparseMatrix.from_dense([[2.0, 0.0], [0.0, 2.0]])
         n = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
-        s = Splitting(m, n, "diagonal")
+        s = Splitting(m, n)
         assert min_inner_count(s, 0.6) == 1
 
     def test_budget_error(self):
         m = SparseMatrix.from_dense([[2.0, 0.0], [0.0, 2.0]])
         n = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
-        s = Splitting(m, n, "diagonal")
+        s = Splitting(m, n)
         with pytest.raises(ConvergenceError):
             min_inner_count(s, 0.01, max_s=3)
 
     def test_eta_range_validated(self):
         m = SparseMatrix.identity(2)
-        s = Splitting(m, SparseMatrix.from_coo(2, 2, [], [], []), "diagonal")
+        s = Splitting(m, SparseMatrix.from_coo(2, 2, [], [], []))
         with pytest.raises(ValueError):
             min_inner_count(s, 1.5)
 
@@ -328,13 +364,13 @@ class TestSplittingComparison:
             md = np.diag(np.diag(ad)) + lower
             m_mat = SparseMatrix.from_dense(md)
             n_mat = SparseMatrix.from_dense(md - ad)
-            split = Splitting(m_mat, n_mat, "lower_triangular")
+            split = Splitting(m_mat, n_mat)
             op = ContractionOperator(split)
             rho_m = spectral_radius_nonneg(op, n, tol=1e-10).value
 
             diag = SparseMatrix.from_dense(np.diag(np.diag(ad)))
             b = SparseMatrix.from_dense(np.diag(np.diag(ad)) - ad)
-            op_d = ContractionOperator(Splitting(diag, b, "diagonal"))
+            op_d = ContractionOperator(Splitting(diag, b))
             rho_d = spectral_radius_nonneg(op_d, n, tol=1e-10).value
             assert rho_m <= rho_d + 1e-8
             assert rho_d < 1.0

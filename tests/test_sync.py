@@ -93,9 +93,9 @@ class TestSchedules:
         seen = []
         real = mslcp.sync.min_inner_count
 
-        def counting(*args, **kwargs):
-            seen.append(kwargs["operator"])
-            return real(*args, **kwargs)
+        def counting(splitting, *args, **kwargs):
+            seen.append(splitting)
+            return real(splitting, *args, **kwargs)
 
         monkeypatch.setattr(mslcp.sync, "min_inner_count", counting)
         prob = grid_problem(6)
@@ -104,8 +104,8 @@ class TestSchedules:
         cfg = SolverConfig(schedule=InnerSchedule.adaptive(0.2), max_outer=3)
         solve_sync(prob, ms, cfg)
         assert len(seen) == calls
-        assert len({id(op) for op in seen}) == calls
-        assert len(ms._caches["ops"]) == calls
+        assert len({id(s) for s in seen}) == calls
+        assert len({id(s.contraction_operator) for s in ms.splittings}) == calls
 
     def test_adaptive_infeasible_raises(self):
         a = SparseMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
@@ -174,7 +174,7 @@ def _bitwise_match_for_ten_steps(prob, ms, omega, q, d):
         # processor i runs q projected Jacobi sweeps from the read iterate
         # and contributes its own block
         acc = np.empty(prob.n)
-        for i, idx in enumerate(ms.partition.owner_sets):
+        for i, idx in enumerate(ms.weighting.indicator_owners):
             y = xs[max(0, step - d)]
             for _ in range(q):
                 y = np.maximum(
@@ -330,10 +330,9 @@ class TestReport:
                                      "jacobi")
         # processor 1 gets a genuinely iterative subproblem (M = A, N = 0)
         # with an impossible sweep budget
-        whole = Splitting(prob.A, SparseMatrix.from_coo(9, 9, [], [], []),
-                          "general")
+        whole = Splitting(prob.A, SparseMatrix.from_coo(9, 9, [], [], []))
         ms = MultisplittingSet(
-            (base.splittings[0], whole), base.weighting, base.partition,
+            (base.splittings[0], whole), base.weighting,
             base.contraction_estimates, matrix_class=base.matrix_class)
         cfg = SolverConfig(schedule=InnerSchedule.fixed(1), outer_tol=1e-6,
                            sub_iter_tol=1e-16, sub_max_iters=2)
@@ -359,6 +358,32 @@ class TestReport:
         ms = grid_multisplitting(3, 2, "jacobi")
         with pytest.raises(ValueError, match="non-finite"):
             solve_sync(prob, ms, fixed_cfg(1), x0=np.full(9, np.nan))
+
+    @pytest.mark.parametrize("make", [
+        lambda v: SolverConfig(omega=v), lambda v: SolverConfig(outer_tol=v),
+        InnerSchedule.inner_tolerance], ids=["omega", "outer_tol", "theta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite_settings(self, make, value):
+        with pytest.raises(ValueError, match=f"finite.*, got {value}$"):
+            make(value)
+
+    @pytest.mark.parametrize("sched, step", [
+        (AsyncSchedule(), "1"),
+        (AsyncSchedule(staleness_bound=2, policy=RoundRobin()), r"\d+")],
+        ids=["sync", "roundrobin-d2"])
+    def test_nonfinite_update_norm_names_the_step(self, grid_problem,
+                                                  grid_multisplitting,
+                                                  sched, step):
+        # a finite omega = 1e308 moves step 0 by about 1e307; step 1's
+        # blend is inf - inf
+        prob = grid_problem(4)
+        ms = grid_multisplitting(4, 2, "jacobi")
+        cfg = SolverConfig(omega=1e308, schedule=InnerSchedule.fixed(1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError,
+                               match=f"diverged at outer step {step}: update "
+                                     f"norm (nan|inf)"):
+                solve_async_sim(prob, ms, cfg, sched)
 
 
 def _reference_run(prob, ms, cfg, sched, x0=None):
@@ -438,11 +463,9 @@ def _mixed_jacobi(prob):
     split = base.splittings[0]
     damped = Splitting(split.M.same_pattern(2.0 * split.M.values),
                        SparseMatrix.from_scipy(split.N.to_scipy()
-                                               + split.M.to_scipy()),
-                       "diagonal")
+                                               + split.M.to_scipy()))
     splits = tuple(damped if i == 2 else split for i in range(4))
-    return MultisplittingSet(splits, base.weighting, base.partition,
-                             base.contraction_estimates,
+    return MultisplittingSet(splits, base.weighting, base.contraction_estimates,
                              matrix_class=base.matrix_class)
 
 
@@ -533,6 +556,10 @@ class TestStackedGroups:
         resolved = [schedule_inner_count(schedule, i, ms)
                     for i in range(ms.m)]
         assert _processor_groups(ms, resolved) == self.CASES[name]
+        if name == "positive-lower":
+            # M_1's positive strict-lower entry makes its factor general
+            assert [s.structure for s in ms.splittings] == [
+                "lower_triangular", "general", "lower_triangular"]
         events = []
         x, rep = solve_async_sim(prob, ms, cfg, sched, on_step=events.append)
         x_ref, rep_ref, events_ref = _reference_run(prob, ms, cfg, sched)
@@ -604,14 +631,13 @@ class TestStackedGroups:
         if inner == 1:
             # F = f + N y overflows in the first solve of processor ``bad``
             odd = Splitting(split.M,
-                            split.N.same_pattern(split.N.values * 1e308),
-                            "diagonal")
+                            split.N.same_pattern(split.N.values * 1e308))
         else:
             # y = F / M overflows, so the second solve's spmv rejects it
             odd = Splitting(SparseMatrix.from_diagonal(np.full(16, 5e-324)),
-                            split.N, "diagonal")
+                            split.N)
         splits = tuple(odd if i == bad else split for i in range(4))
-        ms = MultisplittingSet(splits, base.weighting, base.partition,
+        ms = MultisplittingSet(splits, base.weighting,
                                base.contraction_estimates,
                                matrix_class=base.matrix_class)
         cfg = fixed_cfg(3)
