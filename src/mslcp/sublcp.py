@@ -102,9 +102,10 @@ def solve_sub_lcp(m: SparseMatrix, structure: str, f_vec,
 
     ``diagonal`` is a clamp and ``lower_triangular`` one projected forward
     sweep, both exact; anything else runs projected Gauss-Seidel to
-    ``iter_tol``.  A ``lower_triangular`` claim that M's own structure does
-    not bear out falls back to the general path.  The forcing vector is
-    checked for finiteness on every call.
+    ``iter_tol``.  A ``diagonal`` or ``lower_triangular`` claim that M's own
+    structure does not bear out falls back to the general path, so a
+    non-diagonal M is never clamped.  The forcing vector is checked for
+    finiteness on every call.
     """
     f_vec = as_vector(f_vec, m.n_rows, name="forcing vector")
     diag = m.diagonal()
@@ -112,9 +113,10 @@ def solve_sub_lcp(m: SparseMatrix, structure: str, f_vec,
         if np.any(diag <= 0.0):
             raise ValueError("subproblem factor must have a positive diagonal")
         m._caches["positive_diagonal"] = True
-    if structure == "diagonal":
+    kind = factor_structure(m)
+    if structure == kind == "diagonal":
         return np.maximum(0.0, f_vec / diag)
-    if structure == "lower_triangular" and factor_structure(m) != "general":
+    if structure == "lower_triangular" and kind != "general":
         return gauss_seidel_sweep(m, f_vec, project=True)
     x, _, _ = projected_gauss_seidel(m, f_vec, tol=iter_tol, max_sweeps=max_iters)
     return x

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from mslcp import (GridLcpSpec, LcpProblem, SparseMatrix, brute_force_lcp,
-                   classify, comparison_matrix, make_grid_lcp, natural_residual,
-                   reference_solve, spmv)
+import mslcp.problems
+from mslcp import (ConvergenceError, GridLcpSpec, LcpProblem, SparseMatrix,
+                   brute_force_lcp, classify, comparison_matrix, make_grid_lcp,
+                   natural_residual, reference_solve, spmv)
+from mslcp.sublcp import projected_gauss_seidel
 
-from conftest import dense_jacobi_matrix, random_sparse_hplus
+from conftest import dense_jacobi_matrix, random_m_matrix, random_sparse_hplus
 
 
 def row_loop_grid(p, shift):
@@ -38,6 +40,32 @@ def row_loop_grid(p, shift):
     offsets = np.concatenate(([0], np.asarray(rows, dtype=np.int64)))
     return SparseMatrix(n, n, offsets, np.asarray(cols, dtype=np.int64),
                         np.asarray(vals))
+
+
+def gauss_seidel_reference(prob, tol, max_sweeps=500000):
+    """Projected Gauss-Seidel swept until the iterate moves less than ``tol``
+    and the natural residual is below ``10 * tol``: the oracle
+    ``reference_solve`` ran for every matrix before its active-set path."""
+    x = np.zeros(prob.n)
+    remaining = max_sweeps
+    while True:
+        x, used, _ = projected_gauss_seidel(prob.A, prob.f, x0=x, tol=tol,
+                                            max_sweeps=remaining)
+        remaining -= used
+        if natural_residual(prob, x) < 10.0 * tol:
+            return x
+        assert remaining > 0
+
+
+def count_gauss_seidel_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return projected_gauss_seidel(*args, **kwargs)
+
+    monkeypatch.setattr(mslcp.problems, "projected_gauss_seidel", counted)
+    return calls
 
 
 class TestGridAssembly:
@@ -142,3 +170,70 @@ class TestReferenceSolve:
             prob = LcpProblem(a, rng.standard_normal(n) * 2.0)
             sol = reference_solve(prob, tol=1e-12)
             assert np.max(np.abs(sol.x - brute_force_lcp(prob))) < 1e-8
+
+    def test_m_matrices_match_brute_force(self):
+        # An M-matrix problem has one solution, so brute force finds it in
+        # any index order; putting the support of the answer under test
+        # first only lets it stop after 2^|support| candidate sets, not 2^n.
+        # Forcing of mean -1 keeps both the support and its complement
+        # sizeable (with mean 0 most components are positive at the
+        # solution, and brute force runs up to 2^20 solves).
+        rng = np.random.default_rng(83)
+        for _ in range(200):
+            n = int(rng.integers(1, 21))
+            prob = LcpProblem(random_m_matrix(rng, n),
+                              rng.standard_normal(n) * 2.0 - 1.0)
+            x = reference_solve(prob).x
+            assert np.all(x >= 0.0)
+            order = np.argsort(x == 0.0, kind="stable")
+            a = prob.A.to_dense()[np.ix_(order, order)]
+            expected = np.empty(n)
+            expected[order] = brute_force_lcp(
+                LcpProblem(SparseMatrix.from_dense(a), prob.f[order]))
+            assert np.max(np.abs(x - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [16, 40])
+    def test_grid_matches_gauss_seidel_reference(self, p, grid_problem):
+        prob = grid_problem(p)
+        old = gauss_seidel_reference(prob, tol=1e-12)
+        assert np.max(np.abs(reference_solve(prob).x - old)) <= 1e-8
+
+    def test_grid_runs_no_gauss_seidel(self, monkeypatch, grid_problem):
+        calls = count_gauss_seidel_calls(monkeypatch)
+        for p in (2, 8, 16):
+            reference_solve(grid_problem(p))
+        assert calls == []
+
+    def test_non_z_matrix_runs_gauss_seidel(self, monkeypatch):
+        calls = count_gauss_seidel_calls(monkeypatch)
+        rng = np.random.default_rng(29)
+        a = random_sparse_hplus(rng, 12)
+        assert np.any(a.values[a.entry_rows() != a.col_indices] > 0.0)
+        prob = LcpProblem(a, rng.standard_normal(12))
+        sol = reference_solve(prob)
+        assert calls
+        assert np.max(np.abs(sol.x - brute_force_lcp(prob))) < 1e-8
+
+    @pytest.mark.parametrize("a", [[[1.0, -2.0], [-2.0, 1.0]],
+                                   [[1.0, -1.0], [-1.0, 1.0]]],
+                             ids=["nonsingular", "singular"])
+    # the iterates overflow, and scipy warns of the singular block
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning",
+                                "ignore::scipy.sparse.linalg.MatrixRankWarning")
+    def test_z_pattern_without_h_plus_raises(self, a):
+        # neither problem has a solution: adding the two slack rows gives
+        # -x_1 - x_2 >= 2 for the first and 0 >= 2 for the second
+        prob = LcpProblem(SparseMatrix.from_dense(a), [1.0, 1.0])
+        with pytest.raises(ConvergenceError, match="active-set"):
+            reference_solve(prob, max_sweeps=2000)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    def test_residual_is_the_natural_residual(self, tol, grid_problem):
+        rng = np.random.default_rng(47)
+        problems = [grid_problem(16), grid_problem(5),
+                    LcpProblem(random_m_matrix(rng, 15), rng.standard_normal(15)),
+                    LcpProblem(random_sparse_hplus(rng, 15),
+                               rng.standard_normal(15))]
+        for prob in problems:
+            sol = reference_solve(prob, tol=tol)
+            assert sol.residual == natural_residual(prob, sol.x) < 10.0 * tol

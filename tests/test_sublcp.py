@@ -27,6 +27,12 @@ class TestSolveSubLcp:
         m = SparseMatrix.from_dense([[2.0]])
         assert np.array_equal(solve_sub_lcp(m, "diagonal", [4.0]), [2.0])
 
+    def test_unfounded_diagonal_claim_is_not_clamped(self):
+        m = SparseMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
+        y = solve_sub_lcp(m, "diagonal", [1.0, 1.0])
+        assert np.allclose(y, [1.0, 1.0], rtol=0.0, atol=1e-10)
+        subproblem_conditions(m, y, np.array([1.0, 1.0]))
+
     def test_lower_triangular_sweep(self):
         # brute force over the 4 support sets confirms (2, 0): the second
         # row's slack is -1*2 + 3*0 - (-10) = 8 >= 0
