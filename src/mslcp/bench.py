@@ -371,7 +371,10 @@ def build_parser() -> _Parser:
     p.add_argument("--timing", action="store_true",
                    help="embed wall time in report files (breaks byte-identity)")
     p.add_argument("--max-power-iters", type=int, default=200000,
-                   dest="max_power_iters")
+                   dest="max_power_iters",
+                   help="cap on the operator applications of each "
+                        "spectral-radius estimate and on the H-matrix "
+                        "witness iterations")
     p.add_argument("--export-problem", dest="export_problem",
                    help="write the problem as PREFIX.mtx and PREFIX.rhs.txt")
     p.add_argument("--compare", nargs="+", metavar="REPORT",

@@ -2,10 +2,11 @@
 
 The H-matrix test is iterative rather than exact: the spectral radius of the
 Jacobi iteration matrix J = |D|^-1 |B| (D the diagonal part, B the
-off-diagonal part of the comparison matrix) is estimated by power iteration,
-and a positive vector u with J u < u is produced as an independent
-certificate whenever the radius is reported below one.  Near the boundary
-the classification is reported as indeterminate instead of guessed.
+off-diagonal part of the comparison matrix) is estimated by ARPACK's
+implicitly restarted Arnoldi method (``scipy.sparse.linalg.eigs``), and a
+positive vector u with J u < u is produced as an independent certificate
+whenever the radius is reported below one.  Near the boundary the
+classification is reported as indeterminate instead of guessed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigs,
+                                  spsolve)
 
 from .errors import ConvergenceError
 from .sparse import SparseMatrix, as_vector, comparison_matrix, spmv
@@ -21,10 +23,12 @@ from .sparse import SparseMatrix, as_vector, comparison_matrix, spmv
 
 @dataclass(frozen=True)
 class SpectralRadiusEstimate:
-    """Power-iteration estimate of a spectral radius.
+    """Estimate of the spectral radius of a nonnegative operator.
 
-    ``converged`` is False when the iteration budget ran out; the value is
-    then the best estimate so far, not a certified one.
+    ``iterations`` counts every application of the operator.  ``converged``
+    is False when the application cap or ARPACK's restart limit was reached;
+    ``value`` is then ||T^k e||_inf^(1/k) of the last probe vector, an upper
+    bound on the radius rather than an estimate of it.
     """
 
     value: float
@@ -35,14 +39,34 @@ class SpectralRadiusEstimate:
         return self.value
 
 
+class _BudgetSpent(Exception):
+    """Raised inside the ARPACK operator once the application cap is spent."""
+
+
 def spectral_radius_nonneg(apply, n: int, tol: float = 1e-10,
                            max_iters: int = 50000) -> SpectralRadiusEstimate:
     """Estimate the spectral radius of an entrywise-nonnegative linear operator.
 
-    Power iteration on the shifted operator ``v -> apply(v) + v`` starting
-    from the all-ones vector; the shift keeps the iteration convergent for
-    periodic (e.g. bipartite) nonnegative patterns, whose unshifted power
-    sequences oscillate, and moves the radius by exactly one.
+    A probe first applies T to e = (1, ..., 1) until T^k e has the support
+    of T^(k-1) e, at most n times; for most operators T e > 0 and k = 1.
+    T^k e = 0 proves T^k = 0, so the radius is exactly zero (strictly
+    triangular splitting leftovers end here).  Otherwise the support S of
+    T^k e stays S for every later power, and a row outside it reads only
+    rows outside it, so T is block triangular with a nilpotent block off S
+    and rho(T) = rho(T[S, S]); the estimate below runs on T[S, S].  Cutting
+    that block away matters: a long nilpotent chain is so far from normal
+    that Arnoldi reports spurious Ritz values for it.
+
+    The radius of T >= 0 is its Perron root, the eigenvalue with the largest
+    real part, which implicitly restarted Arnoldi (ARPACK, through
+    ``scipy.sparse.linalg.eigs`` with ``which="LR"``) finds without the +I
+    shift that periodic patterns need under power iteration.  It starts from
+    e, which has a positive component along the Perron vector; a fixed start
+    makes reruns give the same bits.  ``eigs`` needs n >= 3; for n <= 2 the
+    radius is read densely from the columns T e_j.  The probe cannot cut
+    away rows that no other row reads, so a long weighted chain that reads a
+    small cycle still misleads Arnoldi: 30 chain rows of weight 3 reading a
+    3-cycle of weight 0.5 give a converged 1.13 for a radius of 0.5.
 
     Parameters
     ----------
@@ -51,38 +75,62 @@ def spectral_radius_nonneg(apply, n: int, tol: float = 1e-10,
     n : int
         Operator dimension, >= 1.
     tol : float
-        Relative-change stopping threshold on the estimate.
+        ARPACK's relative accuracy for the Ritz value (0 asks for machine
+        precision).
     max_iters : int
-        Iteration budget; exceeding it returns ``converged=False``.
+        Cap on the operator applications, probe included, >= 1.  Reaching it
+        returns ``converged=False`` with the probe's upper bound.
     """
     if n < 1:
         raise ValueError("operator dimension must be at least 1")
-    # exact-annihilation probe: for nonnegative T, T^k e = 0 proves T^k = 0,
-    # so the radius is exactly zero.  Strictly triangular patterns (common
-    # splitting leftovers) are settled here; the shifted iteration below
-    # would only crawl toward them polynomially.
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     z = np.ones(n)
-    for it in range(1, min(n, 32) + 1):
-        z = np.asarray(apply(z), dtype=np.float64)
-        if float(np.max(z)) == 0.0:
-            return SpectralRadiusEstimate(0.0, True, it)
-    v = np.ones(n)
-    est = np.inf
-    for it in range(1, max_iters + 1):
-        w = np.asarray(apply(v), dtype=np.float64) + v
-        norm = float(np.max(np.abs(w)))
-        if norm == 0.0:
-            return SpectralRadiusEstimate(0.0, True, it)
-        prev, est = est, norm
-        v_new = w / norm
-        # the estimate alone can stall on plateaus (e.g. grid stencils whose
-        # interior row sums match exactly for the first ~diameter steps), so
-        # also require the normalized iterate to be stationary
-        drift = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if abs(est - prev) <= tol * max(est, 1e-300) and drift <= tol:
-            return SpectralRadiusEstimate(max(est - 1.0, 0.0), True, it)
-    return SpectralRadiusEstimate(max(est - 1.0, 0.0), False, max_iters)
+    for k in range(1, min(n, max_iters) + 1):
+        prev, z = z, np.asarray(apply(z), dtype=np.float64)
+        top = float(np.max(z))
+        if top == 0.0:
+            return SpectralRadiusEstimate(0.0, True, k)
+        if np.array_equal(z > 0.0, prev > 0.0):
+            break
+    # for T >= 0, ||T^k||_inf = ||T^k e||_inf >= rho(T)^k
+    bound = top ** (1.0 / k)
+    budget = max_iters - k
+    keep = np.flatnonzero(z > 0.0)
+    if len(keep) < n:
+        full, full_n, n = apply, n, len(keep)
+
+        def on_support(v):
+            x = np.zeros(full_n)
+            x[keep] = v
+            return np.asarray(full(x), dtype=np.float64)[keep]
+
+        apply = on_support
+
+    if n <= 2:
+        if budget < n:
+            return SpectralRadiusEstimate(bound, False, k)
+        cols = [np.asarray(apply(e_j), dtype=np.float64) for e_j in np.eye(n)]
+        radius = float(np.max(np.abs(np.linalg.eigvals(np.column_stack(cols)))))
+        return SpectralRadiusEstimate(radius, True, k + n)
+
+    applied = 0
+
+    def matvec(v):
+        nonlocal applied
+        if applied == budget:
+            raise _BudgetSpent
+        applied += 1
+        return apply(v)
+
+    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    try:
+        vals = eigs(op, k=1, which="LR", v0=np.ones(n), tol=tol,
+                    return_eigenvectors=False)
+    except (_BudgetSpent, ArpackNoConvergence):
+        return SpectralRadiusEstimate(bound, False, k + applied)
+    return SpectralRadiusEstimate(max(float(vals[0].real), 0.0), True,
+                                  k + applied)
 
 
 @dataclass(frozen=True)
@@ -120,14 +168,15 @@ def classify(a: SparseMatrix, tol: float = 1e-6,
              max_power_iters: int = 20000) -> MatrixClass:
     """Classify a square matrix as Z-patterned / M / H / H+.
 
-    The H test estimates rho(J) by power iteration and, when the estimate
-    falls below ``1 - tol``, certifies the verdict with a witness u > 0
-    satisfying J u < u, built by the monotone fixed-point iteration
+    The H test estimates rho(J) with ``spectral_radius_nonneg`` and, when the
+    estimate falls below ``1 - tol``, certifies the verdict with a witness
+    u > 0 satisfying J u < u, built by the monotone fixed-point iteration
     u <- J u + D^-1 e (its limit is <A>^-1 e when <A> is an M-matrix).  The
-    witness is sound on its own, so radii far below one are accepted even
-    when the power sequence itself has not settled.  Converged estimates
-    within ``tol`` of one are reported indeterminate; failure to either
-    certify or reject within the budget raises.
+    witness is sound on its own, so an unconverged estimate (an upper bound
+    on rho(J)) also goes to the witness.  Converged estimates within ``tol``
+    of one are reported indeterminate; failure to either certify or reject
+    within the budget raises.  ``max_power_iters`` caps both the operator
+    applications of the estimate and the witness iterations.
     """
     if not a.is_square:
         raise ValueError("classification requires a square matrix")
@@ -145,9 +194,8 @@ def classify(a: SparseMatrix, tol: float = 1e-6,
     elif est.converged and rho > 1.0 - tol:
         indeterminate = True  # estimate too close to one to call either way
     else:
-        # estimate below the band (possibly unconverged near-zero radii, where
-        # the power sequence is slow but the certificate below is fast): the
-        # call rests on the witness, which is sound on its own
+        # estimate below the band, or unconverged (then only an upper bound):
+        # the call rests on the witness, which is sound on its own
         c = 1.0 / diag
         u = c.copy()
         for _ in range(max_power_iters):

@@ -202,11 +202,11 @@ class MultisplittingSet:
     """A validated family of splittings plus its weighting.
 
     ``contraction_estimates[i]`` estimates rho(<M_i>^-1 |N_i|) at build time
-    (Jacobi sets reuse the classification's); no solver reads it, and
-    ``validate_multisplitting`` recomputes it.  ``matrix_class`` carries the
-    classification of the matrix the set was built from, when known.  The
-    blocks a processor owns are ``weighting.indicator_owners`` for an
-    indicator weighting.
+    with ``spectral_radius_nonneg`` (Jacobi sets reuse the classification's);
+    no solver reads it, and ``validate_multisplitting`` recomputes it.
+    ``matrix_class`` carries the classification of the matrix the set was
+    built from, when known.  The blocks a processor owns are
+    ``weighting.indicator_owners`` for an indicator weighting.
 
     ``_caches`` holds derived data built on first use, keyed by splitting
     object, not processor index: adaptive inner counts, and under
@@ -275,8 +275,9 @@ def build_block_splitting(a: SparseMatrix, partition: Partition,
     bit-exactly.  The weighting is the indicator scheme of the partition.
     Contraction radii are estimated once and cached on the result: Jacobi's
     <D>^-1 |N| is the Jacobi matrix of <A>, so it takes the classification's
-    ``jacobi_radius_estimate``; block-lower power-iterates each splitting.
-    ``max_power_iters`` also bounds the classification made when
+    ``jacobi_radius_estimate``; block-lower estimates each splitting's with
+    ``spectral_radius_nonneg``, whose operator applications
+    ``max_power_iters`` caps.  It also bounds the classification made when
     ``matrix_class`` is omitted.
 
     Raises

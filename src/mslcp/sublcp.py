@@ -65,7 +65,9 @@ def projected_gauss_seidel(a: SparseMatrix, f_vec: np.ndarray,
                            tol: float = 1e-12,
                            max_sweeps: int = 200000):
     """Projected Gauss-Seidel sweeps until the iterate moves less than ``tol``
-    in the max norm.  Returns (x, sweeps, last_change)."""
+    in the max norm.  Returns (x, sweeps, last_change).  A change that turns
+    non-finite (the iterate overflowed) raises ``ConvergenceError`` naming
+    the sweep, since no later sweep can bring it back."""
     if np.any(a.diagonal() <= 0.0):
         raise ValueError("projected Gauss-Seidel needs a positive diagonal")
     x = np.zeros(a.n_rows) if x0 is None else np.array(x0, dtype=np.float64)
@@ -76,6 +78,10 @@ def projected_gauss_seidel(a: SparseMatrix, f_vec: np.ndarray,
         x = new
         if delta < tol:
             return x, sweep, delta
+        if not np.isfinite(delta):
+            raise ConvergenceError(
+                f"projected Gauss-Seidel: change became non-finite at sweep "
+                f"{sweep}")
     raise ConvergenceError(
         f"projected Gauss-Seidel: change {delta:.3g} still above {tol:.3g} "
         f"after {max_sweeps} sweeps")

@@ -1,13 +1,33 @@
 """Spectral radius estimation, classification, weighted norms, M-matrix solves."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+import mslcp.hmatrix
 from mslcp import (SparseMatrix, classify, solve_m_matrix,
-                   spectral_radius_nonneg, weighted_max_norm)
+                   spectral_radius_nonneg, spmv, weighted_max_norm)
 
-from conftest import dense_jacobi_matrix, random_m_matrix, random_sparse_hplus
+from conftest import (dense_contraction_matrix, dense_jacobi_matrix,
+                      random_m_matrix, random_sparse_hplus)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def counted(t):
+    """The operator v -> t @ v and the list its calls are appended to."""
+    calls = []
+
+    def apply(v):
+        calls.append(1)
+        return t @ v
+
+    return apply, calls
 
 
 class TestSpectralRadius:
@@ -42,6 +62,8 @@ class TestSpectralRadius:
         est = spectral_radius_nonneg(lambda v: j @ v, 64, tol=1e-12, max_iters=3)
         assert not est.converged
         assert est.iterations == 3
+        # an unconverged value is the probe's bound ||J e||_inf >= rho(J)
+        assert est.value == np.max(j.sum(axis=1)) > np.cos(np.pi / 9)
 
     def test_dense_oracle_agreement(self):
         rng = np.random.default_rng(11)
@@ -53,6 +75,81 @@ class TestSpectralRadius:
                                          max_iters=200000)
             assert est.converged
             assert abs(est.value - oracle) <= 1e-6 * max(oracle, 1e-12)
+
+    def test_block_lower_operators_match_dense_eigvals(self,
+                                                       grid_multisplitting):
+        # the non-symmetric contraction operators <M_i>^-1 |N_i|
+        ms = grid_multisplitting(8, 4, "block_lower_triangular")
+        for s, est in zip(ms.splittings, ms.contraction_estimates):
+            t = dense_contraction_matrix(s.M, s.N)
+            oracle = float(np.max(np.abs(np.linalg.eigvals(t))))
+            assert abs(est - oracle) <= 1e-9 * oracle
+
+    def test_grid_jacobi_application_count(self, grid_problem):
+        # classify's operator and tolerance on the 256-point grid
+        a = grid_problem(16).A
+        diag, b = mslcp.hmatrix._jacobi_parts(a)
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            return spmv(b, v) / diag
+
+        est = spectral_radius_nonneg(apply, 256, tol=1e-8)
+        assert est.converged and est.iterations == len(calls) <= 60
+        assert abs(est.value - np.cos(np.pi / 17)) < 1e-10
+
+    def test_positive_operator_probes_once(self, monkeypatch):
+        t = np.random.default_rng(3).uniform(0.1, 1.0, (40, 40))
+        apply, calls = counted(t)
+        probed = []
+        real = mslcp.hmatrix.eigs
+
+        def eigs(*args, **kwargs):
+            probed.append(len(calls))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mslcp.hmatrix, "eigs", eigs)
+        est = spectral_radius_nonneg(apply, 40, tol=1e-12)
+        assert probed == [1]
+        assert est.converged and est.iterations == len(calls)
+        oracle = float(np.max(np.abs(np.linalg.eigvals(t))))
+        assert abs(est.value - oracle) <= 1e-10 * oracle
+
+    @pytest.mark.parametrize("t", [
+        np.tril(np.random.default_rng(4).uniform(0.5, 2.0, (10, 10)), -1),
+        # a probe capped at 32 steps would leave this chain to Arnoldi,
+        # which reports a converged 1.67 for it
+        3.0 * np.diag(np.ones(99), -1)], ids=["lower-10", "chain-100"])
+    def test_strictly_lower_triangular_is_exactly_zero(self, t):
+        apply, calls = counted(t)
+        est = spectral_radius_nonneg(apply, len(t))
+        assert est.value == 0.0 and est.converged
+        assert est.iterations == len(calls) == len(t)
+
+    def test_rows_off_the_stable_support_are_cut_away(self):
+        # a 3-cycle of weight 0.5 read by the end of a 100-row chain whose
+        # first row is zero: T^k e loses one chain row per step until only
+        # the cycle is left, whose radius is the operator's
+        n = 103
+        t = np.diag(np.ones(n - 1), -1)
+        t[101, 100] = t[102, 101] = 0.0
+        t[100, 101] = t[101, 102] = t[102, 100] = 0.5
+        apply, calls = counted(t)
+        est = spectral_radius_nonneg(apply, n, tol=1e-12)
+        assert est.converged and est.iterations == len(calls) <= 110
+        assert abs(est.value - 0.5) < 1e-12
+
+    def test_classify_estimate_bits_repeat_across_processes(self):
+        code = ("from mslcp import GridLcpSpec, classify, make_grid_lcp\n"
+                "a = make_grid_lcp(GridLcpSpec(24)).A\n"
+                "print(classify(a).jacobi_radius_estimate.hex())\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        runs = [subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=120,
+                               check=True).stdout for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert abs(float.fromhex(runs[0].strip()) - np.cos(np.pi / 25)) < 1e-10
 
 
 class TestClassify:

@@ -227,6 +227,16 @@ class TestReferenceSolve:
         with pytest.raises(ConvergenceError, match="active-set"):
             reference_solve(prob, max_sweeps=2000)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_stops_at_its_sweep(self):
+        # the iterate overflows at sweep 512 of the default 500000; the error
+        # names that sweep instead of spending the rest
+        prob = LcpProblem(SparseMatrix.from_dense([[1.0, -2.0], [-2.0, 1.0]]),
+                          [1.0, 1.0])
+        with pytest.raises(ConvergenceError,
+                           match="non-finite at sweep 512 .*active-set"):
+            reference_solve(prob)
+
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     def test_residual_is_the_natural_residual(self, tol, grid_problem):
         rng = np.random.default_rng(47)
