@@ -3,9 +3,10 @@
 The H-matrix test is iterative rather than exact: the spectral radius of the
 Jacobi iteration matrix J = |D|^-1 |B| (D the diagonal part, B the
 off-diagonal part of the comparison matrix) is estimated by ARPACK's
-implicitly restarted Arnoldi method (``scipy.sparse.linalg.eigs``), and a
-positive vector u with J u < u is produced as an independent certificate
-whenever the radius is reported below one.  Near the boundary the
+implicitly restarted Arnoldi method (``scipy.sparse.linalg.eigs``) and
+checked with Collatz-Wielandt bounds; a matrix is rejected only when such a
+lower bound exceeds one, and a positive vector u with J u < u is produced as
+an independent certificate whenever it is accepted.  Near the boundary the
 classification is reported as indeterminate instead of guessed.
 """
 
@@ -25,15 +26,20 @@ from .sparse import SparseMatrix, as_vector, comparison_matrix, spmv
 class SpectralRadiusEstimate:
     """Estimate of the spectral radius of a nonnegative operator.
 
-    ``iterations`` counts every application of the operator.  ``converged``
-    is False when the application cap or ARPACK's restart limit was reached;
-    ``value`` is then ||T^k e||_inf^(1/k) of the last probe vector, an upper
-    bound on the radius rather than an estimate of it.
+    ``iterations`` counts every application of the operator.  ``lower`` is a
+    Collatz-Wielandt lower bound on the radius (see ``spectral_radius_nonneg``),
+    or the dense radius for n <= 2.  Past the probe and the dense n <= 2
+    case, ``converged`` is True only when ``value`` is a Ritz value that
+    ``lower`` and the Ritz vector's bracket confirm.  When it is False (the
+    application cap or ARPACK's restart limit was reached, or the check
+    failed), ``value`` is the least upper bound on the radius found, not an
+    estimate of it.
     """
 
     value: float
     converged: bool
     iterations: int
+    lower: float = 0.0
 
     def __float__(self) -> float:
         return self.value
@@ -41,6 +47,16 @@ class SpectralRadiusEstimate:
 
 class _BudgetSpent(Exception):
     """Raised inside the ARPACK operator once the application cap is spent."""
+
+
+def _collatz_wielandt(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Bracket (min, max) of y_i / x_i for y = T x, T >= 0, x >= 0, x != 0.
+
+    The min over x_i > 0 is a lower bound on rho(T); the max is an upper
+    bound when x > 0, and infinite otherwise."""
+    pos = x > 0.0
+    ratio = y[pos] / x[pos]
+    return float(ratio.min()), float(ratio.max()) if pos.all() else np.inf
 
 
 def spectral_radius_nonneg(apply, n: int, tol: float = 1e-10,
@@ -55,7 +71,10 @@ def spectral_radius_nonneg(apply, n: int, tol: float = 1e-10,
     rows outside it, so T is block triangular with a nilpotent block off S
     and rho(T) = rho(T[S, S]); the estimate below runs on T[S, S].  Cutting
     that block away matters: a long nilpotent chain is so far from normal
-    that Arnoldi reports spurious Ritz values for it.
+    that Arnoldi reports spurious Ritz values for it.  The probe's last step
+    x = T^(k-1) e, y = T^k e also gives the first Collatz-Wielandt bracket:
+    for x >= 0, x != 0 and y = T x, min y_i / x_i over x_i > 0 is a lower
+    bound on rho(T), and max y_i / x_i an upper bound when x > 0.
 
     The radius of T >= 0 is its Perron root, the eigenvalue with the largest
     real part, which implicitly restarted Arnoldi (ARPACK, through
@@ -63,10 +82,20 @@ def spectral_radius_nonneg(apply, n: int, tol: float = 1e-10,
     shift that periodic patterns need under power iteration.  It starts from
     e, which has a positive component along the Perron vector; a fixed start
     makes reruns give the same bits.  ``eigs`` needs n >= 3; for n <= 2 the
-    radius is read densely from the columns T e_j.  The probe cannot cut
-    away rows that no other row reads, so a long weighted chain that reads a
-    small cycle still misleads Arnoldi: 30 chain rows of weight 3 reading a
-    3-cycle of weight 0.5 give a converged 1.13 for a radius of 0.5.
+    radius is read densely from the columns T e_j.
+
+    ARPACK's own test only bounds the Arnoldi residual, and on operators far
+    from normal it reports spurious Ritz values: a 30-row chain of weight 3
+    that reads a 3-cycle of weight 0.5 gives a "converged" 1.13 for a radius
+    of 0.5.  So the Ritz value theta is checked against the bracket of its
+    Ritz vector x = |v| (one more application).  Where the Perron vector has
+    zeros, rounding fills them with noise that spoils the lower bound, so
+    while it falls short, x is cut to the rows whose ratio reaches
+    theta (1 - sqrt(tol)) and the bracket taken again (one application per
+    cut; every cut drops a row).  theta is reported converged only when the
+    best lower bound lies within sqrt(tol) of it and theta does not exceed
+    the upper bound by more than that; the value is then the larger of
+    theta and the lower bound.
 
     Parameters
     ----------
@@ -76,10 +105,10 @@ def spectral_radius_nonneg(apply, n: int, tol: float = 1e-10,
         Operator dimension, >= 1.
     tol : float
         ARPACK's relative accuracy for the Ritz value (0 asks for machine
-        precision).
+        precision); its square root is the slack of the bracket check.
     max_iters : int
-        Cap on the operator applications, probe included, >= 1.  Reaching it
-        returns ``converged=False`` with the probe's upper bound.
+        Cap on the operator applications, probe and checks included, >= 1.
+        Reaching it returns ``converged=False`` with the best upper bound.
     """
     if n < 1:
         raise ValueError("operator dimension must be at least 1")
@@ -91,12 +120,19 @@ def spectral_radius_nonneg(apply, n: int, tol: float = 1e-10,
         top = float(np.max(z))
         if top == 0.0:
             return SpectralRadiusEstimate(0.0, True, k)
-        if np.array_equal(z > 0.0, prev > 0.0):
+        stable = np.array_equal(z > 0.0, prev > 0.0)
+        if stable:
             break
-    # for T >= 0, ||T^k||_inf = ||T^k e||_inf >= rho(T)^k
-    bound = top ** (1.0 / k)
-    budget = max_iters - k
     keep = np.flatnonzero(z > 0.0)
+    # rows in keep read no row outside it, and prev > 0 on keep.  T[keep,
+    # keep] maps prev[keep] to at most z[keep], and to exactly z[keep] once
+    # prev vanishes off keep, so the bracket's max is an upper bound and its
+    # min a lower one only for a stable support.  For T >= 0 also
+    # ||T^k||_inf = ||T^k e||_inf >= rho(T)^k.
+    lower, upper = _collatz_wielandt(prev[keep], z[keep])
+    lower = lower if stable else 0.0
+    upper = min(upper, top ** (1.0 / k))
+    budget = max_iters - k
     if len(keep) < n:
         full, full_n, n = apply, n, len(keep)
 
@@ -109,10 +145,10 @@ def spectral_radius_nonneg(apply, n: int, tol: float = 1e-10,
 
     if n <= 2:
         if budget < n:
-            return SpectralRadiusEstimate(bound, False, k)
+            return SpectralRadiusEstimate(upper, False, k, lower)
         cols = [np.asarray(apply(e_j), dtype=np.float64) for e_j in np.eye(n)]
         radius = float(np.max(np.abs(np.linalg.eigvals(np.column_stack(cols)))))
-        return SpectralRadiusEstimate(radius, True, k + n)
+        return SpectralRadiusEstimate(radius, True, k + n, max(lower, radius))
 
     applied = 0
 
@@ -121,16 +157,33 @@ def spectral_radius_nonneg(apply, n: int, tol: float = 1e-10,
         if applied == budget:
             raise _BudgetSpent
         applied += 1
-        return apply(v)
+        return np.asarray(apply(v), dtype=np.float64)
 
     op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    slack = max(tol, np.finfo(np.float64).eps) ** 0.5
     try:
-        vals = eigs(op, k=1, which="LR", v0=np.ones(n), tol=tol,
-                    return_eigenvectors=False)
+        vals, vecs = eigs(op, k=1, which="LR", v0=np.ones(n), tol=tol)
+        theta = float(vals[0].real)
+        x = np.abs(vecs[:, 0])
+        y = matvec(x)
+        lo, hi = _collatz_wielandt(x, y)
+        upper = min(upper, hi)
+        lower = max(lower, lo)
+        cut = theta * (1.0 - slack)
+        # each pass drops the rows below the cut, so the support shrinks
+        while lo < cut:
+            x = np.where(y >= cut * x, x, 0.0)
+            if not np.any(x > 0.0):
+                break
+            y = matvec(x)
+            lo = _collatz_wielandt(x, y)[0]
+            lower = max(lower, lo)
     except (_BudgetSpent, ArpackNoConvergence):
-        return SpectralRadiusEstimate(bound, False, k + applied)
-    return SpectralRadiusEstimate(max(float(vals[0].real), 0.0), True,
-                                  k + applied)
+        return SpectralRadiusEstimate(upper, False, k + applied, lower)
+    if not theta * (1.0 - slack) <= lower <= theta * (1.0 + slack) \
+            or theta > upper * (1.0 + slack) or theta <= 0.0:
+        return SpectralRadiusEstimate(upper, False, k + applied, lower)
+    return SpectralRadiusEstimate(max(theta, lower), True, k + applied, lower)
 
 
 @dataclass(frozen=True)
@@ -141,6 +194,8 @@ class MatrixClass:
     (J the Jacobi matrix of the comparison matrix), present exactly when the
     H-matrix test succeeded.  ``indeterminate`` is set when the radius
     estimate fell within ``tol`` of one and no call could be made.
+    ``radius_converged`` is False when ``jacobi_radius_estimate`` is an
+    upper bound on rho(J) rather than a converged estimate of it.
     """
 
     is_z_pattern: bool
@@ -150,6 +205,7 @@ class MatrixClass:
     witness_u: np.ndarray | None
     jacobi_radius_estimate: float
     indeterminate: bool = False
+    radius_converged: bool = True
 
 
 def _jacobi_parts(a: SparseMatrix):
@@ -168,15 +224,18 @@ def classify(a: SparseMatrix, tol: float = 1e-6,
              max_power_iters: int = 20000) -> MatrixClass:
     """Classify a square matrix as Z-patterned / M / H / H+.
 
-    The H test estimates rho(J) with ``spectral_radius_nonneg`` and, when the
-    estimate falls below ``1 - tol``, certifies the verdict with a witness
-    u > 0 satisfying J u < u, built by the monotone fixed-point iteration
-    u <- J u + D^-1 e (its limit is <A>^-1 e when <A> is an M-matrix).  The
-    witness is sound on its own, so an unconverged estimate (an upper bound
-    on rho(J)) also goes to the witness.  Converged estimates within ``tol``
-    of one are reported indeterminate; failure to either certify or reject
-    within the budget raises.  ``max_power_iters`` caps both the operator
-    applications of the estimate and the witness iterations.
+    The H test estimates rho(J) with ``spectral_radius_nonneg``.  It rejects
+    only when the estimate's Collatz-Wielandt lower bound reaches
+    ``1 + tol``, which proves rho(J) > 1.  A converged estimate within
+    ``tol`` of one is reported indeterminate.  Any other outcome, an
+    unconverged estimate (an upper bound on rho(J)) included, goes to the
+    witness: u > 0 satisfying J u < u, built by the monotone fixed-point
+    iteration u <- J u + D^-1 e (its limit is <A>^-1 e when <A> is an
+    M-matrix), which proves rho(J) < 1 on its own.  For an unconverged
+    estimate the reported radius is then the witness's bound
+    max_i (J u)_i / u_i < 1 when that is smaller.  Failure to either certify
+    or reject within the budget raises.  ``max_power_iters`` caps both the
+    operator applications of the estimate and the witness iterations.
     """
     if not a.is_square:
         raise ValueError("classification requires a square matrix")
@@ -189,8 +248,8 @@ def classify(a: SparseMatrix, tol: float = 1e-6,
     witness = None
     is_h = False
     indeterminate = False
-    if est.converged and rho >= 1.0 + tol:
-        pass  # firmly rejected
+    if est.lower >= 1.0 + tol:
+        pass  # firmly rejected: rho(J) >= est.lower
     elif est.converged and rho > 1.0 - tol:
         indeterminate = True  # estimate too close to one to call either way
     else:
@@ -210,6 +269,8 @@ def classify(a: SparseMatrix, tol: float = 1e-6,
                 f"no certificate J u < u found within {max_power_iters} "
                 f"iterations (radius estimate {rho:.6g}"
                 + ("" if est.converged else ", unconverged") + ")")
+        if not est.converged:
+            rho = min(rho, float(np.max(spmv(b, witness) / diag / witness)))
 
     on_diag = a.entry_rows() == a.col_indices
     z_pattern = bool(np.all(a.values[~on_diag] <= 0.0))
@@ -222,6 +283,7 @@ def classify(a: SparseMatrix, tol: float = 1e-6,
         witness_u=witness,
         jacobi_radius_estimate=rho,
         indeterminate=indeterminate,
+        radius_converged=est.converged,
     )
 
 

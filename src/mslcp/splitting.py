@@ -347,9 +347,11 @@ def validate_multisplitting(a: SparseMatrix, ms: MultisplittingSet,
 
     Per splitting: (a) M_i - N_i reconstructs A within ``tol`` relative to
     A's largest entry, (b) <A> <= <M_i> - |N_i| entrywise with slack ``tol``,
-    (c) the estimated contraction radius is below one.  Each distinct
-    splitting object is checked once; processors that share it get the same
-    entries.  Violations are reported, never raised.
+    (c) the estimated contraction radius is converged, so a Ritz value has
+    passed the Collatz-Wielandt check of ``spectral_radius_nonneg``, and is
+    below one.  Each distinct splitting object is checked once; processors
+    that share it get the same entries.  Violations are reported, never
+    raised.
     """
     comp_a = comparison_matrix(a).to_scipy()
     a_sp = a.to_scipy()

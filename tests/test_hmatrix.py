@@ -1,5 +1,6 @@
 """Spectral radius estimation, classification, weighted norms, M-matrix solves."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -28,6 +29,39 @@ def counted(t):
         return t @ v
 
     return apply, calls
+
+
+def chain_into_cycle(weight=3.0, length=30):
+    """A chain of ``length`` rows of ``weight``, each reading the next, whose
+    last row reads a 3-cycle of weight 0.5.  Its radius is the cycle's 0.5,
+    but the chain is so far from normal that Arnoldi reports a converged
+    Ritz value of 1.13 for it."""
+    n = length + 3
+    t = np.zeros((n, n))
+    t[np.arange(length), np.arange(1, length + 1)] = weight
+    t[length, length + 1] = t[length + 1, length + 2] = t[length + 2, length] = 0.5
+    return t
+
+
+def perron_zeros(seed=0, k=12):
+    """Random positive blocks [[0.1 B, 0], [C, A]]: the first k rows never
+    reach the rest, so the Perron vector is zero on them."""
+    rng = np.random.default_rng(seed)
+    t = np.zeros((2 * k, 2 * k))
+    t[:k, :k] = 0.1 * rng.random((k, k))
+    t[k:, :k] = rng.random((k, k))
+    t[k:, k:] = rng.random((k, k))
+    return t
+
+
+def reducible_m_matrices():
+    """Random M-matrices, many reducible, each with a right-hand side that
+    is zero in about half its entries."""
+    rng = np.random.default_rng(1)
+    for _ in range(150):
+        n = int(rng.integers(2, 40))
+        m = random_m_matrix(rng, n, density=float(rng.uniform(0.02, 0.5)))
+        yield m, rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
 
 
 class TestSpectralRadius:
@@ -75,6 +109,7 @@ class TestSpectralRadius:
                                          max_iters=200000)
             assert est.converged
             assert abs(est.value - oracle) <= 1e-6 * max(oracle, 1e-12)
+            assert oracle * (1 - 1e-6) <= est.lower <= oracle * (1 + 1e-12)
 
     def test_block_lower_operators_match_dense_eigvals(self,
                                                        grid_multisplitting):
@@ -140,16 +175,49 @@ class TestSpectralRadius:
         assert est.converged and est.iterations == len(calls) <= 110
         assert abs(est.value - 0.5) < 1e-12
 
-    def test_classify_estimate_bits_repeat_across_processes(self):
-        code = ("from mslcp import GridLcpSpec, classify, make_grid_lcp\n"
-                "a = make_grid_lcp(GridLcpSpec(24)).A\n"
-                "print(classify(a).jacobi_radius_estimate.hex())\n")
+    def test_spurious_ritz_value_is_not_reported_converged(self):
+        t = chain_into_cycle()
+        est = spectral_radius_nonneg(lambda v: t @ v, len(t), tol=1e-8)
+        assert not est.converged
+        # both bounds hold: the value is an upper bound, lower a lower one
+        assert est.lower <= 0.5 * (1 + 1e-12) and est.value >= 0.5
+
+    def test_perron_zeros_are_cut_from_the_lower_bound(self):
+        # the Ritz vector's rounding noise on the first 12 rows pulls its
+        # bracket's lower end below a tenth of the radius
+        t = perron_zeros()
+        oracle = float(np.max(np.abs(np.linalg.eigvals(t))))
+        est = spectral_radius_nonneg(lambda v: t @ v, len(t), tol=1e-12)
+        assert est.converged
+        assert abs(est.value - oracle) <= 1e-12 * oracle
+        assert oracle * (1 - 1e-12) <= est.lower <= oracle * (1 + 1e-12)
+
+    @pytest.mark.parametrize("case", ["grid-24", "grid-3", "reducible"])
+    def test_classify_estimate_bits_repeat_across_processes(self, case,
+                                                            tmp_path):
+        # on the 3-point grid and this reducible matrix the Krylov space of
+        # e is invariant, and ARPACK draws random vectors to go on
+        if case == "reducible":
+            m = next(itertools.islice(reducible_m_matrices(), 93, None))[0]
+            assert connected_components(m.to_scipy(),
+                                        connection="strong")[0] > 1
+            np.save(tmp_path / "a.npy", m.to_dense())
+            make = f"SparseMatrix.from_dense(np.load({str(tmp_path / 'a.npy')!r}))"
+        else:
+            make = f"make_grid_lcp(GridLcpSpec({case[5:]})).A"
+        code = ("import numpy as np\n"
+                "from mslcp import GridLcpSpec, SparseMatrix, classify, "
+                "make_grid_lcp\n"
+                f"print(classify({make}).jacobi_radius_estimate.hex())\n")
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         runs = [subprocess.run([sys.executable, "-c", code], env=env,
                                capture_output=True, text=True, timeout=120,
                                check=True).stdout for _ in range(2)]
         assert runs[0] == runs[1]
-        assert abs(float.fromhex(runs[0].strip()) - np.cos(np.pi / 25)) < 1e-10
+        if case != "reducible":
+            p = int(case[5:])
+            assert abs(float.fromhex(runs[0].strip())
+                       - np.cos(np.pi / (p + 1))) < 1e-10
 
 
 class TestClassify:
@@ -190,6 +258,28 @@ class TestClassify:
         assert cls.indeterminate
         assert not cls.is_h_matrix
         assert cls.witness_u is None
+
+    def test_spurious_ritz_value_does_not_reject(self):
+        # Arnoldi's converged 1.13 for this radius-0.5 operator fails the
+        # bracket check, so the witness decides
+        t = chain_into_cycle()
+        a = SparseMatrix.from_dense(np.eye(len(t)) - t)
+        cls = classify(a)
+        assert cls.is_h_plus and cls.is_m_matrix and not cls.indeterminate
+        assert np.all(t @ cls.witness_u < cls.witness_u)
+        assert not cls.radius_converged
+        # the witness bounds the reported radius below one
+        assert 0.5 <= cls.jacobi_radius_estimate < 1.0
+
+    def test_rejection_rests_on_the_lower_bound(self):
+        # reducible, radius 1.2; the Perron vector is zero on half the rows
+        t = perron_zeros()
+        np.fill_diagonal(t, 0.0)  # so that t is the Jacobi matrix of I - t
+        t *= 1.2 / float(np.max(np.abs(np.linalg.eigvals(t))))
+        cls = classify(SparseMatrix.from_dense(np.eye(len(t)) - t))
+        assert not cls.is_h_matrix and not cls.indeterminate
+        assert cls.witness_u is None and cls.radius_converged
+        assert abs(cls.jacobi_radius_estimate - 1.2) < 1e-8
 
     def test_zero_diagonal_rejected(self):
         a = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 2.0]])
@@ -258,12 +348,8 @@ class TestSolveMMatrix:
     def test_nonnegative_and_exact_on_reducible_matrices(self):
         # reducible M-matrices with zeros in b: the exact solution has zero
         # entries, which the LU solve can leave a few ulps below zero
-        rng = np.random.default_rng(1)
         reducible = 0
-        for _ in range(150):
-            n = int(rng.integers(2, 40))
-            m = random_m_matrix(rng, n, density=float(rng.uniform(0.02, 0.5)))
-            b = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
+        for m, b in reducible_m_matrices():
             reducible += connected_components(m.to_scipy(),
                                               connection="strong")[0] > 1
             u = solve_m_matrix(m, b)
