@@ -95,7 +95,10 @@ def spectral_radius_nonneg(apply, n: int, tol: float = 1e-10,
     cut; every cut drops a row).  theta is reported converged only when the
     best lower bound lies within sqrt(tol) of it and theta does not exceed
     the upper bound by more than that; the value is then the larger of
-    theta and the lower bound.
+    theta and the lower bound.  A failed check is retried once with
+    ARPACK's tolerance divided by 10^4, since the Ritz vector of a badly
+    conditioned Perron vector can be too rough for the check; a spurious
+    Ritz value fails both.
 
     Parameters
     ----------
@@ -124,11 +127,10 @@ def spectral_radius_nonneg(apply, n: int, tol: float = 1e-10,
         if stable:
             break
     keep = np.flatnonzero(z > 0.0)
-    # rows in keep read no row outside it, and prev > 0 on keep.  T[keep,
-    # keep] maps prev[keep] to at most z[keep], and to exactly z[keep] once
-    # prev vanishes off keep, so the bracket's max is an upper bound and its
-    # min a lower one only for a stable support.  For T >= 0 also
-    # ||T^k||_inf = ||T^k e||_inf >= rho(T)^k.
+    # prev > 0 on keep.  T[keep, keep] maps prev[keep] to at most z[keep],
+    # and to exactly z[keep] once prev vanishes off keep, so the bracket's
+    # max is an upper bound and its min a lower one only for a stable
+    # support.  For T >= 0 also ||T^k||_inf = ||T^k e||_inf >= rho(T)^k.
     lower, upper = _collatz_wielandt(prev[keep], z[keep])
     lower = lower if stable else 0.0
     upper = min(upper, top ** (1.0 / k))
@@ -160,30 +162,36 @@ def spectral_radius_nonneg(apply, n: int, tol: float = 1e-10,
         return np.asarray(apply(v), dtype=np.float64)
 
     op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    slack = max(tol, np.finfo(np.float64).eps) ** 0.5
+    eps = np.finfo(np.float64).eps
+    slack = max(tol, eps) ** 0.5
+    # a tolerance of 0 asks ARPACK for machine precision
+    retry = tol * 1e-4 if tol * 1e-4 > eps else 0.0
     try:
-        vals, vecs = eigs(op, k=1, which="LR", v0=np.ones(n), tol=tol)
-        theta = float(vals[0].real)
-        x = np.abs(vecs[:, 0])
-        y = matvec(x)
-        lo, hi = _collatz_wielandt(x, y)
-        upper = min(upper, hi)
-        lower = max(lower, lo)
-        cut = theta * (1.0 - slack)
-        # each pass drops the rows below the cut, so the support shrinks
-        while lo < cut:
-            x = np.where(y >= cut * x, x, 0.0)
-            if not np.any(x > 0.0):
-                break
+        for arpack_tol in (tol, retry) if tol > 0.0 else (0.0,):
+            vals, vecs = eigs(op, k=1, which="LR", v0=np.ones(n),
+                              tol=arpack_tol)
+            theta = float(vals[0].real)
+            x = np.abs(vecs[:, 0])
             y = matvec(x)
-            lo = _collatz_wielandt(x, y)[0]
+            lo, hi = _collatz_wielandt(x, y)
+            upper = min(upper, hi)
             lower = max(lower, lo)
+            cut = theta * (1.0 - slack)
+            # each pass drops the rows below the cut, so the support shrinks
+            while lo < cut:
+                x = np.where(y >= cut * x, x, 0.0)
+                if not np.any(x > 0.0):
+                    break
+                y = matvec(x)
+                lo = _collatz_wielandt(x, y)[0]
+                lower = max(lower, lo)
+            if 0.0 < theta and cut <= lower <= theta * (1.0 + slack) \
+                    and theta <= upper * (1.0 + slack):
+                return SpectralRadiusEstimate(max(theta, lower), True,
+                                              k + applied, lower)
     except (_BudgetSpent, ArpackNoConvergence):
-        return SpectralRadiusEstimate(upper, False, k + applied, lower)
-    if not theta * (1.0 - slack) <= lower <= theta * (1.0 + slack) \
-            or theta > upper * (1.0 + slack) or theta <= 0.0:
-        return SpectralRadiusEstimate(upper, False, k + applied, lower)
-    return SpectralRadiusEstimate(max(theta, lower), True, k + applied, lower)
+        pass
+    return SpectralRadiusEstimate(upper, False, k + applied, lower)
 
 
 @dataclass(frozen=True)

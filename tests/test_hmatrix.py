@@ -182,6 +182,15 @@ class TestSpectralRadius:
         # both bounds hold: the value is an upper bound, lower a lower one
         assert est.lower <= 0.5 * (1 + 1e-12) and est.value >= 0.5
 
+    def test_rough_ritz_vector_is_retried(self):
+        # with weight 1 the first Ritz vector's bracket falls 2e-4 short of
+        # its Ritz value; the retry at a tighter tolerance passes the check
+        t = chain_into_cycle(weight=1.0)
+        est = spectral_radius_nonneg(lambda v: t @ v, len(t), tol=1e-8)
+        assert est.converged
+        assert abs(est.value - 0.5) <= 1e-4 * 0.5
+        assert est.lower <= 0.5 * (1 + 1e-12)
+
     def test_perron_zeros_are_cut_from_the_lower_bound(self):
         # the Ritz vector's rounding noise on the first 12 rows pulls its
         # bracket's lower end below a tenth of the radius
