@@ -144,9 +144,11 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     start array (``is``) would compute the same y, so each folds onto the
     lowest such member; only these representatives' starts are stacked and
     solved.  ``ys[i]`` in a ``StepEvent`` is a read-only slice of the
-    stacked iterate at processor i's representative, so in the synchronous
-    Jacobi solve (one shared splitting, one start) every processor's ``ys``
-    is the same n values.
+    stacked iterate at processor i's representative, or, when the group has
+    one representative, the read-only solved array itself, which then runs
+    from that start with no stacked copy.  So in the synchronous Jacobi
+    solve (one shared splitting, one start) every processor's ``ys`` is the
+    same array.
 
     Returns (x, IterationReport) where x is the stream with the smallest
     natural residual (ties to the lowest index).
@@ -163,7 +165,7 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
 
     n = prob.n
     groups = _processor_groups(ms, resolved)
-    tiles = {}  # stack size -> that many copies of prob.f end to end
+    tiles = {1: prob.f}  # stack size -> that many copies of prob.f end to end
 
     for k in range(cfg.max_outer):
         reads = _pick_reads(sched, k, m, reads_rng)
@@ -182,7 +184,8 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
             g = len(reps)
             if g not in tiles:
                 tiles[g] = np.tile(prob.f, g)
-            y0 = np.concatenate([starts[i] for i in reps])
+            y0 = starts[reps[0]] if g == 1 \
+                else np.concatenate([starts[i] for i in reps])
             try:
                 y, count = _run_processor_inner(prob, ms.stacked(tuple(reps)),
                                                 tiles[g], y0,
@@ -196,7 +199,7 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
                     f"processor {i}: {exc}") from exc
             y.setflags(write=False)
             for i, j in zip(members, at):
-                ys[i] = y[j * n:(j + 1) * n]
+                ys[i] = y if g == 1 else y[j * n:(j + 1) * n]
                 counts[i] = count
         acc = _accumulate(ys, ms.weighting)
         updated = sched.policy.update_set(k, m, policy_rng)

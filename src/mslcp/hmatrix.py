@@ -239,11 +239,21 @@ def classify(a: SparseMatrix, tol: float = 1e-6,
     unconverged estimate (an upper bound on rho(J)) included, goes to the
     witness: u > 0 satisfying J u < u, built by the monotone fixed-point
     iteration u <- J u + D^-1 e (its limit is <A>^-1 e when <A> is an
-    M-matrix), which proves rho(J) < 1 on its own.  For an unconverged
-    estimate the reported radius is then the witness's bound
-    max_i (J u)_i / u_i < 1 when that is smaller.  Failure to either certify
-    or reject within the budget raises.  ``max_power_iters`` caps both the
-    operator applications of the estimate and the witness iterations.
+    M-matrix), which proves rho(J) < 1 on its own.  When the estimate's probe
+    has proved J^k = 0 (a converged radius of exactly 0, k its
+    applications), that iteration can stall: for I - 1.5 S, S the 100 x 100
+    down-shift, u grows to about 1.5^99, where adding D^-1 e is lost to
+    rounding, so J u < u never holds strictly.  There u is first built by k
+    steps of u <- D^-1 e + theta J u with theta = 1 + 1/k, which reach
+    u = D^-1 e + theta J u, so J u < u / theta: a relative margin of
+    1/(k + 1), far above the rounding of k steps, and the same J u < u
+    check then certifies it.  (theta = 2 would grow u like 2^k, which
+    overflows on a unit chain of 1100 rows that the plain iteration
+    certifies.)  For an unconverged estimate the reported radius is then the
+    witness's bound max_i (J u)_i / u_i < 1 when that is smaller.  Failure
+    to either certify or reject within the budget raises.
+    ``max_power_iters`` caps both the operator applications of the estimate
+    and the witness iterations.
     """
     if not a.is_square:
         raise ValueError("classification requires a square matrix")
@@ -265,6 +275,13 @@ def classify(a: SparseMatrix, tol: float = 1e-6,
         # the call rests on the witness, which is sound on its own
         c = 1.0 / diag
         u = c.copy()
+        if rho == 0.0 and est.converged:
+            # (theta J)^k = 0, so these steps reach the fixed point
+            # u = c + theta J u = sum_{j<k} (theta J)^j c
+            k = est.iterations
+            theta = 1.0 + 1.0 / k
+            for _ in range(k):
+                u = c + theta * (spmv(b, u) / diag)
         for _ in range(max_power_iters):
             u_next = spmv(b, u) / diag + c
             if np.all(u_next - c < u):

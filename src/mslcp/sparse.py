@@ -26,7 +26,7 @@ from .errors import NonFiniteError
 
 def require_finite(name: str, arr: np.ndarray) -> None:
     """Reject NaN/Inf at public operation boundaries."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
 
 

@@ -14,19 +14,21 @@ Processors whose subproblem is an exact row-local solve (the clamp of a
 ``lower_triangular`` one; see ``sublcp.factor_structure``) and whose inner
 count is one fixed int run together: ``_processor_groups`` collects them by
 (structure, count), and one inner loop solves the stacked system
-blockdiag(M_i), blockdiag(N_i) on the concatenated starts.  Each stacked row does the arithmetic of its member's
-row in the same order, so the slices are bit-identical to separate loops.
-Members with the same splitting object and the same start array would
-compute the same y, so the simulator stacks only one representative of
-each such set per step and gives the others its slice: the synchronous
-Jacobi solve, whose processors share one splitting and one start, runs one
-unstacked inner loop per step.
+blockdiag(M_i), blockdiag(N_i) on the concatenated starts.  Each stacked
+row does the arithmetic of its member's row in the same order, so the
+slices are bit-identical to separate loops.  Members with the same
+splitting object and the same start array would compute the same y, so the
+simulator stacks only one representative of each such set per step and
+gives the others its slice: the synchronous Jacobi solve, whose processors
+share one splitting and one start, runs one unstacked inner loop per step
+and hands every processor the same y.
 
 ``solve_sync`` runs this as the asynchronous simulator's zero-delay case.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +43,16 @@ from .sparse import as_vector, spmv
 SCHEDULE_KINDS = ("fixed", "adaptive", "inner_tolerance")
 
 
+def _count(name: str, value) -> int:
+    """``value`` as a plain int; a bool or a non-integer is rejected."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InnerSchedule:
     """How many subproblem solves each processor performs per outer step.
@@ -52,6 +64,10 @@ class InnerSchedule:
       complementarity gap |y . (A y - f)| falls below ``theta`` (the gap is
       the subproblem measure with the forcing vector refreshed from y
       itself), or ``max_count`` is hit.  At least ``min_count`` solves run.
+
+    The counts ``q``, ``min_count`` and ``max_count`` take any integer
+    (``numpy.int64`` included) and are stored as ``int``; a ``bool`` or
+    ``float`` is rejected.
     """
 
     kind: str
@@ -64,6 +80,12 @@ class InnerSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        # the solvers tell a count from a stop predicate by isinstance(int),
+        # so every count is stored as a plain int
+        for name in ("q", "min_count", "max_count"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _count(name, value))
         if self.min_count < 1 or self.max_count < self.min_count:
             raise ValueError("need 1 <= min_count <= max_count")
         if self.kind == "fixed" and (self.q is None or self.q < 1):
@@ -141,11 +163,14 @@ class StepEvent:
     """One outer step k, passed to a solver's ``on_step`` hook.
 
     Processor i read step ``reads[i]`` = s_i(k), getting ``starts[i]``, and
-    ran ``inner_counts[i]`` solves ending at ``ys[i]``.  The streams in
-    ``updated`` (J(k), ascending) took the combination, moving by at most
-    ``update_norm``; ``iterates`` holds every stream after the step (the
-    synchronous solver repeats its one iterate m times).  No solver writes
-    these vectors afterwards, so a hook may keep them.
+    ran ``inner_counts[i]`` solves ending at ``ys[i]``: a slice of its
+    group's stacked iterate, or the solved array itself when the group has
+    one representative (so in the synchronous Jacobi solve every ``ys[i]``
+    is one array).  The streams in ``updated`` (J(k), ascending) took the
+    combination, moving by at most ``update_norm``; ``iterates`` holds every
+    stream after the step (the synchronous solver repeats its one iterate m
+    times).  No solver writes these vectors afterwards, so a hook may keep
+    them.
     """
 
     k: int
@@ -216,14 +241,16 @@ def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
     raised as ``ConvergenceError`` naming the inner solve, with ``member``
     the position in the group of the first non-finite slice.
     """
+    m_fac, n_fac, structure = splitting.M, splitting.N, splitting.structure
+    fixed = isinstance(resolved, int)
     y, f_vec, count = y0, f, 0
     try:
         while True:
-            f_vec = f + spmv(splitting.N, y)
-            y = solve_sub_lcp(splitting.M, splitting.structure, f_vec,
+            f_vec = f + spmv(n_fac, y)
+            y = solve_sub_lcp(m_fac, structure, f_vec,
                               iter_tol=sub_iter_tol, max_iters=sub_max_iters)
             count += 1
-            if isinstance(resolved, int):
+            if fixed:
                 done = count >= resolved
             else:
                 gap = abs(float(y @ (spmv(prob.A, y) - prob.f)))
@@ -241,7 +268,17 @@ def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
 
 def _accumulate(ys, weighting) -> np.ndarray:
     """sum_i E_i y_i with a fixed accumulation order over i, so serial and
-    concurrent inner loops produce identical results."""
+    concurrent inner loops produce identical results.
+
+    With an indicator weighting and one finite array y in every ``ys[i]``
+    (the synchronous Jacobi solve) the sum is y + 0.0 bit for bit: each
+    entry adds one 1.0 * y_j and zeros to 0.0, and the zeros only turn -0.0
+    into +0.0.  A non-finite y takes the loop, so 0.0 * inf = nan still
+    reaches the caller's update-norm check."""
+    first = ys[0]
+    if weighting.is_indicator and all(y is first for y in ys) \
+            and np.isfinite(first).all():
+        return first + 0.0
     acc = np.zeros(weighting.n)
     for w, y in zip(weighting.weights, ys):
         acc += w * y

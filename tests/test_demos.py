@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["async_staleness.py",
+                                  "bench_tour.py",
                                   "classify_and_witness.py",
                                   "sync_multisplitting.py"])
 def test_demo_exits_zero(demo):

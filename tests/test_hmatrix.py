@@ -290,6 +290,18 @@ class TestClassify:
         assert cls.witness_u is None and cls.radius_converged
         assert abs(cls.jacobi_radius_estimate - 1.2) < 1e-8
 
+    def test_nilpotent_jacobi_matrix_is_certified(self):
+        # J = 1.5 S, S the down-shift: the plain witness iteration grows to
+        # 1.5^99, where adding D^-1 e is lost to rounding
+        n = 100
+        a = SparseMatrix.from_dense(np.eye(n) - 1.5 * np.eye(n, k=-1))
+        cls = classify(a)
+        assert cls.is_h_plus and cls.is_m_matrix and not cls.indeterminate
+        assert cls.jacobi_radius_estimate == 0.0 and cls.radius_converged
+        u = cls.witness_u
+        assert np.all(np.isfinite(u)) and np.all(u > 0.0)
+        assert np.all(dense_jacobi_matrix(a) @ u < u)
+
     def test_zero_diagonal_rejected(self):
         a = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="diagonal"):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mslcp import SparseMatrix, abs_matrix, comparison_matrix, spmv
-from mslcp.sparse import solve_lower_triangular
+from mslcp.sparse import require_finite, solve_lower_triangular
 
 
 def small_dense(max_n=6):
@@ -49,6 +49,22 @@ class TestConstruction:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
             SparseMatrix(1, 1, np.array([0, 1]), np.array([0]), np.array([np.nan]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_require_finite_rejects_nan_and_both_infinities(self, bad):
+        row = np.array([1.0, bad, 0.0])
+        with pytest.raises(ValueError, match="x contains non-finite"):
+            require_finite("x", row)
+        with pytest.raises(ValueError, match="non-finite"):
+            spmv(SparseMatrix.identity(3), row)
+        with pytest.raises(ValueError, match="matrix contains non-finite"):
+            SparseMatrix.from_dense(np.array([row, [0.0, 2.0, 0.0]]))
+
+    def test_require_finite_accepts_length_zero(self):
+        require_finite("x", np.zeros(0))
+        require_finite("matrix", np.zeros((0, 0)))
+        empty = SparseMatrix.from_dense(np.zeros((0, 0)))
+        assert empty.n_rows == 0 and spmv(empty, []).shape == (0,)
 
     def test_from_coo_sums_duplicates_and_drops_zeros(self):
         sp = SparseMatrix.from_coo(2, 2, [0, 0, 1, 1], [1, 1, 0, 0],

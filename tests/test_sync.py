@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from mslcp import (AsyncSchedule, ConvergenceError, InnerSchedule, LcpProblem,
-                   Partition, RandomFair, RoundRobin, SolverConfig,
-                   SparseMatrix,
-                   brute_force_lcp, build_block_splitting, natural_residual,
-                   reference_solve, schedule_inner_count, solve_async_sim,
-                   solve_sync, spmv, weighted_max_norm)
+from mslcp import (AsyncSchedule, ConvergenceError, GridLcpSpec,
+                   InnerSchedule, LcpProblem, MultisplittingSet, Partition,
+                   RandomFair, RoundRobin, SolverConfig, SparseMatrix,
+                   Splitting,
+                   WeightingScheme, brute_force_lcp, build_block_splitting,
+                   make_grid_lcp, natural_residual, reference_solve,
+                   schedule_inner_count, solve_async_sim, solve_sync, spmv,
+                   weighted_max_norm)
 from mslcp.hmatrix import solve_m_matrix
 from mslcp.splitting import ContractionOperator
 
@@ -106,6 +108,33 @@ class TestSchedules:
         assert len(seen) == calls
         assert len({id(s) for s in seen}) == calls
         assert len({id(s.contraction_operator) for s in ms.splittings}) == calls
+
+    @pytest.mark.parametrize("make", [
+        lambda k: InnerSchedule.fixed(k),
+        lambda k: InnerSchedule.adaptive(0.5, min_count=k)],
+        ids=["fixed-q", "adaptive-min_count"])
+    def test_numpy_int_count_runs_as_its_int(self, grid_problem,
+                                             grid_multisplitting, make):
+        prob = grid_problem(4)
+        ms = grid_multisplitting(4, 2, "jacobi")
+        runs = []
+        for k in (np.int64(6), 6):
+            sched = make(k)
+            assert type(sched.q if sched.kind == "fixed"
+                        else sched.min_count) is int
+            runs.append(solve_sync(prob, ms, SolverConfig(schedule=sched)))
+        (x, rep), (x_int, rep_int) = runs
+        assert x.tobytes() == x_int.tobytes()
+        assert _report_fields(rep) == _report_fields(rep_int)
+        assert rep.total_inner_iterations == 6 * 2 * rep.outer_iterations
+
+    @pytest.mark.parametrize("value", [4.0, True])
+    def test_float_and_bool_counts_rejected(self, value):
+        with pytest.raises(ValueError, match=f"q must be an integer, got "
+                                             f"{value!r}"):
+            InnerSchedule.fixed(value)
+        with pytest.raises(ValueError, match="min_count must be an integer"):
+            InnerSchedule.adaptive(0.5, min_count=value)
 
     def test_adaptive_infeasible_raises(self):
         a = SparseMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
@@ -650,3 +679,147 @@ class TestStackedGroups:
         assert str(got.value) == str(want.value)
         assert (f"outer step 0, processor {bad}: iteration diverged in inner "
                 f"solve {inner}: ") in str(got.value)
+
+
+def _weighted_sum(ys, weighting):
+    """sum_i E_i y_i by the loop, entries added in processor order."""
+    acc = np.zeros(weighting.n)
+    for w, y in zip(weighting.weights, ys):
+        acc += w * y
+    return acc
+
+
+def _rounded_grid(p):
+    """The grid problem with its forcing rounded to multiples of 2^-20.
+
+    Rounding takes the last bits of ``np.sin``, which may differ between
+    numpy builds, out of the data.  The solves then add and subtract
+    products with 1 and 4, and divide by 4, so their bits do not depend on
+    fused multiply-add either.
+    """
+    prob = make_grid_lcp(GridLcpSpec(p))
+    return LcpProblem(prob.A, np.round(prob.f * 2.0 ** 20) / 2.0 ** 20)
+
+
+class TestLeanStepPath:
+    """The step loop's shortcuts (one shared y per one-representative group,
+    y + 0.0 for the indicator sum of one shared y) change no bit."""
+
+    def test_indicator_shortcut_equals_the_loop_on_negative_zeros(self):
+        from mslcp.sync import _accumulate
+        y = np.array([-0.0, 0.0, 1.5, -0.0, -2.0, 3e-320, -0.0])
+        weighting = WeightingScheme.indicator(Partition.contiguous(7, 3))
+        acc = _accumulate((y,) * 3, weighting)
+        assert acc.tobytes() == _weighted_sum((y,) * 3, weighting).tobytes()
+        assert acc is not y and not np.any(np.signbit(acc[[0, 1, 3]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_shared_y_takes_the_loop(self, bad):
+        from mslcp.sync import _accumulate
+        y = np.array([1.0, bad, -0.0, 2.0])
+        weighting = WeightingScheme.indicator(Partition.contiguous(4, 2))
+        with np.errstate(invalid="ignore"):
+            acc = _accumulate((y, y), weighting)
+            assert acc.tobytes() == _weighted_sum((y, y),
+                                                  weighting).tobytes()
+        # 0.0 * inf and 0.0 * nan are nan, which y + 0.0 would not give
+        assert np.isnan(acc[1])
+
+    def test_non_indicator_weighting_takes_the_loop(self):
+        from mslcp.sync import _accumulate
+        y = np.random.default_rng(3).standard_normal(12)
+        weighting = WeightingScheme((np.full(12, 0.3), np.full(12, 0.7)))
+        acc = _accumulate((y, y), weighting)
+        assert acc.tobytes() == _weighted_sum((y, y), weighting).tobytes()
+        assert acc.tobytes() != (y + 0.0).tobytes()
+
+    def test_overflowing_shared_y_names_the_same_step(self, grid_problem):
+        # M = 5e-324 I makes the one inner solve overflow to inf; the loop
+        # turns 0.0 * inf into nan, and the update norm reports it at the
+        # step where the solver without the shortcut reported it
+        prob = grid_problem(4)
+        base = build_block_splitting(prob.A, Partition.contiguous(16, 2),
+                                     "jacobi")
+        tiny = Splitting(SparseMatrix.from_diagonal(np.full(16, 5e-324)),
+                         base.splittings[0].N)
+        ms = MultisplittingSet((tiny, tiny), base.weighting,
+                               base.contraction_estimates,
+                               matrix_class=base.matrix_class)
+        cfg = fixed_cfg(1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError) as got:
+                solve_sync(prob, ms, cfg, x0=np.ones(16))
+        assert str(got.value) == ("iteration diverged at outer step 0: "
+                                  "update norm nan")
+
+    def test_one_representative_hands_out_its_read_only_y(self, grid_problem,
+                                                          grid_multisplitting):
+        prob = grid_problem(4)
+        ms = grid_multisplitting(4, 4, "jacobi")
+        events = []
+        solve_sync(prob, ms, fixed_cfg(2, max_outer=5), on_step=events.append)
+        for e in events:
+            y = e.ys[0]
+            assert len(y) == prob.n and not y.flags.writeable
+            assert all(v is y for v in e.ys)
+
+    # sha256 of every StepEvent's vectors and scalars, then x and the
+    # report, recorded from the solver before these shortcuts (a
+    # concatenated start for every group, slices for every ys, the loop for
+    # every weighting); omega_bound is left out, since it comes from ARPACK
+    # during set-up, outside the step loop
+    DIGESTS = {
+        "jacobi-p40-sync":
+            "b2298d5c7db3690a8ec370a70b0f296da7076f62728ef1c5e7c4915399c4c7d0",
+        "lower-p16-sync":
+            "f03631c09fc7b08f807e90847a3660374afec175406f09c8003c7f958b34b9d5",
+        "jacobi-p24-async-random":
+            "28869c3dc13ed53bee2b18da09473d752e99e5b921c5b3a847ae2e0238d8ad8e",
+        "jacobi-p16-weighted":
+            "d54163e6e9f5fc9861b45292d6ca558a2fcfcccd5f3971ba26769cacc9fef7fc",
+    }
+
+    @staticmethod
+    def _case(name):
+        p = {"jacobi-p40-sync": 40, "jacobi-p24-async-random": 24}.get(name,
+                                                                      16)
+        prob = _rounded_grid(p)
+        variant = "block_lower_triangular" if name.startswith("lower") \
+            else "jacobi"
+        m = 2 if name == "jacobi-p16-weighted" else 4
+        ms = build_block_splitting(prob.A, Partition.contiguous(prob.n, m),
+                                   variant)
+        sched, omega = AsyncSchedule(), 1.0
+        if name == "jacobi-p24-async-random":
+            sched = AsyncSchedule(staleness_bound=3, policy=RandomFair(seed=3))
+        if name == "jacobi-p16-weighted":
+            w = np.full(prob.n, 0.25)
+            ms = MultisplittingSet(ms.splittings,
+                                   WeightingScheme((w, 1.0 - w)),
+                                   ms.contraction_estimates,
+                                   matrix_class=ms.matrix_class)
+            omega = 0.9
+        return prob, ms, sched, omega
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_every_bit_matches_the_recorded_digest(self, name):
+        import hashlib
+        prob, ms, sched, omega = self._case(name)
+        cfg = SolverConfig(omega=omega, schedule=InnerSchedule.fixed(4),
+                           outer_tol=1e-6)
+        h = hashlib.sha256()
+
+        def hook(e):
+            h.update(repr((e.k, e.reads, e.inner_counts, e.updated)).encode())
+            h.update(np.float64(e.update_norm).tobytes())
+            for group in (e.starts, e.ys, e.iterates):
+                for v in group:
+                    h.update(v.tobytes())
+
+        x, rep = solve_async_sim(prob, ms, cfg, sched, on_step=hook)
+        fields = _report_fields(rep)
+        del fields["omega_bound"]
+        h.update(x.tobytes())
+        h.update(repr(sorted(fields.items())).encode())
+        assert rep.converged
+        assert h.hexdigest() == self.DIGESTS[name]
