@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .sublcp import LcpProblem, natural_residual
 from .splitting import MultisplittingSet
-from .sync import (SolverConfig, StepEvent, _accumulate, _blend,
+from .sync import (SolverConfig, StepEvent, _accumulate, _blend, _count,
                    _processor_groups, _prologue, _run_processor_inner)
 
 READ_RULES = ("latest", "stalest", "uniform")
@@ -53,6 +53,7 @@ class RoundRobin:
     period: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "period", _count("period", self.period))
         if self.period < 1:
             raise ValueError("round-robin period must be at least 1")
 
@@ -75,6 +76,8 @@ class RandomFair:
     MAX_M = 63
 
     def __post_init__(self):
+        object.__setattr__(self, "full_round_every",
+                           _count("full_round_every", self.full_round_every))
         if self.full_round_every < 1:
             raise ValueError("full_round_every must be at least 1")
 
@@ -109,6 +112,8 @@ class AsyncSchedule:
     reads_seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "staleness_bound",
+                           _count("staleness_bound", self.staleness_bound))
         if self.staleness_bound < 0:
             raise ValueError("staleness bound must be nonnegative")
         if self.reads not in READ_RULES:
@@ -148,13 +153,15 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     one representative, the read-only solved array itself, which then runs
     from that start with no stacked copy.  So in the synchronous Jacobi
     solve (one shared splitting, one start) every processor's ``ys`` is the
-    same array.
+    same array.  The solve keeps its own state: the inner bounds of each
+    splitting object, and for each sequence of splitting objects its stack
+    (``MultisplittingSet.stacked``) and that many copies of f.
 
     Returns (x, IterationReport) where x is the stream with the smallest
     natural residual (ties to the lowest index).
     """
     start = time.perf_counter()
-    report, x_init, resolved = _prologue(prob, ms, cfg, x0)
+    report, x_init, bounds = _prologue(prob, ms, cfg, x0)
     m = ms.m
     # ring[-1] holds the streams after step k; a read of step s is ring[s - k - 1]
     ring = deque([(x_init,) * m], maxlen=sched.staleness_bound + 1)
@@ -164,8 +171,9 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     recent_changes = deque(maxlen=window)
 
     n = prob.n
-    groups = _processor_groups(ms, resolved)
-    tiles = {1: prob.f}  # stack size -> that many copies of prob.f end to end
+    groups = _processor_groups(ms, bounds)
+    # sequence of splitting ids -> (their stack, that many copies of prob.f)
+    stacks = {}
 
     for k in range(cfg.max_outer):
         reads = _pick_reads(sched, k, m, reads_rng)
@@ -182,14 +190,16 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
                     reps.append(i)
                 at.append(slot[key])
             g = len(reps)
-            if g not in tiles:
-                tiles[g] = np.tile(prob.f, g)
+            key = tuple(id(ms.splittings[i]) for i in reps)
+            if key not in stacks:
+                stacks[key] = (ms.stacked(tuple(reps)), np.tile(prob.f, g))
+            split, f = stacks[key]
             y0 = starts[reps[0]] if g == 1 \
                 else np.concatenate([starts[i] for i in reps])
             try:
-                y, count = _run_processor_inner(prob, ms.stacked(tuple(reps)),
-                                                tiles[g], y0,
-                                                resolved[members[0]],
+                y, count = _run_processor_inner(prob, split, f, y0,
+                                                bounds[members[0]],
+                                                cfg.schedule.theta,
                                                 cfg.sub_iter_tol,
                                                 cfg.sub_max_iters)
             except ConvergenceError as exc:
@@ -260,7 +270,7 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
         raise ValueError("threaded execution requires an indicator weighting "
                          "(each worker must own a block to publish)")
     start = time.perf_counter()
-    report, x_init, resolved = _prologue(prob, ms, cfg, x0)
+    report, x_init, bounds = _prologue(prob, ms, cfg, x0)
     m = ms.m
     owners = ms.weighting.indicator_owners
     # Readers take the current reference; writers publish a fresh read-only
@@ -282,7 +292,8 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
         try:
             while not stop.is_set():
                 y, count = _run_processor_inner(prob, split, prob.f,
-                                                published, resolved[i],
+                                                published, bounds[i],
+                                                cfg.schedule.theta,
                                                 cfg.sub_iter_tol,
                                                 cfg.sub_max_iters)
                 with lock:

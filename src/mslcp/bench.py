@@ -44,11 +44,6 @@ EXIT_NOT_CONVERGED = 2
 EXIT_USAGE = 64
 
 MODES = ("sync", "async-sim", "async-threaded", "smm")
-SUMMARY_COLUMNS = (
-    "problem", "n", "m", "variant", "mode", "omega", "schedule", "outer_tol",
-    "seed", "staleness", "policy", "reads", "out_iterations", "converged",
-    "final_residual", "omega_bound", "omega_in_range", "total_inner_iterations",
-)
 # the keys --compare reads and their JSON types; wall_time_seconds is optional
 COMPARE_KEYS = {"problem": str, "n": int, "m": int, "mode": str, "omega": (int, float),
                 "schedule": str, "out_iterations": int, "total_inner_iterations": int,
@@ -194,13 +189,11 @@ def write_summary(path: str, fmt: str, rec: dict, resolved_config: dict) -> None
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return
-    cols = list(SUMMARY_COLUMNS) + (["wall_time_seconds"] if "wall_time_seconds"
-                                    in rec else [])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        writer.writerow([_float_cell(rec[c]) if isinstance(rec[c], float)
-                         else str(rec[c]) for c in cols])
+        writer.writerow(list(rec))
+        writer.writerow([_float_cell(v) if isinstance(v, float) else str(v)
+                         for v in rec.values()])
 
 
 def history_row(prob: LcpProblem, event) -> str:

@@ -16,7 +16,7 @@ Arbitrary user splittings are accepted but should be checked with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -206,23 +206,14 @@ class MultisplittingSet:
     no solver reads it, and ``validate_multisplitting`` recomputes it.
     ``matrix_class`` carries the classification of the matrix the set was
     built from, when known.  The blocks a processor owns are
-    ``weighting.indicator_owners`` for an indicator weighting.
-
-    ``_caches`` holds derived data built on first use, keyed by splitting
-    object, not processor index: adaptive inner counts, and under
-    ``"stacks"`` the stacked splittings the simulator solves, keyed by their
-    sequence of splitting objects.  A stack of g members stores its members'
-    factors once more: at n = 1600 and g = 4 that is g copies of M and N,
-    about 0.6 MB.  The synchronous Jacobi solve, whose processors share one
-    splitting and one start, solves the unstacked splitting and caches no
-    stack.
+    ``weighting.indicator_owners`` for an indicator weighting.  The set
+    keeps no solve state: inner counts and stacks belong to each solve.
     """
 
     splittings: tuple
     weighting: WeightingScheme
     contraction_estimates: tuple
     matrix_class: MatrixClass | None = None
-    _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.splittings)
@@ -244,25 +235,17 @@ class MultisplittingSet:
     def stacked(self, members: tuple) -> Splitting:
         """The splitting (blockdiag(M_i), blockdiag(N_i)) over ``members``,
         which share one structure, so the stack has it too.  One member is
-        its own splitting.
-        Stacks are cached by the sequence of splitting objects, so member
-        tuples that name the same objects in the same order (any k members
-        of a set whose processors share one splitting) share one stack."""
+        its own splitting; more are stacked anew on each call, storing their
+        factors once more (at n = 1600 and four members, about 0.6 MB)."""
         if len(members) == 1:
             return self.splittings[members[0]]
         parts = [self.splittings[i] for i in members]
-        # the set holds every splitting, so their ids stay valid
-        key = tuple(id(s) for s in parts)
-        stacks = self._caches.setdefault("stacks", {})
-        if key not in stacks:
 
-            def block(mats):
-                return SparseMatrix.from_scipy(scipy.sparse.block_diag(
-                    [a.to_scipy() for a in mats], format="csr"))
+        def block(mats):
+            return SparseMatrix.from_scipy(scipy.sparse.block_diag(
+                [a.to_scipy() for a in mats], format="csr"))
 
-            stacks[key] = Splitting(block(s.M for s in parts),
-                                    block(s.N for s in parts))
-        return stacks[key]
+        return Splitting(block(s.M for s in parts), block(s.N for s in parts))
 
 
 def build_block_splitting(a: SparseMatrix, partition: Partition,

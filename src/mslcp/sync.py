@@ -9,11 +9,16 @@ with its newest local iterate each time), and the weighted combination
 closes the step.  Indicator weights need no separate path: 0.0 * y_i and
 1.0 * y_i are exact, so the sum takes each block exactly from its owner.
 
+Every schedule resolves, once per solve and splitting object, to a pair
+of counts (lo, hi): the inner loop stops after hi solves, or earlier once it
+has run lo or more and the local complementarity gap is below
+``schedule.theta``.  ``fixed`` and ``adaptive`` give lo == hi.
+
 Processors whose subproblem is an exact row-local solve (the clamp of a
 ``diagonal`` factor, or the projected forward sweep of a
-``lower_triangular`` one; see ``sublcp.factor_structure``) and whose inner
-count is one fixed int run together: ``_processor_groups`` collects them by
-(structure, count), and one inner loop solves the stacked system
+``lower_triangular`` one; see ``sublcp.factor_structure``) and whose count
+is fixed in advance (lo == hi) run together: ``_processor_groups`` collects
+them by (structure, count), and one inner loop solves the stacked system
 blockdiag(M_i), blockdiag(N_i) on the concatenated starts.  Each stacked
 row does the arithmetic of its member's row in the same order, so the
 slices are bit-identical to separate loops.  Members with the same
@@ -59,11 +64,14 @@ class InnerSchedule:
 
     * ``fixed``: exactly ``q`` solves.
     * ``adaptive``: the smallest count s with ||(<M_i>^-1 |N_i|)^s||_inf <= eta,
-      floored at ``min_count``; computed once per processor and cached.
+      floored at ``min_count``; computed once per splitting object and solve.
     * ``inner_tolerance``: keep solving until the local iterate's
       complementarity gap |y . (A y - f)| falls below ``theta`` (the gap is
       the subproblem measure with the forcing vector refreshed from y
       itself), or ``max_count`` is hit.  At least ``min_count`` solves run.
+
+    ``schedule_inner_count`` turns each kind into the bounds (lo, hi) that
+    the one inner loop reads.
 
     The counts ``q``, ``min_count`` and ``max_count`` take any integer
     (``numpy.int64`` included) and are stored as ``int``; a ``bool`` or
@@ -80,8 +88,6 @@ class InnerSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        # the solvers tell a count from a stop predicate by isinstance(int),
-        # so every count is stored as a plain int
         for name in ("q", "min_count", "max_count"):
             value = getattr(self, name)
             if value is not None:
@@ -135,6 +141,8 @@ class SolverConfig:
         if not 0.0 < self.outer_tol < np.inf:
             raise ValueError(f"outer tolerance must be positive and finite, "
                              f"got {self.outer_tol}")
+        for name in ("max_outer", "sub_max_iters"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
 
@@ -183,66 +191,59 @@ class StepEvent:
     iterates: tuple
 
 
-def schedule_inner_count(schedule: InnerSchedule, splitting_index: int,
-                         ms: MultisplittingSet):
-    """Resolve the inner-solve count for one processor.
+def schedule_inner_count(schedule: InnerSchedule, splitting) -> tuple:
+    """Resolve the inner-solve bounds (lo, hi) for one splitting.
 
-    Returns an int for ``fixed``/``adaptive`` (the adaptive count is cached
-    on the multisplitting set by splitting object), or a stop predicate
-    ``(count, gap) -> bool`` for ``inner_tolerance``.
+    The inner loop stops after hi solves, or earlier once it has run lo or
+    more and the gap |y . (A y - f)| is below ``schedule.theta``.  ``fixed``
+    gives (q, q); ``adaptive`` gives (s, s) with s from ``min_inner_count``
+    floored at ``min_count``; ``inner_tolerance`` gives (min_count,
+    max_count).
     """
     if schedule.kind == "fixed":
-        return schedule.q
+        return schedule.q, schedule.q
     if schedule.kind == "adaptive":
-        cache = ms._caches.setdefault("adaptive_counts", {})
-        splitting = ms.splittings[splitting_index]
-        key = (id(splitting), schedule.eta, schedule.min_count, schedule.max_count)
-        if key not in cache:
-            s = min_inner_count(splitting, schedule.eta, max_s=schedule.max_count)
-            cache[key] = max(schedule.min_count, s)
-        return cache[key]
-
-    theta, lo, hi = schedule.theta, schedule.min_count, schedule.max_count
-
-    def stop(count: int, gap: float) -> bool:
-        return count >= lo and (gap < theta or count >= hi)
-
-    return stop
+        s = max(schedule.min_count, min_inner_count(
+            splitting, schedule.eta, max_s=schedule.max_count))
+        return s, s
+    return schedule.min_count, schedule.max_count
 
 
-def _processor_groups(ms: MultisplittingSet, resolved) -> list:
+def _processor_groups(ms: MultisplittingSet, bounds) -> list:
     """Processor index tuples that share one stacked inner loop.
 
     Processors with an exact row-local subproblem (a ``structure`` other
-    than ``general``) and an int count are grouped by (structure, count);
-    every other processor is a group of one.  Structures never mix: the
-    clamp and the sweep treat -0.0 differently.  Groups come in order of
-    their lowest member.
+    than ``general``) and a count fixed in advance (lo == hi in ``bounds``)
+    are grouped by (structure, count); every other processor is a group of
+    one.  Structures never mix: the clamp and the sweep treat -0.0
+    differently.  Groups come in order of their lowest member.
     """
     groups = {}
-    for i, (split, count) in enumerate(zip(ms.splittings, resolved)):
-        exact = split.structure != "general" and isinstance(count, int)
-        key = (split.structure, count) if exact else i
+    for i, (split, (lo, hi)) in enumerate(zip(ms.splittings, bounds)):
+        exact = split.structure != "general" and lo == hi
+        key = (split.structure, hi) if exact else i
         groups.setdefault(key, []).append(i)
     return [tuple(g) for g in groups.values()]
 
 
 def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
-                         y0: np.ndarray, resolved, sub_iter_tol: float,
-                         sub_max_iters: int = 200000):
+                         y0: np.ndarray, bounds: tuple, theta,
+                         sub_iter_tol: float, sub_max_iters: int = 200000):
     """Run one processor group's inner loop from y0; returns (y, solve count).
 
     ``splitting`` is a processor's splitting with ``f`` = ``prob.f``, or a
     group's stacked splitting with ``f`` the matching copies of ``prob.f``
-    end to end.  ``resolved`` is either an int count (at least 1) or, for a
-    single processor, a stop predicate from ``schedule_inner_count``.  Each
+    end to end.  ``bounds`` is (lo, hi) from ``schedule_inner_count``: the
+    loop stops after hi solves, or earlier once it has run lo or more and
+    the gap |y . (A y - f)| is below ``theta``.  The gap is computed only
+    when lo <= count < hi, so a group (lo == hi) never computes it.  Each
     solve refreshes the forcing vector from the newest local iterate:
     F = f + N y.  A non-finite y or F means the iteration diverged; it is
     raised as ``ConvergenceError`` naming the inner solve, with ``member``
     the position in the group of the first non-finite slice.
     """
     m_fac, n_fac, structure = splitting.M, splitting.N, splitting.structure
-    fixed = isinstance(resolved, int)
+    lo, hi = bounds
     y, f_vec, count = y0, f, 0
     try:
         while True:
@@ -250,12 +251,8 @@ def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
             y = solve_sub_lcp(m_fac, structure, f_vec,
                               iter_tol=sub_iter_tol, max_iters=sub_max_iters)
             count += 1
-            if fixed:
-                done = count >= resolved
-            else:
-                gap = abs(float(y @ (spmv(prob.A, y) - prob.f)))
-                done = resolved(count, gap)
-            if done:
+            if count >= hi or (count >= lo and abs(
+                    float(y @ (spmv(prob.A, y) - prob.f))) < theta):
                 return y, count
     except NonFiniteError as exc:
         err = ConvergenceError(
@@ -294,8 +291,10 @@ def _blend(acc: np.ndarray, omega: float, x_prev: np.ndarray) -> np.ndarray:
 
 def _prologue(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
               x0: np.ndarray | None):
-    """Setup shared by every solver; returns (report, x, resolved counts)
-    with ``x`` a read-only copy of ``x0``, or zero when ``x0`` is None."""
+    """Setup shared by every solver; returns (report, x, bounds) with ``x``
+    a read-only copy of ``x0``, or zero when ``x0`` is None, and
+    ``bounds[i]`` processor i's (lo, hi), resolved once per distinct
+    splitting object."""
     if ms.n != prob.n:
         raise ValueError("multisplitting size does not match the problem")
     cls = ms.matrix_class if ms.matrix_class is not None else classify(prob.A)
@@ -305,8 +304,10 @@ def _prologue(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     x = np.zeros(prob.n) if x0 is None \
         else as_vector(x0, prob.n, name="x0").copy()
     x.setflags(write=False)
-    resolved = [schedule_inner_count(cfg.schedule, i, ms) for i in range(ms.m)]
-    return report, x, resolved
+    distinct = {id(s): s for s in ms.splittings}
+    resolved = {key: schedule_inner_count(cfg.schedule, s)
+                for key, s in distinct.items()}
+    return report, x, [resolved[id(s)] for s in ms.splittings]
 
 
 def solve_sync(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,

@@ -51,6 +51,16 @@ class TestExitCodes:
         assert not out.exists()
         assert "error" in capsys.readouterr().err
 
+    def test_console_script_exits_zero(self, monkeypatch, capsys):
+        # the mslcp-bench entry point that pyproject.toml declares
+        from mslcp.bench import console_main
+        monkeypatch.setattr("sys.argv", ["mslcp-bench", "--grid", "4",
+                                         "--m", "2"])
+        with pytest.raises(SystemExit) as got:
+            console_main()
+        assert got.value.code == 0
+        assert "converged=True" in capsys.readouterr().out
+
     def test_unknown_flag_exits_64(self, capsys):
         assert main(["--grid", "8", "--no-such-flag"]) == 64
 
@@ -165,6 +175,15 @@ class TestReports:
         assert header[:3] == ["problem", "n", "m"]
         assert "final_residual" in header
         assert len(lines[1].split(",")) == len(header)
+
+    def test_csv_header_with_timing(self, tmp_path):
+        out = tmp_path / "r.csv"
+        run(tmp_path, "--timing", output=out, fmt="csv")
+        assert out.read_text().splitlines()[0] == (
+            "problem,n,m,variant,mode,omega,schedule,outer_tol,seed,"
+            "staleness,policy,reads,out_iterations,converged,final_residual,"
+            "omega_bound,omega_in_range,total_inner_iterations,"
+            "wall_time_seconds")
 
     @pytest.mark.parametrize("mode", ["sync", "async-sim"])
     def test_history_csv(self, tmp_path, mode):

@@ -72,17 +72,37 @@ class TestBasicSolves:
 class TestSchedules:
     def test_fixed_count(self, grid_multisplitting):
         ms = grid_multisplitting(4, 2, "jacobi")
-        assert schedule_inner_count(InnerSchedule.fixed(3), 0, ms) == 3
+        assert schedule_inner_count(InnerSchedule.fixed(3),
+                                    ms.splittings[0]) == (3, 3)
 
-    def test_adaptive_count_cached(self):
-        m = SparseMatrix.from_dense([[2.0, 0.0], [0.0, 2.0]])
+    def test_inner_tolerance_bounds(self, grid_multisplitting):
+        ms = grid_multisplitting(4, 2, "jacobi")
+        sched = InnerSchedule.inner_tolerance(1e-6, min_count=2, max_count=7)
+        assert schedule_inner_count(sched, ms.splittings[0]) == (2, 7)
+
+    def test_adaptive_count_cached(self, monkeypatch):
+        # the count is resolved once per solve and read by every step; the
+        # set keeps nothing, so the next solve resolves it again
+        import mslcp.sync
         a = SparseMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
         ms = build_block_splitting(a, Partition.contiguous(2, 1), "jacobi")
         sched = InnerSchedule.adaptive(0.1)
         # ||T^s||_inf = 0.5^s: smallest s at or under 0.1 is 4
-        assert schedule_inner_count(sched, 0, ms) == 4
-        assert ms._caches["adaptive_counts"]  # resolved once, reused
-        assert schedule_inner_count(sched, 0, ms) == 4
+        assert schedule_inner_count(sched, ms.splittings[0]) == (4, 4)
+        calls = []
+        real = mslcp.sync.min_inner_count
+        monkeypatch.setattr(mslcp.sync, "min_inner_count",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        prob = LcpProblem(a, [1.0, 1.0])
+        cfg = SolverConfig(schedule=sched, outer_tol=1e-12)
+        for solves in (1, 2):
+            counts = []
+            _, rep = solve_sync(prob, ms, cfg,
+                                on_step=lambda e: counts.append(e.inner_counts))
+            assert rep.outer_iterations > 1
+            assert set(counts) == {(4,)}
+            assert len(calls) == solves
+        assert not hasattr(ms, "_caches")
 
     @pytest.mark.parametrize("variant, calls", [
         ("jacobi", 1), ("block_lower_triangular", 4)])
@@ -179,6 +199,73 @@ class TestSchedules:
         solve_sync(prob, ms, cfg,
                    on_step=lambda e: counts.append(e.inner_counts))
         assert all(c[0] == 3 for c in counts)
+
+    def test_gap_computed_only_where_it_can_stop_the_loop(
+            self, monkeypatch, grid_problem, grid_multisplitting):
+        # no gap is below theta: solves 1 and 2 cannot stop on the gap and
+        # solve 5 stops on the count, so only solves 3 and 4 compute it
+        import mslcp.sync
+        prob = grid_problem(4)
+        ms = grid_multisplitting(4, 2, "jacobi")
+        gaps = []
+        real = mslcp.sync.spmv
+
+        def counting(a, x):
+            if a is prob.A:
+                gaps.append(len(x))
+            return real(a, x)
+
+        monkeypatch.setattr(mslcp.sync, "spmv", counting)
+        sched = InnerSchedule.inner_tolerance(1e-300, min_count=3,
+                                              max_count=5)
+        counts = []
+        _, rep = solve_sync(prob, ms, SolverConfig(schedule=sched,
+                                                   max_outer=6),
+                            on_step=lambda e: counts.append(e.inner_counts))
+        assert counts == [(5, 5)] * rep.outer_iterations
+        assert gaps == [prob.n] * (2 * ms.m * rep.outer_iterations)
+
+
+# every integer setting outside InnerSchedule, built from one value
+INT_SETTINGS = {
+    "max_outer": lambda v: SolverConfig(max_outer=v),
+    "sub_max_iters": lambda v: SolverConfig(sub_max_iters=v),
+    "staleness_bound": lambda v: AsyncSchedule(staleness_bound=v),
+    "period": lambda v: RoundRobin(v),
+    "full_round_every": lambda v: RandomFair(full_round_every=v),
+}
+
+
+class TestIntegerSettings:
+    @pytest.mark.parametrize("name", list(INT_SETTINGS))
+    def test_numpy_int_is_stored_as_int(self, name):
+        value = getattr(INT_SETTINGS[name](np.int64(2)), name)
+        assert type(value) is int and value == 2
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, True])
+    @pytest.mark.parametrize("name", list(INT_SETTINGS))
+    def test_float_and_bool_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, "
+                                             f"got {value!r}"):
+            INT_SETTINGS[name](value)
+
+    @pytest.mark.parametrize("policy", [RoundRobin, lambda k: RandomFair(
+        seed=5, full_round_every=k)], ids=["roundrobin", "random"])
+    def test_numpy_int_settings_run_as_their_ints(self, grid_problem,
+                                                  grid_multisplitting,
+                                                  policy):
+        prob = grid_problem(4)
+        ms = grid_multisplitting(4, 2, "jacobi")
+        runs = []
+        for k in (np.int64(2), 2):
+            cfg = SolverConfig(schedule=InnerSchedule.fixed(2),
+                               max_outer=20 * k, sub_max_iters=100 * k)
+            sched = AsyncSchedule(staleness_bound=k, policy=policy(k))
+            runs.append(solve_async_sim(prob, ms, cfg, sched))
+        (x, rep), (x_int, rep_int) = runs
+        assert x.tobytes() == x_int.tobytes()
+        assert _report_fields(rep) == _report_fields(rep_int)
+        assert rep.outer_iterations == 40
 
 
 def _bitwise_match_for_ten_steps(prob, ms, omega, q, d):
@@ -424,7 +511,7 @@ def _reference_run(prob, ms, cfg, sched, x0=None):
     from mslcp.sync import (StepEvent, _accumulate, _blend, _prologue,
                             _run_processor_inner)
 
-    report, x, resolved = _prologue(prob, ms, cfg, x0)
+    report, x, bounds = _prologue(prob, ms, cfg, x0)
     m = ms.m
     ring = deque([(x,) * m], maxlen=sched.staleness_bound + 1)
     policy_rng = np.random.default_rng(getattr(sched.policy, "seed", 0))
@@ -438,8 +525,8 @@ def _reference_run(prob, ms, cfg, sched, x0=None):
         for i, y0 in enumerate(starts):
             try:
                 runs.append(_run_processor_inner(
-                    prob, ms.splittings[i], prob.f, y0, resolved[i],
-                    cfg.sub_iter_tol, cfg.sub_max_iters))
+                    prob, ms.splittings[i], prob.f, y0, bounds[i],
+                    cfg.schedule.theta, cfg.sub_iter_tol, cfg.sub_max_iters))
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"subproblem solve failed at outer step {k}, "
@@ -451,7 +538,11 @@ def _reference_run(prob, ms, cfg, sched, x0=None):
         delta = 0.0
         for l in updated:
             new = _blend(acc, cfg.omega, streams[l])
-            delta = max(delta, float(np.max(np.abs(new - streams[l]))))
+            change = float(np.max(np.abs(new - streams[l])))
+            if not np.isfinite(change):
+                raise ConvergenceError(f"iteration diverged at outer step "
+                                       f"{k}: update norm {change}")
+            delta = max(delta, change)
             streams[l] = new
         changes.append(delta)
         ring.append(tuple(streams))
@@ -519,8 +610,8 @@ def _positive_lower_problem(grid_problem):
 
 class TestStackedGroups:
     """The simulator runs processors with an exact row-local sub-solve and
-    one int count as one stacked solve; every result stays bit-identical to
-    one inner loop per processor."""
+    a count fixed in advance (lo == hi) as one stacked solve; every result
+    stays bit-identical to one inner loop per processor."""
 
     def _case(self, grid_problem, name):
         prob = grid_problem(6)
@@ -547,6 +638,10 @@ class TestStackedGroups:
             return pos, ms, fixed, sync, 1.0
         if name == "innertol":
             return prob, jac(2), InnerSchedule.inner_tolerance(1e-6), sync, 1.0
+        if name == "innertol-lo-eq-hi":
+            sched = InnerSchedule.inner_tolerance(1e-6, min_count=3,
+                                                  max_count=3)
+            return prob, low(Partition.contiguous(n, 4)), sched, sync, 0.9
         if name == "async-jacobi":
             return prob, jac(4), fixed, rr, 0.9
         if name == "async-random-stalest":
@@ -569,6 +664,8 @@ class TestStackedGroups:
         "lower-adaptive": [(0,), (1, 3), (2,)],
         "positive-lower": [(0, 2), (1,)],
         "innertol": [(0,), (1,)],
+        # min_count == max_count fixes the count in advance, so it stacks
+        "innertol-lo-eq-hi": [(0, 1, 2, 3)],
         "async-jacobi": [(0, 1, 2, 3)],
         "async-lower": [(0, 1, 3), (2,)],
         "async-random-stalest": [(0, 1, 2, 3)],
@@ -582,9 +679,8 @@ class TestStackedGroups:
         prob, ms, schedule, sched, omega = self._case(grid_problem, name)
         cfg = SolverConfig(omega=omega, schedule=schedule, outer_tol=1e-8,
                            max_outer=400)
-        resolved = [schedule_inner_count(schedule, i, ms)
-                    for i in range(ms.m)]
-        assert _processor_groups(ms, resolved) == self.CASES[name]
+        bounds = [schedule_inner_count(schedule, s) for s in ms.splittings]
+        assert _processor_groups(ms, bounds) == self.CASES[name]
         if name == "positive-lower":
             # M_1's positive strict-lower entry makes its factor general
             assert [s.structure for s in ms.splittings] == [
@@ -602,17 +698,44 @@ class TestStackedGroups:
             assert all(len(y) == prob.n and not y.flags.writeable
                        for y in e.ys)
 
-    def test_stacks_are_shared_by_equal_splitting_sequences(self,
-                                                            grid_problem):
+    def test_stacks_are_shared_by_equal_splitting_sequences(
+            self, grid_problem, monkeypatch):
+        import scipy.linalg
         prob = grid_problem(6)
         part = Partition.contiguous(prob.n, 4)
         jac = build_block_splitting(prob.A, part, "jacobi")
         assert jac.stacked((2,)) is jac.splittings[2]
-        assert jac.stacked((0, 1)) is jac.stacked((1, 3))
-        assert jac.stacked((0, 1)) is not jac.stacked((0, 1, 2))
         low = build_block_splitting(prob.A, part, "block_lower_triangular")
-        assert low.stacked((0, 1)) is low.stacked((0, 1))
-        assert low.stacked((0, 1)) is not low.stacked((1, 2))
+        stack = low.stacked((0, 1))
+        assert stack.structure == "lower_triangular"
+        for name in ("M", "N"):
+            blocks = [getattr(low.splittings[i], name).to_dense()
+                      for i in (0, 1)]
+            assert np.array_equal(getattr(stack, name).to_dense(),
+                                  scipy.linalg.block_diag(*blocks))
+        # the set keeps no stack; a solve builds one per sequence of
+        # splitting objects and reuses it at every later step
+        assert low.stacked((0, 1)) is not stack
+        built = []
+        real = MultisplittingSet.stacked
+
+        def counting(ms, members):
+            built.append(tuple(id(ms.splittings[i]) for i in members))
+            return real(ms, members)
+
+        monkeypatch.setattr(MultisplittingSet, "stacked", counting)
+        fair = AsyncSchedule(staleness_bound=3, policy=RandomFair(seed=4))
+        sizes = []
+        for ms in (jac, low):
+            built.clear()
+            _, rep = solve_async_sim(prob, ms, fixed_cfg(3, max_outer=60),
+                                     fair)
+            assert rep.outer_iterations > 10
+            assert built and len(built) == len(set(built))
+            sizes.append({len(key) for key in built})
+        # the Jacobi streams coincide at some steps and differ at others;
+        # block-lower members never fold, so one stack of all four serves
+        assert len(sizes[0]) > 1 and sizes[1] == {4}
 
     # rows per sub-solve call at every step, when fixed in advance
     ROWS = {"jacobi-m4": 1, "lower-m4": 4, "mixed-splitting": 2,
@@ -749,6 +872,9 @@ class TestLeanStepPath:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ConvergenceError) as got:
                 solve_sync(prob, ms, cfg, x0=np.ones(16))
+            with pytest.raises(ConvergenceError) as want:
+                _reference_run(prob, ms, cfg, AsyncSchedule(), x0=np.ones(16))
+        assert str(got.value) == str(want.value)
         assert str(got.value) == ("iteration diverged at outer step 0: "
                                   "update norm nan")
 
@@ -777,6 +903,19 @@ class TestLeanStepPath:
             "28869c3dc13ed53bee2b18da09473d752e99e5b921c5b3a847ae2e0238d8ad8e",
         "jacobi-p16-weighted":
             "d54163e6e9f5fc9861b45292d6ca558a2fcfcccd5f3971ba26769cacc9fef7fc",
+        # recorded from the solver that resolved a fixed or adaptive count
+        # to an int and inner_tolerance to a stop predicate
+        "jacobi-p16-innertol":
+            "5d2c254987ee35c579dab530061c4c3a74b697c67d9bdce56ce7d3c68335aad6",
+        "lower-p16-adaptive":
+            "23764feeb661f54d6b95f906803dda27208d5ef97621dff038bc4349ece0a9a0",
+    }
+    # (inner schedule, outer tolerance) where a case does not use fixed(4)
+    # and 1e-6; at 1e-12 the gap stops inner loops after 2, 3 and 6 solves
+    SCHEDULES = {
+        "jacobi-p16-innertol": (InnerSchedule.inner_tolerance(
+            1e-8, min_count=2, max_count=6), 1e-12),
+        "lower-p16-adaptive": (InnerSchedule.adaptive(0.2), 1e-6),
     }
 
     @staticmethod
@@ -805,8 +944,9 @@ class TestLeanStepPath:
     def test_every_bit_matches_the_recorded_digest(self, name):
         import hashlib
         prob, ms, sched, omega = self._case(name)
-        cfg = SolverConfig(omega=omega, schedule=InnerSchedule.fixed(4),
-                           outer_tol=1e-6)
+        schedule, tol = self.SCHEDULES.get(name, (InnerSchedule.fixed(4),
+                                                  1e-6))
+        cfg = SolverConfig(omega=omega, schedule=schedule, outer_tol=tol)
         h = hashlib.sha256()
 
         def hook(e):
