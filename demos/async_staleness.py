@@ -19,7 +19,7 @@ from mslcp import (AllEveryStep, AsyncSchedule, GridLcpSpec, InnerSchedule,
 p = 8
 prob = make_grid_lcp(GridLcpSpec(p=p))
 part = Partition.contiguous(prob.n, 2)
-ms = build_block_splitting(prob.A, part, "jacobi", max_power_iters=200000)
+ms = build_block_splitting(prob.A, part, "jacobi")
 cfg = SolverConfig(omega=1.0, schedule=InnerSchedule.fixed(2), outer_tol=1e-6)
 
 x_sync, rep_sync = solve_sync(prob, ms, cfg)

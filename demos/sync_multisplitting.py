@@ -24,12 +24,12 @@ print()
 print("=== build and validate a multisplitting ===")
 part = Partition.contiguous(prob.n, 2)
 for variant in ("jacobi", "block_lower_triangular"):
-    ms = build_block_splitting(prob.A, part, variant, max_power_iters=200000)
+    ms = build_block_splitting(prob.A, part, variant)
     report = validate_multisplitting(prob.A, ms)
     print(f"{variant:24s} hypotheses ok={report.ok} "
           f"contraction estimates={[round(e, 4) for e in report.contraction_estimates]}")
 
-ms = build_block_splitting(prob.A, part, "jacobi", max_power_iters=200000)
+ms = build_block_splitting(prob.A, part, "jacobi")
 gamma = ms.matrix_class.jacobi_radius_estimate
 eta = compute_eta(gamma, ms.weighting)
 s_min = min_inner_count(ms.splittings[0], eta, max_s=10000)

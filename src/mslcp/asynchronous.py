@@ -221,7 +221,7 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
             prev = streams[l]
             if id(prev) not in blended:
                 new = _blend(acc, cfg.omega, prev)
-                change = float(np.max(np.abs(new - prev))) if prob.n else 0.0
+                change = float(np.max(np.abs(new - prev)))
                 if not np.isfinite(change):
                     raise ConvergenceError(
                         f"iteration diverged at outer step {k}: update norm "
@@ -280,7 +280,7 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
     lock = threading.Lock()
     stop = threading.Event()
     last_change = np.full(m, np.inf)
-    scale = 1.0 + (float(np.max(np.abs(prob.f))) if prob.n else 0.0)
+    scale = 1.0 + float(np.max(np.abs(prob.f)))
     residual_tol = cfg.outer_tol * scale
     budget = cfg.max_outer * m
     failures: list = []

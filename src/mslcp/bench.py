@@ -135,18 +135,14 @@ def load_problem(cfg: argparse.Namespace):
 
 
 def load_partition(cfg: argparse.Namespace, n: int) -> Partition:
-    if cfg.partition == "contiguous" or cfg.partition.startswith("contiguous:"):
-        _, _, arg = cfg.partition.partition(":")
-        m = int(arg) if arg else cfg.m
-        if m != cfg.m:
-            raise UsageError("partition block count disagrees with --m")
-        return Partition.contiguous(n, m)
+    if cfg.partition == "contiguous":
+        return Partition.contiguous(n, cfg.m)
     if cfg.partition.startswith("file:"):
         part = read_partition(cfg.partition[5:], n)
         if part.m != cfg.m:
             raise UsageError("partition file block count disagrees with --m")
         return part
-    raise UsageError(f"bad partition {cfg.partition!r} (want contiguous[:m] "
+    raise UsageError(f"bad partition {cfg.partition!r} (want contiguous "
                      "or file:PATH)")
 
 
@@ -232,8 +228,7 @@ def run_bench(cfg: argparse.Namespace) -> int:
         if not cls.is_h_plus:
             raise UsageError("problem matrix is not H+ (positive-diagonal H-matrix)")
         ms = build_block_splitting(prob.A, partition, cfg.variant,
-                                   matrix_class=cls,
-                                   max_power_iters=cfg.max_power_iters)
+                                   matrix_class=cls)
         if cfg.export_problem:
             write_matrix_market(cfg.export_problem + ".mtx", prob.A)
             write_vector(cfg.export_problem + ".rhs.txt", prob.f)
@@ -342,7 +337,7 @@ def build_parser() -> _Parser:
     p.add_argument("--variant", choices=["jacobi", "block_lower_triangular"],
                    default="jacobi", help="splitting family")
     p.add_argument("--partition", default="contiguous",
-                   help="contiguous[:m] or file:PATH")
+                   help="contiguous or file:PATH")
     p.add_argument("--omega", type=float, default=1.0,
                    help="relaxation parameter")
     p.add_argument("--schedule", default="fixed:1",
@@ -365,9 +360,9 @@ def build_parser() -> _Parser:
                    help="embed wall time in report files (breaks byte-identity)")
     p.add_argument("--max-power-iters", type=int, default=200000,
                    dest="max_power_iters",
-                   help="cap on the operator applications of each "
-                        "spectral-radius estimate and on the H-matrix "
-                        "witness iterations")
+                   help="cap on the operator applications of the "
+                        "classification's spectral-radius estimate and on "
+                        "its H-matrix witness iterations")
     p.add_argument("--export-problem", dest="export_problem",
                    help="write the problem as PREFIX.mtx and PREFIX.rhs.txt")
     p.add_argument("--compare", nargs="+", metavar="REPORT",

@@ -19,7 +19,7 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigs,
                                   spsolve)
 
 from .errors import ConvergenceError
-from .sparse import SparseMatrix, as_vector, comparison_matrix, spmv
+from .sparse import SparseMatrix, as_vector, spmv
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,6 @@ class SpectralRadiusEstimate:
     converged: bool
     iterations: int
     lower: float = 0.0
-
-    def __float__(self) -> float:
-        return self.value
 
 
 class _BudgetSpent(Exception):
@@ -217,15 +214,13 @@ class MatrixClass:
 
 
 def _jacobi_parts(a: SparseMatrix):
-    """Diagonal |d| of the comparison matrix and the nonnegative off-diagonal
-    part B with <A> = D - B."""
-    comp = comparison_matrix(a)
+    """Diagonal |d| of A and the off-diagonal magnitudes B = |offdiag(A)|, so
+    that the comparison matrix is <A> = D - B and J = D^-1 B."""
     diag = np.abs(a.diagonal())
     if np.any(diag == 0.0):
         raise ValueError("classification requires nonzero diagonal entries")
-    off = comp.entry_rows() != comp.col_indices
-    b = comp.same_pattern(np.where(off, -comp.values, 0.0))
-    return diag, b
+    off = a.entry_rows() != a.col_indices
+    return diag, a.same_pattern(np.where(off, np.abs(a.values), 0.0))
 
 
 def classify(a: SparseMatrix, tol: float = 1e-6,
@@ -237,26 +232,24 @@ def classify(a: SparseMatrix, tol: float = 1e-6,
     ``1 + tol``, which proves rho(J) > 1.  A converged estimate within
     ``tol`` of one is reported indeterminate.  Any other outcome, an
     unconverged estimate (an upper bound on rho(J)) included, goes to the
-    witness: u > 0 satisfying J u < u, built by the monotone fixed-point
-    iteration u <- J u + D^-1 e (its limit is <A>^-1 e when <A> is an
-    M-matrix), which proves rho(J) < 1 on its own.  When the estimate's probe
-    has proved J^k = 0 (a converged radius of exactly 0, k its
-    applications), that iteration can stall: for I - 1.5 S, S the 100 x 100
-    down-shift, u grows to about 1.5^99, where adding D^-1 e is lost to
-    rounding, so J u < u never holds strictly.  There u is first built by k
-    steps of u <- D^-1 e + theta J u with theta = 1 + 1/k, which reach
-    u = D^-1 e + theta J u, so J u < u / theta: a relative margin of
-    1/(k + 1), far above the rounding of k steps, and the same J u < u
-    check then certifies it.  (theta = 2 would grow u like 2^k, which
-    overflows on a unit chain of 1100 rows that the plain iteration
-    certifies.)  For an unconverged estimate the reported radius is then the
-    witness's bound max_i (J u)_i / u_i < 1 when that is smaller.  Failure
-    to either certify or reject within the budget raises.
-    ``max_power_iters`` caps both the operator applications of the estimate
-    and the witness iterations.
+    witness: u > 0 satisfying J u < u, which proves rho(J) < 1 on its own.
+    It is built by u <- D^-1 e + theta J u with theta = 1 + tol, testing
+    J u < u on each iterate.  The iteration converges exactly when
+    theta rho(J) < 1, that is for rho(J) < 1 / (1 + tol), the range below
+    the indeterminate band, and its fixed point has
+    J u = (u - D^-1 e) / theta < u / theta: a relative margin of about
+    ``tol`` that rounding cannot erase, even where u is huge (for I - 1.5 S,
+    S the 100 x 100 down-shift, u grows to about 1.5^99).  For an
+    unconverged estimate the reported radius is then the witness's bound
+    max_i (J u)_i / u_i < 1 when that is smaller.  Failure to either
+    certify or reject within the budget raises.  ``tol`` must lie in
+    (0, 1), so that theta > 1.  ``max_power_iters`` caps both the operator
+    applications of the estimate and the witness iterations.
     """
     if not a.is_square:
         raise ValueError("classification requires a square matrix")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol {tol} must lie strictly between 0 and 1")
     diag, b = _jacobi_parts(a)
     n = a.n_rows
     est = spectral_radius_nonneg(lambda v: spmv(b, v) / diag, n,
@@ -274,28 +267,22 @@ def classify(a: SparseMatrix, tol: float = 1e-6,
         # estimate below the band, or unconverged (then only an upper bound):
         # the call rests on the witness, which is sound on its own
         c = 1.0 / diag
-        u = c.copy()
-        if rho == 0.0 and est.converged:
-            # (theta J)^k = 0, so these steps reach the fixed point
-            # u = c + theta J u = sum_{j<k} (theta J)^j c
-            k = est.iterations
-            theta = 1.0 + 1.0 / k
-            for _ in range(k):
-                u = c + theta * (spmv(b, u) / diag)
+        theta = 1.0 + tol
+        u = c
         for _ in range(max_power_iters):
-            u_next = spmv(b, u) / diag + c
-            if np.all(u_next - c < u):
+            ju = spmv(b, u) / diag
+            if np.all(ju < u):
                 witness = u
                 is_h = True
                 break
-            u = u_next
+            u = c + theta * ju
         if witness is None:
             raise ConvergenceError(
                 f"no certificate J u < u found within {max_power_iters} "
                 f"iterations (radius estimate {rho:.6g}"
                 + ("" if est.converged else ", unconverged") + ")")
         if not est.converged:
-            rho = min(rho, float(np.max(spmv(b, witness) / diag / witness)))
+            rho = min(rho, float(np.max(ju / witness)))
 
     on_diag = a.entry_rows() == a.col_indices
     z_pattern = bool(np.all(a.values[~on_diag] <= 0.0))

@@ -26,7 +26,8 @@ import scipy.sparse
 from scipy.sparse.linalg import spsolve
 
 from .errors import ConvergenceError
-from .sparse import SparseMatrix, spmv
+# spmv stays bound here because perfbench's tracer patches it
+from .sparse import SparseMatrix, spmv  # noqa: F401
 from .sublcp import LcpProblem, LcpSolution, natural_residual, projected_gauss_seidel
 
 
@@ -97,7 +98,9 @@ def reference_solve(prob: LcpProblem, tol: float = 1e-10,
     active-set answer misses) runs projected Gauss-Seidel, from the active-set
     answer when it is finite and from zero otherwise, until the iterate
     moves less than ``tol`` and the natural residual is below ``10 * tol``;
-    ``ConvergenceError`` when ``max_sweeps`` sweeps do not get there.
+    ``ConvergenceError`` when ``max_sweeps`` sweeps do not get there, or at
+    once when the active-set answer is not finite and a linear program finds
+    the feasible set {x >= 0, A x >= f} empty, so that no solution exists.
     """
     a = prob.A
     x = np.zeros(prob.n)
@@ -107,10 +110,21 @@ def reference_solve(prob: LcpProblem, tol: float = 1e-10,
         y = _active_set_solve(prob)
         if not np.all(np.isfinite(y)):
             note = " (the active-set solve gave non-finite entries)"
+            # Every solution is feasible, and a feasible Z-matrix problem has
+            # a least-element solution (Cottle, Pang & Stone, section 3.11),
+            # so an empty feasible set is the one case the sweeps below
+            # cannot solve.  scipy.optimize is imported here only: loading
+            # it adds about 17 MB of resident memory to every process.
+            from scipy.optimize import linprog
+            if linprog(np.zeros(prob.n), A_ub=-a.to_scipy(), b_ub=-prob.f,
+                       bounds=(0, None), method="highs").status == 2:
+                raise ConvergenceError(
+                    "reference solve: no solution, because the feasible set "
+                    "{x >= 0, A x >= f} is empty" + note)
         else:
             res = natural_residual(prob, y)
             if res < 10.0 * tol:
-                return _solution(prob, y, res)
+                return LcpSolution(x=y, residual=res)
             x = y
             note = (f" (started from the active-set solve, residual "
                     f"{res:.3g})")
@@ -124,13 +138,9 @@ def reference_solve(prob: LcpProblem, tol: float = 1e-10,
         remaining -= used
         res = natural_residual(prob, x)
         if res < 10.0 * tol:
-            return _solution(prob, x, res)
+            return LcpSolution(x=x, residual=res)
         if remaining <= 0:
             raise ConvergenceError(
                 f"reference solve: residual {res:.3g} above {10 * tol:.3g} "
                 f"after {max_sweeps} sweeps{note}")
 
-
-def _solution(prob: LcpProblem, x: np.ndarray, res: float) -> LcpSolution:
-    gap = abs(float(x @ (spmv(prob.A, x) - prob.f)))
-    return LcpSolution(x=x, residual=res, complementarity_gap=gap)

@@ -202,12 +202,14 @@ class MultisplittingSet:
     """A validated family of splittings plus its weighting.
 
     ``contraction_estimates[i]`` estimates rho(<M_i>^-1 |N_i|) at build time
-    with ``spectral_radius_nonneg`` (Jacobi sets reuse the classification's);
-    no solver reads it, and ``validate_multisplitting`` recomputes it.
-    ``matrix_class`` carries the classification of the matrix the set was
-    built from, when known.  The blocks a processor owns are
-    ``weighting.indicator_owners`` for an indicator weighting.  The set
-    keeps no solve state: inner counts and stacks belong to each solve.
+    with ``spectral_radius_nonneg`` at its default cap (Jacobi sets reuse the
+    classification's); no solver reads it, and ``validate_multisplitting``
+    recomputes it.  ``matrix_class`` carries the classification of the
+    matrix the set was built from, when known.  The blocks a processor owns
+    are ``weighting.indicator_owners`` for an indicator weighting.  ``n`` is
+    at least 1, because every weighting diagonal carries a positive entry.
+    The set keeps no solve state: inner counts and stacks belong to each
+    solve.
     """
 
     splittings: tuple
@@ -250,8 +252,8 @@ class MultisplittingSet:
 
 def build_block_splitting(a: SparseMatrix, partition: Partition,
                           variant: str = "jacobi",
-                          matrix_class: MatrixClass | None = None,
-                          max_power_iters: int = 50000) -> MultisplittingSet:
+                          matrix_class: MatrixClass | None = None
+                          ) -> MultisplittingSet:
     """Build a Jacobi or block-lower-triangular multisplitting of an H+ matrix.
 
     Factors are produced by masking A's entry array, so M_i - N_i = A holds
@@ -259,9 +261,9 @@ def build_block_splitting(a: SparseMatrix, partition: Partition,
     Contraction radii are estimated once and cached on the result: Jacobi's
     <D>^-1 |N| is the Jacobi matrix of <A>, so it takes the classification's
     ``jacobi_radius_estimate``; block-lower estimates each splitting's with
-    ``spectral_radius_nonneg``, whose operator applications
-    ``max_power_iters`` caps.  It also bounds the classification made when
-    ``matrix_class`` is omitted.
+    ``spectral_radius_nonneg`` at its default cap.  ``matrix_class`` is
+    computed with ``classify``'s defaults when omitted; a caller that needs
+    another budget classifies first and passes the result.
 
     Raises
     ------
@@ -272,7 +274,7 @@ def build_block_splitting(a: SparseMatrix, partition: Partition,
         raise ValueError(f"unknown splitting variant {variant!r}")
     if partition.n != a.n_rows:
         raise ValueError("partition size does not match the matrix")
-    cls = matrix_class or classify(a, max_power_iters=max_power_iters)
+    cls = matrix_class or classify(a)
     if not cls.is_h_plus:
         raise ValueError("matrix is not classified H+ (positive diagonal H-matrix); "
                          "refusing to build a multisplitting")
@@ -295,8 +297,8 @@ def build_block_splitting(a: SparseMatrix, partition: Partition,
             m_mat = a.same_pattern(np.where(keep, a.values, 0.0))
             n_mat = a.same_pattern(np.where(keep, 0.0, -a.values))
             splittings.append(Splitting(m_mat, n_mat))
-        estimates = [spectral_radius_nonneg(s.contraction_operator, s.n, tol=1e-8,
-                                            max_iters=max_power_iters).value
+        estimates = [spectral_radius_nonneg(s.contraction_operator, s.n,
+                                            tol=1e-8).value
                      for s in splittings]
 
     return MultisplittingSet(tuple(splittings),

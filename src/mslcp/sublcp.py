@@ -48,7 +48,6 @@ class LcpSolution:
 
     x: np.ndarray
     residual: float
-    complementarity_gap: float
 
 
 def natural_residual(prob: LcpProblem, x) -> float:

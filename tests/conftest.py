@@ -96,8 +96,7 @@ def grid_multisplitting(grid_problem):
         if key not in cache:
             prob = grid_problem(p)
             part = Partition.contiguous(prob.n, m)
-            cache[key] = build_block_splitting(prob.A, part, variant,
-                                               max_power_iters=200000)
+            cache[key] = build_block_splitting(prob.A, part, variant)
         return cache[key]
 
     return get

@@ -309,21 +309,31 @@ class TestConfigFile:
     # every resolved key, split by problem source (grid and matrix exclude
     # each other); timing stays off so the reports can be compared
     COMMON = {"m": 3, "variant": "block_lower_triangular",
-              "partition": "contiguous:3", "omega": 0.9, "schedule": "fixed:2",
+              "omega": 0.9, "schedule": "fixed:2",
               "mode": "async-sim", "staleness": 2, "policy": "random:4",
               "reads": "uniform", "outer_tol": 1e-7, "max_outer": 5000,
               "seed": 3, "format": "json", "history": True, "timing": False,
               "max_power_iters": 100000}
 
     def _cases(self, tmp_path):
-        from mslcp import GridLcpSpec, make_grid_lcp
-        from mslcp.io import write_matrix_market, write_vector
+        from mslcp import GridLcpSpec, Partition, make_grid_lcp
+        from mslcp.io import write_matrix_market, write_partition, write_vector
         prob = make_grid_lcp(GridLcpSpec(p=5, shift=0.25))
         write_matrix_market(tmp_path / "a.mtx", prob.A)
         write_vector(tmp_path / "f.txt", prob.f)
-        return {"grid": dict(self.COMMON, grid=6, shift=0.5),
+
+        def interleaved(n):
+            # the non-default partition: every third index to one block
+            path = tmp_path / f"part{n}.txt"
+            write_partition(path, Partition(n, 3, tuple(
+                np.arange(i, n, 3) for i in range(3))))
+            return f"file:{path}"
+
+        return {"grid": dict(self.COMMON, grid=6, shift=0.5,
+                             partition=interleaved(36)),
                 "matrix": dict(self.COMMON, matrix=str(tmp_path / "a.mtx"),
-                               rhs=str(tmp_path / "f.txt"))}
+                               rhs=str(tmp_path / "f.txt"),
+                               partition=interleaved(25))}
 
     def test_cases_cover_every_resolved_key(self, tmp_path):
         keys = set(resolved(build_parser().parse_args([])))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 import mslcp.hmatrix
@@ -290,17 +291,28 @@ class TestClassify:
         assert cls.witness_u is None and cls.radius_converged
         assert abs(cls.jacobi_radius_estimate - 1.2) < 1e-8
 
-    def test_nilpotent_jacobi_matrix_is_certified(self):
-        # J = 1.5 S, S the down-shift: the plain witness iteration grows to
-        # 1.5^99, where adding D^-1 e is lost to rounding
-        n = 100
-        a = SparseMatrix.from_dense(np.eye(n) - 1.5 * np.eye(n, k=-1))
+    @pytest.mark.parametrize("n, weight", [(100, 1.5), (700, 1.5),
+                                           (2000, 1.0)])
+    def test_nilpotent_jacobi_matrix_is_certified(self, n, weight):
+        # J = weight * S, S the down-shift: at weight 1.5 the witness grows
+        # to about 1.5^(n-1), where adding D^-1 e alone is lost to rounding;
+        # at weight 1 it stays near n only because theta is near 1 (theta = 2
+        # would overflow it)
+        a = SparseMatrix.from_scipy(
+            scipy.sparse.eye(n, format="csr")
+            - weight * scipy.sparse.eye(n, k=-1, format="csr"))
         cls = classify(a)
         assert cls.is_h_plus and cls.is_m_matrix and not cls.indeterminate
         assert cls.jacobi_radius_estimate == 0.0 and cls.radius_converged
         u = cls.witness_u
         assert np.all(np.isfinite(u)) and np.all(u > 0.0)
         assert np.all(dense_jacobi_matrix(a) @ u < u)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, 1.0, float("nan")])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        a = SparseMatrix.from_dense([[4.0, -1.0], [-1.0, 4.0]])
+        with pytest.raises(ValueError, match="tol"):
+            classify(a, tol=tol)
 
     def test_zero_diagonal_rejected(self):
         a = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 2.0]])

@@ -237,6 +237,28 @@ class TestReferenceSolve:
                            match="non-finite at sweep 512 .*active-set"):
             reference_solve(prob)
 
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+    def test_empty_feasible_set_raises_without_sweeps(self, monkeypatch):
+        # the active-set solve meets a singular block, and no x >= 0 has
+        # x_1 - x_2 >= 1 and x_2 - x_1 >= 1
+        calls = count_gauss_seidel_calls(monkeypatch)
+        prob = LcpProblem(SparseMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]]),
+                          [1.0, 1.0])
+        with pytest.raises(ConvergenceError, match="feasible set .* is empty"):
+            reference_solve(prob)
+        assert calls == []
+
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+    def test_singular_block_with_a_feasible_set_is_solved(self):
+        # the same matrix with f = (1, -1): the active-set solve meets a
+        # singular block, the feasible set is not empty, and projected
+        # Gauss-Seidel finds the solution
+        prob = LcpProblem(SparseMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]]),
+                          [1.0, -1.0])
+        sol = reference_solve(prob)
+        assert np.array_equal(sol.x, [1.0, 0.0])
+        assert sol.residual == 0.0
+
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     def test_residual_is_the_natural_residual(self, tol, grid_problem):
         rng = np.random.default_rng(47)

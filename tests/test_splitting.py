@@ -147,10 +147,8 @@ class TestJacobiEstimateFromClassification:
     def _check(a, m, budget):
         part = Partition.contiguous(a.n_rows, m)
         for ms in (build_block_splitting(a, part, "jacobi",
-                                         matrix_class=classify(a, max_power_iters=budget),
-                                         max_power_iters=budget),
-                   build_block_splitting(a, part, "jacobi",
-                                         max_power_iters=budget)):
+                                         matrix_class=classify(a, max_power_iters=budget)),
+                   build_block_splitting(a, part, "jacobi")):
             # the estimate the build used to compute by power iteration
             ref = spectral_radius_nonneg(ContractionOperator(ms.splittings[0]),
                                          a.n_rows, tol=1e-8, max_iters=budget)
@@ -186,18 +184,6 @@ class TestJacobiEstimateFromClassification:
         assert len(seen) == calls
         if variant == "jacobi":
             assert ms.contraction_estimates == (cls.jacobi_radius_estimate,) * 4
-
-    def test_unclassified_build_bounds_classification_by_its_budget(self):
-        # a budget of one power iteration leaves the classification's
-        # estimate unconverged; the build must hand it the caller's budget
-        a = SparseMatrix.from_dense([[4.0, -1.0, 0.0], [-1.0, 4.0, -1.0],
-                                     [0.0, -1.0, 4.0]])
-        ms = build_block_splitting(a, Partition.contiguous(3, 1), "jacobi",
-                                   max_power_iters=1)
-        one = classify(a, max_power_iters=1).jacobi_radius_estimate
-        assert one != classify(a).jacobi_radius_estimate
-        assert ms.matrix_class.jacobi_radius_estimate == one
-        assert ms.contraction_estimates == (one,)
 
 
 class TestValidator:
