@@ -221,7 +221,7 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
             prev = streams[l]
             if id(prev) not in blended:
                 new = _blend(acc, cfg.omega, prev)
-                change = float(np.max(np.abs(new - prev)))
+                change = float(np.maximum.reduce(np.abs(new - prev)))
                 if not np.isfinite(change):
                     raise ConvergenceError(
                         f"iteration diverged at outer step {k}: update norm "

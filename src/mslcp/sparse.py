@@ -6,6 +6,11 @@ no explicitly stored zero values are admitted.  Canonical form makes
 entrywise comparisons between matrices a merged-pattern traversal and pins a
 deterministic (ascending-column) summation order for matrix-vector products.
 
+``spmv`` calls scipy's compiled CSR kernel ``csr_matvec`` from the private
+module ``scipy.sparse._sparsetools`` on the stored arrays, the kernel that
+``csr_array @ x`` ends in, so the inner loops pay for the product and not
+for the operator's dispatch.
+
 ``gauss_seidel_sweep`` is the one sweep kernel behind forward substitution
 and every Gauss-Seidel sweep.  Each row subtracts its products in ascending
 column order, so it is bit-identical to a sequential row loop.
@@ -16,16 +21,30 @@ between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import NonFiniteError
 
 
 def require_finite(name: str, arr: np.ndarray) -> None:
-    """Reject NaN/Inf at public operation boundaries."""
+    """Reject NaN/Inf at public operation boundaries.
+
+    A finite sum proves every entry finite (an inf or nan entry makes the sum
+    inf or nan), so most arrays pass in one reduction; only a sum that is not
+    finite, from a bad entry or from overflow, takes the entrywise test.
+    Where ``np.errstate`` or a warnings filter turns that sum's overflow
+    warning into an error, the entrywise test runs instead.
+    """
+    try:
+        if math.isfinite(np.add.reduce(arr, axis=None)):
+            return
+    except (FloatingPointError, RuntimeWarning):
+        pass
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
 
@@ -205,17 +224,21 @@ class SparseMatrix:
 
 
 def spmv(a: SparseMatrix, x) -> np.ndarray:
-    """Matrix-vector product ``a @ x`` by scipy's CSR matvec.
+    """Matrix-vector product ``a @ x`` by scipy's compiled ``csr_matvec``.
 
-    Each output entry adds the row's products one after another in stored
-    (ascending-column) order, so it is bit-identical to a sequential row
-    loop.  The scipy view is cached in ``a._caches["csr"]``.
+    This is the kernel that scipy's ``csr_array @ x`` ends in, called on the
+    stored arrays without the operator's dispatch.  It adds each row's
+    products into a zeroed output one after another in stored
+    (ascending-column) order, so each entry is bit-identical to a sequential
+    row loop.
     """
     x = as_vector(x, a.n_cols, name="x")
-    csr = a._caches.get("csr")
-    if csr is None:
-        csr = a._caches["csr"] = a.to_scipy()
-    return csr @ x
+    # the kernel checks no bounds: canonical form keeps every index inside
+    # the shape, and as_vector gives x length n_cols
+    out = np.zeros(a.n_rows)
+    csr_matvec(a.n_rows, a.n_cols, a.row_offsets, a.col_indices, a.values,
+               x, out)
+    return out
 
 
 def comparison_matrix(a: SparseMatrix) -> SparseMatrix:

@@ -113,12 +113,13 @@ def solve_sub_lcp(m: SparseMatrix, structure: str, f_vec,
     finiteness on every call.
     """
     f_vec = as_vector(f_vec, m.n_rows, name="forcing vector")
-    diag = m.diagonal()
-    if "positive_diagonal" not in m._caches:  # checked once per factor
+    diag = m._caches.get("positive_diagonal")
+    if diag is None:  # checked once per factor; a failing one is not cached
+        diag = m.diagonal()
         if np.any(diag <= 0.0):
             raise ValueError("subproblem factor must have a positive diagonal")
-        m._caches["positive_diagonal"] = True
-    kind = factor_structure(m)
+        m._caches["positive_diagonal"] = diag
+    kind = m._caches.get("structure") or factor_structure(m)
     if structure == kind == "diagonal":
         return np.maximum(0.0, f_vec / diag)
     if structure == "lower_triangular" and kind != "general":

@@ -141,10 +141,13 @@ class SolverConfig:
         if not 0.0 < self.outer_tol < np.inf:
             raise ValueError(f"outer tolerance must be positive and finite, "
                              f"got {self.outer_tol}")
+        if not 0.0 < self.sub_iter_tol < np.inf:
+            raise ValueError(f"sub-solve tolerance must be positive and "
+                             f"finite, got {self.sub_iter_tol}")
         for name in ("max_outer", "sub_max_iters"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Sparse matrix primitives: construction invariants, products, entrywise maps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,36 @@ class TestConstruction:
             spmv(SparseMatrix.identity(3), row)
         with pytest.raises(ValueError, match="matrix contains non-finite"):
             SparseMatrix.from_dense(np.array([row, [0.0, 2.0, 0.0]]))
+
+    def test_require_finite_accepts_entries_whose_sum_overflows(self):
+        # the one-reduction test sees an inf sum here and must fall through
+        # to the entrywise test, which accepts
+        row = np.array([1e308, 1e308])
+        with np.errstate(over="ignore"):
+            require_finite("x", row)
+            assert np.array_equal(spmv(SparseMatrix.identity(2), row), row)
+            wide = SparseMatrix.from_dense(np.array([[1.7e308, 1.7e308]]))
+        assert np.array_equal(wide.values, [1.7e308, 1.7e308])
+        with np.errstate(over="raise"):
+            require_finite("x", row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            require_finite("x", row)
+
+    def test_require_finite_rejects_infinities_whose_sum_is_nan(self):
+        row = np.array([np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="x contains non-finite"):
+                require_finite("x", row)
+            with pytest.raises(ValueError, match="non-finite"):
+                spmv(SparseMatrix.identity(2), row)
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="x contains non-finite"):
+                require_finite("x", row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x contains non-finite"):
+                require_finite("x", row)
 
     def test_require_finite_accepts_length_zero(self):
         require_finite("x", np.zeros(0))

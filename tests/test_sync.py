@@ -249,6 +249,12 @@ class TestIntegerSettings:
                                              f"got {value!r}"):
             INT_SETTINGS[name](value)
 
+    @pytest.mark.parametrize("value", [0, -5])
+    @pytest.mark.parametrize("name", ["max_outer", "sub_max_iters"])
+    def test_count_below_one_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            INT_SETTINGS[name](value)
+
     @pytest.mark.parametrize("policy", [RoundRobin, lambda k: RandomFair(
         seed=5, full_round_every=k)], ids=["roundrobin", "random"])
     def test_numpy_int_settings_run_as_their_ints(self, grid_problem,
@@ -477,8 +483,9 @@ class TestReport:
 
     @pytest.mark.parametrize("make", [
         lambda v: SolverConfig(omega=v), lambda v: SolverConfig(outer_tol=v),
-        InnerSchedule.inner_tolerance], ids=["omega", "outer_tol", "theta"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+        lambda v: SolverConfig(sub_iter_tol=v), InnerSchedule.inner_tolerance],
+        ids=["omega", "outer_tol", "sub_iter_tol", "theta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_nonfinite_settings(self, make, value):
         with pytest.raises(ValueError, match=f"finite.*, got {value}$"):
             make(value)
