@@ -11,6 +11,7 @@ import numpy as np
 
 from mslcp import (GridLcpSpec, SparseMatrix, classify, comparison_matrix,
                    make_grid_lcp, spectral_radius_nonneg, spmv)
+from mslcp.hmatrix import MAX_POWER_ITERS
 
 print("=== comparison matrices ===")
 a = SparseMatrix.from_dense([[-3.0, 1.0], [2.0, 5.0]])
@@ -32,9 +33,10 @@ for dense, label in [
 
 print()
 print("=== grid family: estimated radius vs the closed form cos(pi/(p+1)) ===")
+print(f"(classify caps its operator applications at {MAX_POWER_ITERS})")
 for p in (4, 8, 16, 32):
     prob = make_grid_lcp(GridLcpSpec(p=p))
-    cls = classify(prob.A, max_power_iters=200000)
+    cls = classify(prob.A)
     exact = np.cos(np.pi / (p + 1))
     print(f"p={p:3d} n={p * p:5d} estimate={cls.jacobi_radius_estimate:.8f} "
           f"closed-form={exact:.8f} |diff|={abs(cls.jacobi_radius_estimate - exact):.1e}")
@@ -42,7 +44,7 @@ for p in (4, 8, 16, 32):
 print()
 print("=== the witness certificate ===")
 prob = make_grid_lcp(GridLcpSpec(p=8))
-cls = classify(prob.A, max_power_iters=200000)
+cls = classify(prob.A)
 u = cls.witness_u
 # J u < u strictly, with J the Jacobi matrix of the comparison matrix:
 # that single positive vector certifies the spectral radius is below one

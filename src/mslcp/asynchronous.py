@@ -29,7 +29,8 @@ import numpy as np
 from .errors import ConvergenceError
 from .sublcp import LcpProblem, natural_residual
 from .splitting import MultisplittingSet
-from .sync import (SolverConfig, StepEvent, _accumulate, _blend, _count,
+from .sparse import as_count
+from .sync import (SolverConfig, StepEvent, _accumulate, _blend,
                    _processor_groups, _prologue, _run_processor_inner)
 
 READ_RULES = ("latest", "stalest", "uniform")
@@ -53,7 +54,7 @@ class RoundRobin:
     period: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "period", _count("period", self.period))
+        object.__setattr__(self, "period", as_count("period", self.period))
         if self.period < 1:
             raise ValueError("round-robin period must be at least 1")
 
@@ -77,7 +78,7 @@ class RandomFair:
 
     def __post_init__(self):
         object.__setattr__(self, "full_round_every",
-                           _count("full_round_every", self.full_round_every))
+                           as_count("full_round_every", self.full_round_every))
         if self.full_round_every < 1:
             raise ValueError("full_round_every must be at least 1")
 
@@ -113,7 +114,7 @@ class AsyncSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "staleness_bound",
-                           _count("staleness_bound", self.staleness_bound))
+                           as_count("staleness_bound", self.staleness_bound))
         if self.staleness_bound < 0:
             raise ValueError("staleness bound must be nonnegative")
         if self.reads not in READ_RULES:
@@ -199,9 +200,7 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
             try:
                 y, count = _run_processor_inner(prob, split, f, y0,
                                                 bounds[members[0]],
-                                                cfg.schedule.theta,
-                                                cfg.sub_iter_tol,
-                                                cfg.sub_max_iters)
+                                                cfg.schedule.theta)
             except ConvergenceError as exc:
                 i = reps[getattr(exc, "member", 0)]
                 raise ConvergenceError(
@@ -293,9 +292,7 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
             while not stop.is_set():
                 y, count = _run_processor_inner(prob, split, prob.f,
                                                 published, bounds[i],
-                                                cfg.schedule.theta,
-                                                cfg.sub_iter_tol,
-                                                cfg.sub_max_iters)
+                                                cfg.schedule.theta)
                 with lock:
                     if stop.is_set():
                         return

@@ -224,7 +224,7 @@ def run_bench(cfg: argparse.Namespace) -> int:
         sched.policy.fairness_window(cfg.m)
         prob, ident = load_problem(cfg)
         partition = load_partition(cfg, prob.n)
-        cls = classify(prob.A, max_power_iters=cfg.max_power_iters)
+        cls = classify(prob.A)
         if not cls.is_h_plus:
             raise UsageError("problem matrix is not H+ (positive-diagonal H-matrix)")
         ms = build_block_splitting(prob.A, partition, cfg.variant,
@@ -358,11 +358,6 @@ def build_parser() -> _Parser:
                    help="also write per-iteration CSV next to the report")
     p.add_argument("--timing", action="store_true",
                    help="embed wall time in report files (breaks byte-identity)")
-    p.add_argument("--max-power-iters", type=int, default=200000,
-                   dest="max_power_iters",
-                   help="cap on the operator applications of the "
-                        "classification's spectral-radius estimate and on "
-                        "its H-matrix witness iterations")
     p.add_argument("--export-problem", dest="export_problem",
                    help="write the problem as PREFIX.mtx and PREFIX.rhs.txt")
     p.add_argument("--compare", nargs="+", metavar="REPORT",

@@ -21,6 +21,9 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigs,
 from .errors import ConvergenceError
 from .sparse import SparseMatrix, as_vector, spmv
 
+# classify's cap on its estimate's operator applications and witness steps
+MAX_POWER_ITERS = 20000
+
 
 @dataclass(frozen=True)
 class SpectralRadiusEstimate:
@@ -223,8 +226,7 @@ def _jacobi_parts(a: SparseMatrix):
     return diag, a.same_pattern(np.where(off, np.abs(a.values), 0.0))
 
 
-def classify(a: SparseMatrix, tol: float = 1e-6,
-             max_power_iters: int = 20000) -> MatrixClass:
+def classify(a: SparseMatrix, tol: float = 1e-6) -> MatrixClass:
     """Classify a square matrix as Z-patterned / M / H / H+.
 
     The H test estimates rho(J) with ``spectral_radius_nonneg``.  It rejects
@@ -243,7 +245,7 @@ def classify(a: SparseMatrix, tol: float = 1e-6,
     unconverged estimate the reported radius is then the witness's bound
     max_i (J u)_i / u_i < 1 when that is smaller.  Failure to either
     certify or reject within the budget raises.  ``tol`` must lie in
-    (0, 1), so that theta > 1.  ``max_power_iters`` caps both the operator
+    (0, 1), so that theta > 1.  ``MAX_POWER_ITERS`` caps both the operator
     applications of the estimate and the witness iterations.
     """
     if not a.is_square:
@@ -253,7 +255,7 @@ def classify(a: SparseMatrix, tol: float = 1e-6,
     diag, b = _jacobi_parts(a)
     n = a.n_rows
     est = spectral_radius_nonneg(lambda v: spmv(b, v) / diag, n,
-                                 tol=min(tol, 1e-8), max_iters=max_power_iters)
+                                 tol=min(tol, 1e-8), max_iters=MAX_POWER_ITERS)
     rho = est.value
 
     witness = None
@@ -269,7 +271,7 @@ def classify(a: SparseMatrix, tol: float = 1e-6,
         c = 1.0 / diag
         theta = 1.0 + tol
         u = c
-        for _ in range(max_power_iters):
+        for _ in range(MAX_POWER_ITERS):
             ju = spmv(b, u) / diag
             if np.all(ju < u):
                 witness = u
@@ -278,7 +280,7 @@ def classify(a: SparseMatrix, tol: float = 1e-6,
             u = c + theta * ju
         if witness is None:
             raise ConvergenceError(
-                f"no certificate J u < u found within {max_power_iters} "
+                f"no certificate J u < u found within {MAX_POWER_ITERS} "
                 f"iterations (radius estimate {rho:.6g}"
                 + ("" if est.converged else ", unconverged") + ")")
         if not est.converged:

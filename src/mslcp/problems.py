@@ -27,7 +27,7 @@ from scipy.sparse.linalg import spsolve
 
 from .errors import ConvergenceError
 # spmv stays bound here because perfbench's tracer patches it
-from .sparse import SparseMatrix, spmv  # noqa: F401
+from .sparse import SparseMatrix, as_count, spmv  # noqa: F401
 from .sublcp import LcpProblem, LcpSolution, natural_residual, projected_gauss_seidel
 
 
@@ -35,12 +35,13 @@ from .sublcp import LcpProblem, LcpSolution, natural_residual, projected_gauss_s
 class GridLcpSpec:
     """Benchmark instance descriptor: grid side p (n = p^2) and an optional
     diagonal shift for conditioning experiments (0 matches the standard
-    family)."""
+    family); ``p`` is stored as ``int`` (``sparse.as_count``)."""
 
     p: int
     shift: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "p", as_count("p", self.p))
         if self.p < 2:
             raise ValueError("grid side must be at least 2")
         if not (np.isfinite(self.shift) and 4.0 + self.shift > 0.0):

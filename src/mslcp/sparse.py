@@ -22,6 +22,7 @@ between threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,16 @@ def require_finite(name: str, arr: np.ndarray) -> None:
         pass
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
+
+
+def as_count(name: str, value) -> int:
+    """``value`` as a plain int; a bool or a non-integer is rejected."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:

@@ -24,8 +24,8 @@ import scipy.sparse
 
 from .errors import ConvergenceError
 from .hmatrix import MatrixClass, classify, solve_m_matrix, spectral_radius_nonneg
-from .sparse import SparseMatrix, abs_matrix, as_vector, comparison_matrix, \
-    solve_lower_triangular, spmv
+from .sparse import SparseMatrix, abs_matrix, as_count, as_vector, \
+    comparison_matrix, solve_lower_triangular, spmv
 from .sublcp import factor_structure
 
 VARIANTS = ("jacobi", "block_lower_triangular")
@@ -33,13 +33,16 @@ VARIANTS = ("jacobi", "block_lower_triangular")
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint ownership of the index set {0..n-1} by m blocks."""
+    """Disjoint ownership of the index set {0..n-1} by m blocks; the sizes
+    are stored as ``int`` (``sparse.as_count``)."""
 
     n: int
     m: int
     owner_sets: tuple
 
     def __post_init__(self):
+        for name in ("n", "m"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
         if self.m < 1:
             raise ValueError("partition needs at least one block")
         if len(self.owner_sets) != self.m:
@@ -67,6 +70,7 @@ class Partition:
     def contiguous(n: int, m: int) -> "Partition":
         """Contiguous blocks of near-equal size; the remainder goes to the
         first blocks."""
+        n, m = as_count("n", n), as_count("m", m)
         if not 1 <= m <= n:
             raise ValueError("need 1 <= m <= n")
         blocks = np.array_split(np.arange(n, dtype=np.int64), m)
@@ -172,8 +176,6 @@ class ContractionOperator:
     def __init__(self, splitting: Splitting):
         self.comp_m = comparison_matrix(splitting.M)
         self.abs_n = abs_matrix(splitting.N)
-        # <M>'s off-diagonal entries are nonpositive, so any lower-triangular
-        # M gives a <M> that one forward substitution solves
         self.structure = factor_structure(self.comp_m)
         self.n = splitting.n
         self._diag = None

@@ -5,11 +5,14 @@ The subproblem for a factor M and forcing vector F is: find y with
     y >= 0,    M y - F >= 0,    y . (M y - F) = 0.
 
 M alone decides how it is solved (``factor_structure``): for diagonal M a
-componentwise clamp; for lower-triangular M with nonpositive strict-lower
-entries a single projected forward sweep produces the exact solution row by
-row; for any other M projected Gauss-Seidel is iterated to a tolerance.
-Both sweeps are calls to ``mslcp.sparse.gauss_seidel_sweep`` with
-projection, which gives the same bits as the sequential row loop.
+componentwise clamp; for lower-triangular M a single projected forward
+sweep, exact whatever the signs of the strict-lower entries, because once
+the earlier components are fixed each row is a one-dimensional problem
+(Bai, SIAM J. Matrix Anal. Appl. 21, 1999).  Every built-in splitting's
+factor is one of these two.  Only an M with entries above the diagonal
+iterates projected Gauss-Seidel, at that function's defaults.  Both sweeps
+are calls to ``mslcp.sparse.gauss_seidel_sweep`` with projection, which
+gives the same bits as the sequential row loop.
 """
 
 from __future__ import annotations
@@ -90,24 +93,21 @@ def factor_structure(m: SparseMatrix) -> str:
     """How the subproblem for the factor M is solved, read once from M and
     cached in ``m._caches`` (a ``SparseMatrix`` never changes): ``diagonal``
     when every entry is on the diagonal; ``lower_triangular`` when M has no
-    upper entries and its strict-lower entries are <= 0, so earlier
-    components can only relax later constraints; ``general`` otherwise."""
+    entry above the diagonal; ``general`` otherwise."""
     if "structure" not in m._caches:
         rows, cols = m.entry_rows(), m.col_indices
-        lower = np.all(cols <= rows) and np.all(m.values[cols < rows] <= 0.0)
         m._caches["structure"] = "diagonal" if np.all(cols == rows) \
-            else "lower_triangular" if lower else "general"
+            else "lower_triangular" if np.all(cols <= rows) else "general"
     return m._caches["structure"]
 
 
-def solve_sub_lcp(m: SparseMatrix, structure: str, f_vec,
-                  iter_tol: float = 1e-12, max_iters: int = 200000) -> np.ndarray:
+def solve_sub_lcp(m: SparseMatrix, structure: str, f_vec) -> np.ndarray:
     """Solve the subproblem for the factor M, with ``structure`` its
     ``factor_structure``.
 
     ``diagonal`` is a clamp and ``lower_triangular`` one projected forward
-    sweep, both exact; anything else runs projected Gauss-Seidel to
-    ``iter_tol``.  A ``diagonal`` or ``lower_triangular`` claim that M's own
+    sweep, both exact; anything else runs ``projected_gauss_seidel`` at its
+    defaults.  A ``diagonal`` or ``lower_triangular`` claim that M's own
     structure does not bear out falls back to the general path, so a
     non-diagonal M is never clamped.  The forcing vector is checked for
     finiteness on every call.
@@ -124,7 +124,7 @@ def solve_sub_lcp(m: SparseMatrix, structure: str, f_vec,
         return np.maximum(0.0, f_vec / diag)
     if structure == "lower_triangular" and kind != "general":
         return gauss_seidel_sweep(m, f_vec, project=True)
-    x, _, _ = projected_gauss_seidel(m, f_vec, tol=iter_tol, max_sweeps=max_iters)
+    x, _, _ = projected_gauss_seidel(m, f_vec)
     return x
 
 

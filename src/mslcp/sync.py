@@ -33,7 +33,6 @@ and hands every processor the same y.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,19 +42,9 @@ from .hmatrix import classify
 from .splitting import MultisplittingSet, min_inner_count
 # natural_residual stays bound here because perfbench's tracer patches it
 from .sublcp import LcpProblem, natural_residual, solve_sub_lcp
-from .sparse import as_vector, spmv
+from .sparse import as_count, as_vector, spmv
 
 SCHEDULE_KINDS = ("fixed", "adaptive", "inner_tolerance")
-
-
-def _count(name: str, value) -> int:
-    """``value`` as a plain int; a bool or a non-integer is rejected."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,7 +80,7 @@ class InnerSchedule:
         for name in ("q", "min_count", "max_count"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, _count(name, value))
+                object.__setattr__(self, name, as_count(name, value))
         if self.min_count < 1 or self.max_count < self.min_count:
             raise ValueError("need 1 <= min_count <= max_count")
         if self.kind == "fixed" and (self.q is None or self.q < 1):
@@ -125,14 +114,13 @@ class InnerSchedule:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Outer-iteration controls shared by the solvers."""
+    """Outer-iteration controls shared by the solvers.  The subproblems take
+    no settings (``sublcp.solve_sub_lcp``)."""
 
     omega: float = 1.0
     schedule: InnerSchedule = field(default_factory=lambda: InnerSchedule.fixed(1))
     outer_tol: float = 1e-6
     max_outer: int = 200000
-    sub_iter_tol: float = 1e-12
-    sub_max_iters: int = 200000
 
     def __post_init__(self):
         if not 0.0 < self.omega < np.inf:
@@ -141,13 +129,10 @@ class SolverConfig:
         if not 0.0 < self.outer_tol < np.inf:
             raise ValueError(f"outer tolerance must be positive and finite, "
                              f"got {self.outer_tol}")
-        if not 0.0 < self.sub_iter_tol < np.inf:
-            raise ValueError(f"sub-solve tolerance must be positive and "
-                             f"finite, got {self.sub_iter_tol}")
-        for name in ("max_outer", "sub_max_iters"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        object.__setattr__(self, "max_outer",
+                           as_count("max_outer", self.max_outer))
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
 
 
 @dataclass
@@ -230,8 +215,7 @@ def _processor_groups(ms: MultisplittingSet, bounds) -> list:
 
 
 def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
-                         y0: np.ndarray, bounds: tuple, theta,
-                         sub_iter_tol: float, sub_max_iters: int = 200000):
+                         y0: np.ndarray, bounds: tuple, theta):
     """Run one processor group's inner loop from y0; returns (y, solve count).
 
     ``splitting`` is a processor's splitting with ``f`` = ``prob.f``, or a
@@ -251,8 +235,7 @@ def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
     try:
         while True:
             f_vec = f + spmv(n_fac, y)
-            y = solve_sub_lcp(m_fac, structure, f_vec,
-                              iter_tol=sub_iter_tol, max_iters=sub_max_iters)
+            y = solve_sub_lcp(m_fac, structure, f_vec)
             count += 1
             if count >= hi or (count >= lo and abs(
                     float(y @ (spmv(prob.A, y) - prob.f))) < theta):

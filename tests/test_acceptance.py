@@ -305,7 +305,7 @@ def test_c7_inner_count_threshold():
 def test_c8_classification_certificates(grid_problem):
     for p in (4, 8, 16):
         a = grid_problem(p).A
-        cls = classify(a, max_power_iters=200000)
+        cls = classify(a)
         assert cls.is_h_plus
         u = cls.witness_u
         assert u is not None and np.all(u > 0.0)

@@ -312,8 +312,7 @@ class TestConfigFile:
               "omega": 0.9, "schedule": "fixed:2",
               "mode": "async-sim", "staleness": 2, "policy": "random:4",
               "reads": "uniform", "outer_tol": 1e-7, "max_outer": 5000,
-              "seed": 3, "format": "json", "history": True, "timing": False,
-              "max_power_iters": 100000}
+              "seed": 3, "format": "json", "history": True, "timing": False}
 
     def _cases(self, tmp_path):
         from mslcp import GridLcpSpec, Partition, make_grid_lcp

@@ -251,7 +251,7 @@ class TestClassify:
 
     def test_grid_h_plus_with_certificate(self, grid_problem):
         a = grid_problem(8).A
-        cls = classify(a, max_power_iters=100000)
+        cls = classify(a)
         assert cls.is_h_plus and cls.is_m_matrix
         # dense eigenvalue oracle on the 64x64 Jacobi matrix
         j = dense_jacobi_matrix(a)

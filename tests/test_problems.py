@@ -117,7 +117,7 @@ class TestGridAssembly:
 
     def test_classified_h_plus(self):
         a = make_grid_lcp(GridLcpSpec(p=8)).A
-        cls = classify(a, max_power_iters=100000)
+        cls = classify(a)
         assert cls.is_h_plus and cls.is_m_matrix
 
     def test_rejects_tiny_p(self):
@@ -132,7 +132,7 @@ class TestGridAssembly:
     @pytest.mark.parametrize("p", [4, 8, 16])
     def test_jacobi_radius_matches_stencil_value(self, p, grid_problem):
         # classical value for this stencil, cross-checked densely for p <= 8
-        cls = classify(grid_problem(p).A, max_power_iters=200000)
+        cls = classify(grid_problem(p).A)
         assert abs(cls.jacobi_radius_estimate - np.cos(np.pi / (p + 1))) < 1e-4
         if p <= 8:
             j = dense_jacobi_matrix(grid_problem(p).A)

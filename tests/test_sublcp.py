@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mslcp import (ConvergenceError, LcpProblem, SparseMatrix, brute_force_lcp,
-                   natural_residual, solve_sub_lcp)
+                   factor_structure, natural_residual, solve_sub_lcp)
 from mslcp.sublcp import projected_gauss_seidel
 
 from conftest import random_sparse_hplus
@@ -56,17 +56,27 @@ class TestSolveSubLcp:
             y = solve_sub_lcp(low, "lower_triangular", f_vec)
             subproblem_conditions(low, y, f_vec)
 
-            y = solve_sub_lcp(a, "general", f_vec, iter_tol=1e-13)
+            y = solve_sub_lcp(a, "general", f_vec)
             subproblem_conditions(a, y, f_vec, tol=1e-9)
 
-    def test_positive_strict_lower_falls_back_to_iteration(self):
-        # the forward sweep is only exact for nonpositive strict-lower
-        # entries; this M must take the general path and still satisfy the
-        # subproblem conditions
-        m = SparseMatrix.from_dense([[1.0, 0.0], [0.9, 1.0]])
-        f_vec = np.array([1.0, 1.0])
-        y = solve_sub_lcp(m, "lower_triangular", f_vec, iter_tol=1e-14)
-        subproblem_conditions(m, y, f_vec)
+    def test_one_sweep_is_exact_for_positive_strict_lower_entries(self):
+        # once the earlier components are fixed each row is a 1-d problem,
+        # so one projected sweep solves any lower-triangular M with a
+        # positive diagonal, whatever the signs below it
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            n = int(rng.integers(2, 11))
+            dense = np.tril(rng.uniform(0.1, 1.0, (n, n))
+                            * (rng.random((n, n)) < 0.6), -1)
+            dense[1, 0] = 0.5
+            dense += np.diag(rng.uniform(0.5, 2.0, n))
+            low = SparseMatrix.from_dense(dense)
+            assert factor_structure(low) == "lower_triangular"
+            f_vec = rng.standard_normal(n) * 2.0
+            y = solve_sub_lcp(low, "lower_triangular", f_vec)
+            subproblem_conditions(low, y, f_vec)
+            oracle = brute_force_lcp(LcpProblem(low, f_vec))
+            assert np.max(np.abs(y - oracle)) < 1e-12
 
     def test_general_matches_brute_force(self):
         rng = np.random.default_rng(29)
@@ -74,7 +84,7 @@ class TestSolveSubLcp:
             n = int(rng.integers(1, 11))
             a = random_sparse_hplus(rng, n)
             f_vec = rng.standard_normal(n) * 2.0
-            y = solve_sub_lcp(a, "general", f_vec, iter_tol=1e-13)
+            y = solve_sub_lcp(a, "general", f_vec)
             oracle = brute_force_lcp(LcpProblem(a, f_vec))
             assert np.max(np.abs(y - oracle)) < 1e-8
 
@@ -86,7 +96,7 @@ class TestSolveSubLcp:
             low = SparseMatrix.from_dense(np.tril(a.to_dense()))
             f_vec = rng.standard_normal(n)
             exact = solve_sub_lcp(low, "lower_triangular", f_vec)
-            iterated = solve_sub_lcp(low, "general", f_vec, iter_tol=1e-12)
+            iterated = solve_sub_lcp(low, "general", f_vec)
             assert np.max(np.abs(exact - iterated)) < 1e-10
 
     def test_nonpositive_diagonal_rejected(self):
@@ -98,7 +108,8 @@ class TestSolveSubLcp:
     def test_budget_exhaustion(self):
         a = SparseMatrix.from_dense([[4.0, -1.0], [-1.0, 4.0]])
         with pytest.raises(ConvergenceError):
-            solve_sub_lcp(a, "general", [1.0, 1.0], iter_tol=1e-15, max_iters=1)
+            projected_gauss_seidel(a, np.array([1.0, 1.0]), tol=1e-15,
+                                   max_sweeps=1)
 
 
 class TestComparisonBound:

@@ -229,7 +229,9 @@ class TestSchedules:
 # every integer setting outside InnerSchedule, built from one value
 INT_SETTINGS = {
     "max_outer": lambda v: SolverConfig(max_outer=v),
-    "sub_max_iters": lambda v: SolverConfig(sub_max_iters=v),
+    "n": lambda v: Partition(v, 1, ((0, 1),)),
+    "m": lambda v: Partition.contiguous(2, v),
+    "p": lambda v: GridLcpSpec(v),
     "staleness_bound": lambda v: AsyncSchedule(staleness_bound=v),
     "period": lambda v: RoundRobin(v),
     "full_round_every": lambda v: RandomFair(full_round_every=v),
@@ -250,7 +252,7 @@ class TestIntegerSettings:
             INT_SETTINGS[name](value)
 
     @pytest.mark.parametrize("value", [0, -5])
-    @pytest.mark.parametrize("name", ["max_outer", "sub_max_iters"])
+    @pytest.mark.parametrize("name", ["max_outer"])
     def test_count_below_one_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be at least 1"):
             INT_SETTINGS[name](value)
@@ -265,7 +267,7 @@ class TestIntegerSettings:
         runs = []
         for k in (np.int64(2), 2):
             cfg = SolverConfig(schedule=InnerSchedule.fixed(2),
-                               max_outer=20 * k, sub_max_iters=100 * k)
+                               max_outer=20 * k)
             sched = AsyncSchedule(staleness_bound=k, policy=policy(k))
             runs.append(solve_async_sim(prob, ms, cfg, sched))
         (x, rep), (x_int, rep_int) = runs
@@ -450,16 +452,21 @@ class TestReport:
         prob = grid_problem(3)
         base = build_block_splitting(prob.A, Partition.contiguous(9, 2),
                                      "jacobi")
-        # processor 1 gets a genuinely iterative subproblem (M = A, N = 0)
-        # with an impossible sweep budget
-        whole = Splitting(prob.A, SparseMatrix.from_coo(9, 9, [], [], []))
+        # processor 1 gets a factor with entries above the diagonal (A's
+        # pattern, off-diagonals -3 against a diagonal of 4, N = 0) whose
+        # projected Gauss-Seidel grows until it overflows
+        on_diag = prob.A.entry_rows() == prob.A.col_indices
+        whole = Splitting(prob.A.same_pattern(np.where(on_diag, 4.0, -3.0)),
+                          SparseMatrix.from_coo(9, 9, [], [], []))
+        assert whole.structure == "general"
         ms = MultisplittingSet(
             (base.splittings[0], whole), base.weighting,
             base.contraction_estimates, matrix_class=base.matrix_class)
-        cfg = SolverConfig(schedule=InnerSchedule.fixed(1), outer_tol=1e-6,
-                           sub_iter_tol=1e-16, sub_max_iters=2)
-        with pytest.raises(ConvergenceError, match="outer step 0, processor 1"):
-            solve_sync(prob, ms, cfg)
+        cfg = SolverConfig(schedule=InnerSchedule.fixed(1), outer_tol=1e-6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError,
+                               match="outer step 0, processor 1"):
+                solve_sync(prob, ms, cfg)
 
     def test_divergence_names_step_processor_and_inner_solve(
             self, grid_problem, grid_multisplitting):
@@ -483,8 +490,8 @@ class TestReport:
 
     @pytest.mark.parametrize("make", [
         lambda v: SolverConfig(omega=v), lambda v: SolverConfig(outer_tol=v),
-        lambda v: SolverConfig(sub_iter_tol=v), InnerSchedule.inner_tolerance],
-        ids=["omega", "outer_tol", "sub_iter_tol", "theta"])
+        InnerSchedule.inner_tolerance],
+        ids=["omega", "outer_tol", "theta"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_nonfinite_settings(self, make, value):
         with pytest.raises(ValueError, match=f"finite.*, got {value}$"):
@@ -533,7 +540,7 @@ def _reference_run(prob, ms, cfg, sched, x0=None):
             try:
                 runs.append(_run_processor_inner(
                     prob, ms.splittings[i], prob.f, y0, bounds[i],
-                    cfg.schedule.theta, cfg.sub_iter_tol, cfg.sub_max_iters))
+                    cfg.schedule.theta))
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"subproblem solve failed at outer step {k}, "
@@ -607,7 +614,8 @@ def _uneven_partition(n, single_at):
 
 def _positive_lower_problem(grid_problem):
     """The p=6 grid with entry (13, 12), inside block 1 of three, made
-    positive: still H+, but M_1's forward sweep is no longer exact."""
+    positive: still H+ but no longer a Z-matrix, and M_1 stays lower
+    triangular."""
     a = grid_problem(6).A
     vals = a.values.copy()
     at = np.flatnonzero((a.entry_rows() == 13) & (a.col_indices == 12))
@@ -669,7 +677,7 @@ class TestStackedGroups:
         "lower-single-at-2": [(0, 1, 3), (2,)],
         # adaptive counts 20, 18, 17, 18
         "lower-adaptive": [(0,), (1, 3), (2,)],
-        "positive-lower": [(0, 2), (1,)],
+        "positive-lower": [(0, 1, 2)],
         "innertol": [(0,), (1,)],
         # min_count == max_count fixes the count in advance, so it stacks
         "innertol-lo-eq-hi": [(0, 1, 2, 3)],
@@ -689,9 +697,9 @@ class TestStackedGroups:
         bounds = [schedule_inner_count(schedule, s) for s in ms.splittings]
         assert _processor_groups(ms, bounds) == self.CASES[name]
         if name == "positive-lower":
-            # M_1's positive strict-lower entry makes its factor general
+            # M_1's positive strict-lower entry leaves it lower triangular
             assert [s.structure for s in ms.splittings] == [
-                "lower_triangular", "general", "lower_triangular"]
+                "lower_triangular"] * 3
         events = []
         x, rep = solve_async_sim(prob, ms, cfg, sched, on_step=events.append)
         x_ref, rep_ref, events_ref = _reference_run(prob, ms, cfg, sched)

@@ -6,6 +6,8 @@ longer calls through it, fails here and not only in the benchmark."""
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import mslcp
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -53,3 +55,21 @@ def test_threaded_solve_reaches_its_layers():
     assert traced_names(run) >= {
         "asynchronous.solve_async_threaded", "sparse.spmv",
         "sublcp.solve_sub_lcp.diagonal", "sublcp.natural_residual"}
+
+
+def test_block_lower_sync_solve_of_a_non_z_matrix_sweeps_every_factor():
+    # the grid with every strict-lower entry made positive is still H+; its
+    # block-lower factors stay lower triangular, so each sub-solve is one
+    # projected sweep and the traced run sees no general span
+    def run():
+        prob, _, cfg = set_up("block_lower_triangular", 2)
+        a = prob.A
+        lower = a.col_indices < a.entry_rows()
+        a = a.same_pattern(np.where(lower, -a.values, a.values))
+        ms = mslcp.splitting.build_block_splitting(
+            a, mslcp.Partition.contiguous(prob.n, 2), "block_lower_triangular")
+        mslcp.sync.solve_sync(mslcp.LcpProblem(a, prob.f), ms, cfg)
+
+    names = traced_names(run)
+    assert "sublcp.solve_sub_lcp.lower_triangular" in names
+    assert "sublcp.solve_sub_lcp.general" not in names
