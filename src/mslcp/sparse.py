@@ -9,7 +9,11 @@ deterministic (ascending-column) summation order for matrix-vector products.
 ``spmv`` calls scipy's compiled CSR kernel ``csr_matvec`` from the private
 module ``scipy.sparse._sparsetools`` on the stored arrays, the kernel that
 ``csr_array @ x`` ends in, so the inner loops pay for the product and not
-for the operator's dispatch.
+for the operator's dispatch.  ``spmv_unchecked`` is the same call without
+the check of x, for the clamp loop, which checks its own iterates.
+
+``all_finite`` tests finiteness with one dot product that no finite array
+can overflow, so a diverging solve's huge finite entries raise no warning.
 
 ``gauss_seidel_sweep`` is the one sweep kernel behind forward substitution
 and every Gauss-Seidel sweep.  Each row subtracts its products in ascending
@@ -21,6 +25,7 @@ between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -32,21 +37,37 @@ from scipy.sparse._sparsetools import csr_matvec
 from .errors import NonFiniteError
 
 
-def require_finite(name: str, arr: np.ndarray) -> None:
-    """Reject NaN/Inf at public operation boundaries.
+# 2^-60 keeps the dot product of any finite array below the largest double
+# for fewer than 2^60 entries, whatever the order of its additions
+_PROBE_ENTRY = 2.0 ** -60
 
-    A finite sum proves every entry finite (an inf or nan entry makes the sum
-    inf or nan), so most arrays pass in one reduction; only a sum that is not
-    finite, from a bad entry or from overflow, takes the entrywise test.
-    Where ``np.errstate`` or a warnings filter turns that sum's overflow
-    warning into an error, the entrywise test runs instead.
+
+@functools.lru_cache(maxsize=16)
+def _finite_probe(size: int) -> np.ndarray:
+    probe = np.full(size, _PROBE_ENTRY)
+    probe.setflags(write=False)
+    return probe
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of the float64 array ``arr`` is finite.
+
+    One dot product with a vector of 2^-60 entries decides: no finite array
+    can overflow it, and an inf or nan entry makes it inf or nan.  So huge
+    finite entries raise no overflow warning.  Entries of both infinite
+    signs set the invalid flag (inf - inf), and tiny ones may set the
+    underflow flag; where ``np.errstate`` or a warnings filter turns a flag
+    into an error, the entrywise test decides instead.
     """
     try:
-        if math.isfinite(np.add.reduce(arr, axis=None)):
-            return
+        return math.isfinite(_finite_probe(arr.size).dot(arr.ravel()))
     except (FloatingPointError, RuntimeWarning):
-        pass
-    if not np.isfinite(arr).all():
+        return bool(np.isfinite(arr).all())
+
+
+def require_finite(name: str, arr: np.ndarray) -> None:
+    """Reject NaN/Inf at public operation boundaries (``all_finite``)."""
+    if not all_finite(arr):
         raise NonFiniteError(f"{name} contains non-finite entries")
 
 
@@ -241,11 +262,16 @@ def spmv(a: SparseMatrix, x) -> np.ndarray:
     stored arrays without the operator's dispatch.  It adds each row's
     products into a zeroed output one after another in stored
     (ascending-column) order, so each entry is bit-identical to a sequential
-    row loop.
+    row loop.  ``x`` is checked and coerced by ``as_vector``.
     """
-    x = as_vector(x, a.n_cols, name="x")
-    # the kernel checks no bounds: canonical form keeps every index inside
-    # the shape, and as_vector gives x length n_cols
+    return spmv_unchecked(a, as_vector(x, a.n_cols, name="x"))
+
+
+def spmv_unchecked(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
+    """``spmv`` without the check of ``x``, for an inner loop whose vectors
+    are its own results.  ``x`` must be a contiguous float64 array of length
+    ``a.n_cols``: the kernel checks no bounds (canonical form keeps every
+    index inside the shape)."""
     out = np.zeros(a.n_rows)
     csr_matvec(a.n_rows, a.n_cols, a.row_offsets, a.col_indices, a.values,
                x, out)

@@ -12,7 +12,10 @@ the earlier components are fixed each row is a one-dimensional problem
 factor is one of these two.  Only an M with entries above the diagonal
 iterates projected Gauss-Seidel, at that function's defaults.  Both sweeps
 are calls to ``mslcp.sparse.gauss_seidel_sweep`` with projection, which
-gives the same bits as the sequential row loop.
+gives the same bits as the sequential row loop.  The solvers' inner loop
+(``sync._run_processor_inner``) runs the clamp itself, with the same
+arithmetic and the same ``positive_diagonal``, and calls ``solve_sub_lcp``
+for every other factor.
 """
 
 from __future__ import annotations
@@ -74,16 +77,19 @@ def projected_gauss_seidel(a: SparseMatrix, f_vec: np.ndarray,
         raise ValueError("projected Gauss-Seidel needs a positive diagonal")
     x = np.zeros(a.n_rows) if x0 is None else np.array(x0, dtype=np.float64)
     delta = np.inf
-    for sweep in range(1, max_sweeps + 1):
-        new = gauss_seidel_sweep(a, f_vec, x, project=True)
-        delta = float(np.max(np.abs(new - x), initial=0.0))
-        x = new
-        if delta < tol:
-            return x, sweep, delta
-        if not np.isfinite(delta):
-            raise ConvergenceError(
-                f"projected Gauss-Seidel: change became non-finite at sweep "
-                f"{sweep}")
+    # an overflowing sweep is reported by the ConvergenceError below, not by
+    # numpy's warnings on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(1, max_sweeps + 1):
+            new = gauss_seidel_sweep(a, f_vec, x, project=True)
+            delta = float(np.max(np.abs(new - x), initial=0.0))
+            x = new
+            if delta < tol:
+                return x, sweep, delta
+            if not np.isfinite(delta):
+                raise ConvergenceError(
+                    f"projected Gauss-Seidel: change became non-finite at "
+                    f"sweep {sweep}")
     raise ConvergenceError(
         f"projected Gauss-Seidel: change {delta:.3g} still above {tol:.3g} "
         f"after {max_sweeps} sweeps")
@@ -101,6 +107,19 @@ def factor_structure(m: SparseMatrix) -> str:
     return m._caches["structure"]
 
 
+def positive_diagonal(m: SparseMatrix) -> np.ndarray:
+    """The diagonal of a subproblem factor M, which must be positive;
+    checked once per factor and cached in ``m._caches`` (a failing one is
+    not cached)."""
+    diag = m._caches.get("positive_diagonal")
+    if diag is None:
+        diag = m.diagonal()
+        if np.any(diag <= 0.0):
+            raise ValueError("subproblem factor must have a positive diagonal")
+        m._caches["positive_diagonal"] = diag
+    return diag
+
+
 def solve_sub_lcp(m: SparseMatrix, structure: str, f_vec) -> np.ndarray:
     """Solve the subproblem for the factor M, with ``structure`` its
     ``factor_structure``.
@@ -113,12 +132,7 @@ def solve_sub_lcp(m: SparseMatrix, structure: str, f_vec) -> np.ndarray:
     finiteness on every call.
     """
     f_vec = as_vector(f_vec, m.n_rows, name="forcing vector")
-    diag = m._caches.get("positive_diagonal")
-    if diag is None:  # checked once per factor; a failing one is not cached
-        diag = m.diagonal()
-        if np.any(diag <= 0.0):
-            raise ValueError("subproblem factor must have a positive diagonal")
-        m._caches["positive_diagonal"] = diag
+    diag = positive_diagonal(m)
     kind = m._caches.get("structure") or factor_structure(m)
     if structure == kind == "diagonal":
         return np.maximum(0.0, f_vec / diag)

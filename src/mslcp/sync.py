@@ -14,6 +14,13 @@ of counts (lo, hi): the inner loop stops after hi solves, or earlier once it
 has run lo or more and the local complementarity gap is below
 ``schedule.theta``.  ``fixed`` and ``adaptive`` give lo == hi.
 
+The inner loop solves a ``diagonal`` factor's subproblem itself: each solve
+is the clamp y = max(0, (f + N y) / d), one call of the raw CSR kernel and
+one finiteness test on (f + N y) / d.  Only when that test fails does the
+loop work out which vector failed, so a diverging solve still fails with
+the message of the per-solve checks.  ``lower_triangular`` and ``general``
+factors go through ``spmv`` and ``solve_sub_lcp`` on every solve.
+
 Processors whose subproblem is an exact row-local solve (the clamp of a
 ``diagonal`` factor, or the projected forward sweep of a
 ``lower_triangular`` one; see ``sublcp.factor_structure``) and whose count
@@ -41,8 +48,10 @@ from .errors import ConvergenceError, NonFiniteError
 from .hmatrix import classify
 from .splitting import MultisplittingSet, min_inner_count
 # natural_residual stays bound here because perfbench's tracer patches it
-from .sublcp import LcpProblem, natural_residual, solve_sub_lcp
-from .sparse import as_count, as_vector, spmv
+from .sublcp import (LcpProblem, natural_residual, positive_diagonal,
+                     solve_sub_lcp)
+from .sparse import (all_finite, as_count, as_vector, require_finite, spmv,
+                     spmv_unchecked)
 
 SCHEDULE_KINDS = ("fixed", "adaptive", "inner_tolerance")
 
@@ -225,17 +234,40 @@ def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
     the gap |y . (A y - f)| is below ``theta``.  The gap is computed only
     when lo <= count < hi, so a group (lo == hi) never computes it.  Each
     solve refreshes the forcing vector from the newest local iterate:
-    F = f + N y.  A non-finite y or F means the iteration diverged; it is
-    raised as ``ConvergenceError`` naming the inner solve, with ``member``
-    the position in the group of the first non-finite slice.
+    F = f + N y.
+
+    A ``diagonal`` factor, whose diagonal d must be positive, is solved in
+    the loop itself: F by ``spmv_unchecked``, z = F / d, and y = max(0, z)
+    after one ``all_finite`` test on z, which passes exactly when F and the
+    new y are both finite.  Only y0, and a y whose z held -inf (clamped to
+    0.0), are checked at the start of the next solve.  Any other factor goes through
+    ``spmv`` and ``solve_sub_lcp`` on every solve.  Both paths check the
+    same vectors at the same solves: a non-finite y or F means the iteration
+    diverged, and it is raised as ``ConvergenceError`` naming the inner
+    solve, with ``member`` the position in the group of the first
+    non-finite slice.  A +inf in the last solve's y is returned, for the
+    caller's update-norm check.
     """
     m_fac, n_fac, structure = splitting.M, splitting.N, splitting.structure
     lo, hi = bounds
-    y, f_vec, count = y0, f, 0
+    clamp = structure == "diagonal"
+    if clamp:
+        d = positive_diagonal(m_fac)
+    y, f_vec, count, y_finite = y0, f, 0, False
     try:
         while True:
-            f_vec = f + spmv(n_fac, y)
-            y = solve_sub_lcp(m_fac, structure, f_vec)
+            if clamp:
+                if not y_finite:
+                    y = as_vector(y, n_fac.n_cols, name="x")
+                f_vec = f + spmv_unchecked(n_fac, y)
+                z = f_vec / d
+                y_finite = all_finite(z)
+                if not y_finite:
+                    require_finite("forcing vector", f_vec)
+                y = np.maximum(0.0, z)
+            else:
+                f_vec = f + spmv(n_fac, y)
+                y = solve_sub_lcp(m_fac, structure, f_vec)
             count += 1
             if count >= hi or (count >= lo and abs(
                     float(y @ (spmv(prob.A, y) - prob.f))) < theta):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mslcp import SparseMatrix, abs_matrix, comparison_matrix, spmv
-from mslcp.sparse import require_finite, solve_lower_triangular
+from mslcp.sparse import as_vector, require_finite, solve_lower_triangular
 
 
 def small_dense(max_n=6):
@@ -75,6 +75,22 @@ class TestConstruction:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             require_finite("x", row)
+
+    def test_require_finite_warns_about_nothing_on_huge_finite_entries(self):
+        # finite entries whose plain sum overflows, in a vector and in the
+        # two-dimensional array that from_dense checks
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            row = as_vector([1e308, 1e308])
+            wide = SparseMatrix.from_dense(np.array([[1.7e308, 1.7e308],
+                                                     [1.7e308, -1.7e308]]))
+        assert [str(w.message) for w in caught] == []
+        assert np.array_equal(row, [1e308, 1e308]) and wide.nnz == 4
+
+    def test_require_finite_accepts_tiny_entries_where_underflow_raises(self):
+        with np.errstate(under="raise"):
+            require_finite("x", np.full(4, 1e-300))
+            require_finite("matrix", np.full((2, 2), 5e-324))
 
     def test_require_finite_rejects_infinities_whose_sum_is_nan(self):
         row = np.array([np.inf, -np.inf])

@@ -9,8 +9,8 @@ from mslcp import (AsyncSchedule, ConvergenceError, GridLcpSpec,
                    Splitting,
                    WeightingScheme, brute_force_lcp, build_block_splitting,
                    make_grid_lcp, natural_residual, reference_solve,
-                   schedule_inner_count, solve_async_sim, solve_sync, spmv,
-                   weighted_max_norm)
+                   schedule_inner_count, solve_async_sim, solve_sub_lcp,
+                   solve_sync, spmv, weighted_max_norm)
 from mslcp.hmatrix import solve_m_matrix
 from mslcp.splitting import ContractionOperator
 
@@ -447,26 +447,47 @@ class TestReport:
         assert np.isfinite(rep.final_residual)
         assert natural_residual(prob, x) == pytest.approx(rep.final_residual)
 
-    def test_subsolve_failure_carries_step_and_processor(self, grid_problem):
-        from mslcp import ConvergenceError, MultisplittingSet, Splitting
-        prob = grid_problem(3)
+    @staticmethod
+    def _diverging_general_set(prob):
+        """Jacobi on two blocks, except that processor 1 gets a factor with
+        entries above the diagonal (A's pattern, off-diagonals -3 against a
+        diagonal of 4, N = 0) whose projected Gauss-Seidel grows until it
+        overflows."""
+        from mslcp import MultisplittingSet, Splitting
         base = build_block_splitting(prob.A, Partition.contiguous(9, 2),
                                      "jacobi")
-        # processor 1 gets a factor with entries above the diagonal (A's
-        # pattern, off-diagonals -3 against a diagonal of 4, N = 0) whose
-        # projected Gauss-Seidel grows until it overflows
         on_diag = prob.A.entry_rows() == prob.A.col_indices
         whole = Splitting(prob.A.same_pattern(np.where(on_diag, 4.0, -3.0)),
                           SparseMatrix.from_coo(9, 9, [], [], []))
         assert whole.structure == "general"
-        ms = MultisplittingSet(
+        return MultisplittingSet(
             (base.splittings[0], whole), base.weighting,
             base.contraction_estimates, matrix_class=base.matrix_class)
+
+    def test_subsolve_failure_carries_step_and_processor(self, grid_problem):
+        prob = grid_problem(3)
+        ms = self._diverging_general_set(prob)
         cfg = SolverConfig(schedule=InnerSchedule.fixed(1), outer_tol=1e-6)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ConvergenceError,
                                match="outer step 0, processor 1"):
                 solve_sync(prob, ms, cfg)
+
+    def test_diverging_general_subsolve_warns_about_nothing(self,
+                                                             grid_problem):
+        # the sweeps overflow; only the ConvergenceError reports it
+        import warnings
+        prob = grid_problem(3)
+        ms = self._diverging_general_set(prob)
+        cfg = SolverConfig(schedule=InnerSchedule.fixed(1), outer_tol=1e-6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConvergenceError,
+                               match="processor 1: projected Gauss-Seidel: "
+                                     "change became non-finite"):
+                solve_sync(prob, ms, cfg)
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
 
     def test_divergence_names_step_processor_and_inner_solve(
             self, grid_problem, grid_multisplitting):
@@ -516,14 +537,32 @@ class TestReport:
                 solve_async_sim(prob, ms, cfg, sched)
 
 
+def _reference_inner(prob, splitting, y0, bounds, theta):
+    """One processor's inner loop, one checked ``spmv`` and one
+    ``solve_sub_lcp`` call per solve; returns (y, solve count)."""
+    from mslcp.errors import NonFiniteError
+    lo, hi = bounds
+    y, count = y0, 0
+    try:
+        while True:
+            f_vec = prob.f + spmv(splitting.N, y)
+            y = solve_sub_lcp(splitting.M, splitting.structure, f_vec)
+            count += 1
+            if count >= hi or (count >= lo and abs(
+                    float(y @ (spmv(prob.A, y) - prob.f))) < theta):
+                return y, count
+    except NonFiniteError as exc:
+        raise ConvergenceError(
+            f"iteration diverged in inner solve {count + 1}: {exc}") from exc
+
+
 def _reference_run(prob, ms, cfg, sched, x0=None):
-    """The simulator's outer loop with one ``_run_processor_inner`` call per
+    """The simulator's outer loop with one ``_reference_inner`` loop per
     processor and no grouping; returns (x, report, events)."""
     from collections import deque
 
     from mslcp.asynchronous import _pick_reads
-    from mslcp.sync import (StepEvent, _accumulate, _blend, _prologue,
-                            _run_processor_inner)
+    from mslcp.sync import StepEvent, _accumulate, _blend, _prologue
 
     report, x, bounds = _prologue(prob, ms, cfg, x0)
     m = ms.m
@@ -538,9 +577,8 @@ def _reference_run(prob, ms, cfg, sched, x0=None):
         runs = []
         for i, y0 in enumerate(starts):
             try:
-                runs.append(_run_processor_inner(
-                    prob, ms.splittings[i], prob.f, y0, bounds[i],
-                    cfg.schedule.theta))
+                runs.append(_reference_inner(prob, ms.splittings[i], y0,
+                                             bounds[i], cfg.schedule.theta))
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"subproblem solve failed at outer step {k}, "
@@ -752,35 +790,39 @@ class TestStackedGroups:
         # block-lower members never fold, so one stack of all four serves
         assert len(sizes[0]) > 1 and sizes[1] == {4}
 
-    # rows per sub-solve call at every step, when fixed in advance
+    # rows of the one inner loop at every step, when fixed in advance
     ROWS = {"jacobi-m4": 1, "lower-m4": 4, "mixed-splitting": 2,
             "async-random-stalest": None}
 
     @pytest.mark.parametrize("name", list(ROWS))
     def test_one_solve_per_distinct_splitting_and_start(self, grid_problem,
                                                         monkeypatch, name):
-        import mslcp.sync
+        # each step runs one inner loop over the stack of its distinct
+        # (splitting, start) pairs, and that loop runs the q = 3 solves
+        import mslcp.asynchronous
         prob, ms, schedule, sched, omega = self._case(grid_problem, name)
         cfg = SolverConfig(omega=omega, schedule=schedule, outer_tol=1e-8,
                            max_outer=60)
-        rows, steps = [], []
-        solve = mslcp.sync.solve_sub_lcp
+        loops, steps = [], []
+        run = mslcp.asynchronous._run_processor_inner
 
-        def counting(M, structure, f_vec, **kw):
-            rows.append(len(f_vec))
-            return solve(M, structure, f_vec, **kw)
+        def counting(prob, splitting, f, y0, bounds, theta):
+            y, count = run(prob, splitting, f, y0, bounds, theta)
+            loops.append((len(y0), count))
+            return y, count
 
         def step(e):
             pairs = {(id(ms.splittings[i]), id(e.starts[i]))
                      for i in range(ms.m)}
-            steps.append((len(pairs), rows[:]))
-            rows.clear()
+            steps.append((len(pairs), loops[:]))
+            loops.clear()
 
-        monkeypatch.setattr(mslcp.sync, "solve_sub_lcp", counting)
+        monkeypatch.setattr(mslcp.asynchronous, "_run_processor_inner",
+                            counting)
         _, rep = solve_async_sim(prob, ms, cfg, sched, on_step=step)
         assert len(steps) == rep.outer_iterations > 10
-        for distinct, calls in steps:
-            assert calls == [prob.n * distinct] * 3
+        for distinct, runs in steps:
+            assert runs == [(prob.n * distinct, 3)]
         if self.ROWS[name] is not None:
             assert {d for d, _ in steps} == {self.ROWS[name]}
         else:
@@ -817,6 +859,109 @@ class TestStackedGroups:
         assert str(got.value) == str(want.value)
         assert (f"outer step 0, processor {bad}: iteration diverged in inner "
                 f"solve {inner}: ") in str(got.value)
+
+
+class TestClampDivergence:
+    """A diverging clamp sub-solve (a ``diagonal`` factor) fails with the
+    message of the checked per-solve loop in ``_reference_inner``: one case
+    for each vector that can turn non-finite."""
+
+    @staticmethod
+    def _jacobi_set(grid_problem, m, tiny=False, n_scale=1.0):
+        """Jacobi on the p=4 grid with m blocks, every processor sharing one
+        splitting: M = 5e-324 I if ``tiny``, and N scaled by ``n_scale``."""
+        prob = grid_problem(4)
+        base = build_block_splitting(prob.A, Partition.contiguous(16, m),
+                                     "jacobi")
+        split = base.splittings[0]
+        odd = Splitting(
+            SparseMatrix.from_diagonal(np.full(16, 5e-324)) if tiny
+            else split.M, split.N.same_pattern(split.N.values * n_scale))
+        return MultisplittingSet((odd,) * m, base.weighting,
+                                 base.contraction_estimates,
+                                 matrix_class=base.matrix_class)
+
+    SECOND = ("subproblem solve failed at outer step 0, processor 0: "
+              "iteration diverged in inner solve 2: ")
+    CASES = {
+        # F = f + N y overflows in the second solve
+        "forcing-vector": (dict(m=2, n_scale=1e200), InnerSchedule.fixed(3),
+                           SECOND + "forcing vector contains non-finite "
+                                    "entries"),
+        # F / M overflows to +inf in the first solve, and the second solve
+        # rejects that y
+        "x-before-the-last-solve": (
+            dict(m=2, tiny=True), InnerSchedule.fixed(3),
+            SECOND + "x contains non-finite entries"),
+        # lo < hi: the gap after the first solve rejects that y, naming the
+        # second solve
+        "x-before-the-gap": (
+            dict(m=2, tiny=True),
+            InnerSchedule.inner_tolerance(1e-8, max_count=3),
+            SECOND + "x contains non-finite entries"),
+        # +inf from the last solve is returned, and the update norm
+        # reports it
+        "last-solve": (dict(m=1, tiny=True), InnerSchedule.fixed(1),
+                       "iteration diverged at outer step 0: update norm inf"),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_message_names_the_vector_that_failed(self, grid_problem, name):
+        kw, schedule, message = self.CASES[name]
+        prob = grid_problem(4)
+        ms = self._jacobi_set(grid_problem, **kw)
+        cfg = SolverConfig(schedule=schedule)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ConvergenceError) as got:
+                solve_sync(prob, ms, cfg, x0=np.ones(16))
+            with pytest.raises(ConvergenceError) as want:
+                _reference_run(prob, ms, cfg, AsyncSchedule(), x0=np.ones(16))
+        assert str(got.value) == str(want.value) == message
+
+    def test_negative_overflow_clamps_to_zero_and_goes_on(self,
+                                                          grid_problem):
+        # f = -1 and M = 5e-324 I: every F / M is -inf, which clamps to 0.0
+        prob = LcpProblem(grid_problem(4).A, -np.ones(16))
+        ms = self._jacobi_set(grid_problem, 2, tiny=True)
+        cfg = SolverConfig(schedule=InnerSchedule.fixed(2))
+        events = []
+        with np.errstate(over="ignore"):
+            x, rep = solve_sync(prob, ms, cfg, on_step=events.append)
+            x_ref, rep_ref, events_ref = _reference_run(prob, ms, cfg,
+                                                        AsyncSchedule())
+        assert rep.converged and rep.total_inner_iterations == 2 * ms.m
+        assert x.tobytes() == x_ref.tobytes() == np.zeros(16).tobytes()
+        assert _report_fields(rep) == _report_fields(rep_ref)
+        assert [_event_bytes(e) for e in events] == [
+            _event_bytes(e) for e in events_ref]
+
+    def test_nonfinite_start_names_the_first_solve(self, grid_problem,
+                                                   grid_multisplitting):
+        # a threaded worker can read a published iterate that holds +inf
+        from mslcp.sync import _run_processor_inner
+        prob = grid_problem(4)
+        split = grid_multisplitting(4, 2).splittings[1]
+        y0 = np.ones(16)
+        y0[5] = np.inf
+        with pytest.raises(ConvergenceError) as got:
+            _run_processor_inner(prob, split, prob.f, y0, (2, 2), None)
+        assert str(got.value) == ("iteration diverged in inner solve 1: x "
+                                  "contains non-finite entries")
+        assert got.value.member == 0
+
+    def test_huge_finite_entries_raise_no_warning(self, grid_problem):
+        # N = 1e307 (M - A): the first solve's F is finite, yet its entries
+        # sum past the largest double; the second solve's F overflows
+        import warnings
+        prob = grid_problem(4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ms = self._jacobi_set(grid_problem, 2, n_scale=1e307)
+            with pytest.raises(ConvergenceError) as got:
+                solve_sync(prob, ms, fixed_cfg(3), x0=np.ones(16))
+        assert str(got.value) == self.SECOND + ("forcing vector contains "
+                                                "non-finite entries")
+        assert [str(w.message) for w in caught] == []
 
 
 def _weighted_sum(ys, weighting):

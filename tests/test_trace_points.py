@@ -48,13 +48,26 @@ def test_block_lower_sync_solve_and_reference_solve_reach_every_layer():
 
 
 def test_threaded_solve_reaches_its_layers():
-    def run():
-        prob, ms, cfg = set_up("jacobi", 2)
-        mslcp.asynchronous.solve_async_threaded(prob, ms, cfg, workers=2)
-
-    assert traced_names(run) >= {
-        "asynchronous.solve_async_threaded", "sparse.spmv",
-        "sublcp.solve_sub_lcp.diagonal", "sublcp.natural_residual"}
+    # every publication follows one inner loop of the q = 2 solves; the
+    # clamp solves inside it call no traced binding
+    spans = tracer.Tracer()
+    loop = mslcp.asynchronous._run_processor_inner
+    bindings = tracer.layer_bindings(spans, mslcp) + [
+        (mslcp.asynchronous, "_run_processor_inner",
+         spans.wrap(loop, "sync._run_processor_inner",
+                    lambda args, kwargs, result: result[1]))]
+    prob, ms, cfg = set_up("jacobi", 2)
+    with tracer.patched(bindings):
+        _, rep = mslcp.asynchronous.solve_async_threaded(prob, ms, cfg,
+                                                         workers=2)
+    names = {span[1] for span in spans.spans}
+    assert names >= {"asynchronous.solve_async_threaded", "sparse.spmv",
+                     "sublcp.natural_residual", "sync._run_processor_inner"}
+    counts = [span[7] for span in spans.spans
+              if span[1] == "sync._run_processor_inner"]
+    # a worker may finish a loop after the run has stopped, unpublished
+    assert rep.outer_iterations <= len(counts) <= rep.outer_iterations + 1
+    assert set(counts) == {2}
 
 
 def test_block_lower_sync_solve_of_a_non_z_matrix_sweeps_every_factor():
