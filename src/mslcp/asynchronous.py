@@ -143,7 +143,8 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     round of every stream, and the extra d steps ensure the quiet stretch
     cannot be an artifact of reads older than the window), or at
     ``cfg.max_outer``.  A non-finite update norm means the iteration
-    diverged; it is raised as ``ConvergenceError`` naming the outer step.
+    diverged; it is raised as ``ConvergenceError`` naming the outer step,
+    so each step (not ``on_step``) silences numpy's over/invalid warnings.
 
     The processors of a ``sync._processor_groups`` group run as one inner
     loop.  At each step, members with the same splitting object and the same
@@ -179,56 +180,57 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     for k in range(cfg.max_outer):
         reads = _pick_reads(sched, k, m, reads_rng)
         starts = tuple(ring[s - k - 1][i] for i, s in enumerate(reads))
-        ys, counts = [None] * m, [0] * m
-        for members in groups:
-            # members with the same splitting and start compute the same y:
-            # each folds onto the lowest such member, its representative
-            reps, slot, at = [], {}, []
-            for i in members:
-                key = (id(ms.splittings[i]), id(starts[i]))
-                if key not in slot:
-                    slot[key] = len(reps)
-                    reps.append(i)
-                at.append(slot[key])
-            g = len(reps)
-            key = tuple(id(ms.splittings[i]) for i in reps)
-            if key not in stacks:
-                stacks[key] = (ms.stacked(tuple(reps)), np.tile(prob.f, g))
-            split, f = stacks[key]
-            y0 = starts[reps[0]] if g == 1 \
-                else np.concatenate([starts[i] for i in reps])
-            try:
-                y, count = _run_processor_inner(prob, split, f, y0,
-                                                bounds[members[0]],
-                                                cfg.schedule.theta)
-            except ConvergenceError as exc:
-                i = reps[getattr(exc, "member", 0)]
-                raise ConvergenceError(
-                    f"subproblem solve failed at outer step {k}, "
-                    f"processor {i}: {exc}") from exc
-            y.setflags(write=False)
-            for i, j in zip(members, at):
-                ys[i] = y if g == 1 else y[j * n:(j + 1) * n]
-                counts[i] = count
-        acc = _accumulate(ys, ms.weighting)
         updated = sched.policy.update_set(k, m, policy_rng)
-        streams = list(ring[-1])
-        # one blend per distinct array; ring[-1] keeps the keyed arrays alive
-        blended = {}
-        step_delta = 0.0
-        for l in updated:
-            prev = streams[l]
-            if id(prev) not in blended:
-                new = _blend(acc, cfg.omega, prev)
-                change = float(np.maximum.reduce(np.abs(new - prev)))
-                if not np.isfinite(change):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys, counts = [None] * m, [0] * m
+            for members in groups:
+                # members with the same splitting and start compute the
+                # same y: each folds onto the lowest such member
+                reps, slot, at = [], {}, []
+                for i in members:
+                    key = (id(ms.splittings[i]), id(starts[i]))
+                    if key not in slot:
+                        slot[key] = len(reps)
+                        reps.append(i)
+                    at.append(slot[key])
+                g = len(reps)
+                key = tuple(id(ms.splittings[i]) for i in reps)
+                if key not in stacks:
+                    stacks[key] = (ms.stacked(tuple(reps)), np.tile(prob.f, g))
+                split, f = stacks[key]
+                y0 = starts[reps[0]] if g == 1 \
+                    else np.concatenate([starts[i] for i in reps])
+                try:
+                    y, count = _run_processor_inner(prob, split, f, y0,
+                                                    bounds[members[0]],
+                                                    cfg.schedule.theta)
+                except ConvergenceError as exc:
+                    i = reps[getattr(exc, "member", 0)]
                     raise ConvergenceError(
-                        f"iteration diverged at outer step {k}: update norm "
-                        f"{change}")
-                new.setflags(write=False)
-                blended[id(prev)] = new
-                step_delta = max(step_delta, change)
-            streams[l] = blended[id(prev)]
+                        f"subproblem solve failed at outer step {k}, "
+                        f"processor {i}: {exc}") from exc
+                y.setflags(write=False)
+                for i, j in zip(members, at):
+                    ys[i] = y if g == 1 else y[j * n:(j + 1) * n]
+                    counts[i] = count
+            acc = _accumulate(ys, ms.weighting)
+            streams = list(ring[-1])
+            # one blend per distinct array (ring[-1] keeps the keys alive)
+            blended = {}
+            step_delta = 0.0
+            for l in updated:
+                prev = streams[l]
+                if id(prev) not in blended:
+                    new = _blend(acc, cfg.omega, prev)
+                    change = float(np.maximum.reduce(np.abs(new - prev)))
+                    if not np.isfinite(change):
+                        raise ConvergenceError(
+                            f"iteration diverged at outer step {k}: "
+                            f"update norm {change}")
+                    new.setflags(write=False)
+                    blended[id(prev)] = new
+                    step_delta = max(step_delta, change)
+                streams[l] = blended[id(prev)]
         recent_changes.append(step_delta)
         ring.append(tuple(streams))
         report.outer_iterations = k + 1
@@ -262,6 +264,9 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
     residual is below ``cfg.outer_tol * (1 + ||f||_inf)``; it gives up after
     ``cfg.max_outer * m`` publications.  Once either holds no further
     publication lands, so the returned iterate is the one the rule judged.
+    A non-finite block change never lands: its publisher raises
+    ``ConvergenceError`` naming the publication.  numpy's overflow and
+    invalid warnings are off in each worker (the state is per thread).
     """
     if workers != ms.m:
         raise ValueError("workers must equal the number of splittings")
@@ -284,6 +289,7 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
     budget = cfg.max_outer * m
     failures: list = []
 
+    @np.errstate(over="ignore", invalid="ignore")
     def worker(i: int):
         nonlocal published
         idx = owners[i]
@@ -299,7 +305,12 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
                     cur = published
                     new = cur.copy()
                     new[idx] = _blend(y[idx], cfg.omega, cur[idx])
-                    last_change[i] = float(np.max(np.abs(new[idx] - cur[idx])))
+                    change = float(np.max(np.abs(new[idx] - cur[idx])))
+                    if not np.isfinite(change):
+                        raise ConvergenceError(
+                            f"iteration diverged at publication "
+                            f"{report.outer_iterations}: update norm {change}")
+                    last_change[i] = change
                     new.setflags(write=False)
                     published = new
                     report.outer_iterations += 1

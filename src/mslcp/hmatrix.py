@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigs,
-                                  spsolve)
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .errors import ConvergenceError
 from .sparse import SparseMatrix, as_vector, spmv
@@ -311,25 +310,3 @@ def weighted_max_norm(v, w) -> float:
         return 0.0
     return float(np.max(np.abs(v) / w))
 
-
-def solve_m_matrix(m: SparseMatrix, b,
-                   matrix_class: MatrixClass | None = None) -> np.ndarray:
-    """Solve M u = b for an M-matrix M and b >= 0 by scipy's sparse LU.
-
-    M^-1 >= 0, so the exact u is nonnegative; entries the direct solve
-    leaves a few ulps below zero are clamped to 0.0.
-
-    Parameters
-    ----------
-    matrix_class : MatrixClass, optional
-        Prior classification of ``m``; computed here when omitted.
-    """
-    b = as_vector(b, m.n_rows, name="b")
-    if np.any(b < 0.0):
-        raise ValueError("right-hand side must be nonnegative")
-    if m.n_rows == 0:
-        return np.zeros(0)
-    cls = matrix_class if matrix_class is not None else classify(m)
-    if not cls.is_m_matrix:
-        raise ValueError("coefficient matrix is not classified as an M-matrix")
-    return np.maximum(spsolve(m.to_scipy().tocsc(), b), 0.0)

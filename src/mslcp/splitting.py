@@ -21,9 +21,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError
-from .hmatrix import MatrixClass, classify, solve_m_matrix, spectral_radius_nonneg
+from .hmatrix import MatrixClass, classify, spectral_radius_nonneg
 from .sparse import SparseMatrix, abs_matrix, as_count, as_vector, \
     comparison_matrix, solve_lower_triangular, spmv
 from .sublcp import factor_structure
@@ -171,22 +172,25 @@ class Splitting:
 
 
 class ContractionOperator:
-    """Application v -> <M>^-1 (|N| v) without forming the product matrix."""
+    """The linear map v -> <M>^-1 (|N| v).  A ``general`` <M> (a Z-matrix)
+    is factorized once by sparse LU, and x = <M>^-1 e > 0 certifies it an
+    M-matrix; ``ValueError`` if it is not, or if a diagonal <M> has a 0."""
 
     def __init__(self, splitting: Splitting):
         self.comp_m = comparison_matrix(splitting.M)
         self.abs_n = abs_matrix(splitting.N)
         self.structure = factor_structure(self.comp_m)
-        self.n = splitting.n
-        self._diag = None
-        self._cls = None
         if self.structure == "diagonal":
             self._diag = self.comp_m.diagonal()
             if np.any(self._diag == 0.0):
                 raise ValueError("diagonal splitting factor has a zero entry")
         elif self.structure == "general":
-            self._cls = classify(self.comp_m)
-            if not self._cls.is_m_matrix:
+            try:
+                self._lu = splu(self.comp_m.to_scipy().tocsc())
+                x = self._lu.solve(np.ones(splitting.n))
+            except RuntimeError:  # the factor is exactly singular
+                x = np.zeros(splitting.n)
+            if not np.all((x > 0.0) & (x < np.inf)):
                 raise ValueError("comparison matrix of M is not an M-matrix; "
                                  "contraction operator undefined")
 
@@ -196,7 +200,7 @@ class ContractionOperator:
             return w / self._diag
         if self.structure == "lower_triangular":
             return solve_lower_triangular(self.comp_m, w)
-        return solve_m_matrix(self.comp_m, w, matrix_class=self._cls)
+        return self._lu.solve(w)
 
 
 @dataclass(frozen=True)
@@ -336,9 +340,10 @@ def validate_multisplitting(a: SparseMatrix, ms: MultisplittingSet,
     A's largest entry, (b) <A> <= <M_i> - |N_i| entrywise with slack ``tol``,
     (c) the estimated contraction radius is converged, so a Ritz value has
     passed the Collatz-Wielandt check of ``spectral_radius_nonneg``, and is
-    below one.  Each distinct splitting object is checked once; processors
-    that share it get the same entries.  Violations are reported, never
-    raised.
+    below one; an undefined operator is reported with its reason and
+    estimate inf.  Each distinct splitting object is checked once;
+    processors that share it get the same entries.  Violations are
+    reported, never raised.
     """
     comp_a = comparison_matrix(a).to_scipy()
     a_sp = a.to_scipy()
@@ -348,29 +353,34 @@ def validate_multisplitting(a: SparseMatrix, ms: MultisplittingSet,
         diff = (s.M.to_scipy() - s.N.to_scipy()) - a_sp
         dom = (comparison_matrix(s.M).to_scipy()
                - abs_matrix(s.N).to_scipy()) - comp_a
-        return (float(np.max(np.abs(diff.data))) if diff.nnz else 0.0,
-                float(np.min(dom.data)) if dom.nnz else 0.0,
-                spectral_radius_nonneg(s.contraction_operator, s.n, tol=1e-8))
+        err = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+        margin = float(np.min(dom.data)) if dom.nnz else 0.0
+        try:
+            est = spectral_radius_nonneg(s.contraction_operator, s.n, tol=1e-8)
+        except ValueError as exc:  # the operator is undefined
+            return err, margin, np.inf, str(exc)
+        if est.converged and est.value < 1.0:
+            return err, margin, est.value, None
+        return err, margin, est.value, (
+            f"estimated radius {est.value:.6g}"
+            + ("" if est.converged else " (unconverged)"))
 
     # processors that share a splitting object share its checks
     distinct = {id(s): s for s in ms.splittings}
     checked = {key: check(s) for key, s in distinct.items()}
-    errors, margins, ests = zip(*(checked[id(s)] for s in ms.splittings))
+    errors, margins, ests, reasons = zip(*(checked[id(s)]
+                                           for s in ms.splittings))
     violations = []
-    for i, (err, margin, est) in enumerate(zip(errors, margins, ests)):
+    for i, (err, margin, reason) in enumerate(zip(errors, margins, reasons)):
         if err > tol * scale:
             violations.append((i, "sum", f"max |M - N - A| = {err:.3g}"))
         if margin < -tol * scale:
             violations.append(
                 (i, "domination",
                  f"<M> - |N| falls below <A> by {-margin:.3g}"))
-        if not est.converged or est.value >= 1.0:
-            violations.append(
-                (i, "contraction",
-                 f"estimated radius {est.value:.6g}"
-                 + ("" if est.converged else " (unconverged)")))
-    return MultisplittingValidation(tuple(e.value for e in ests), errors,
-                                    margins, tuple(violations))
+        if reason is not None:
+            violations.append((i, "contraction", reason))
+    return MultisplittingValidation(ests, errors, margins, tuple(violations))
 
 
 def min_inner_count(splitting: Splitting, eta: float, max_s: int = 10000) -> int:

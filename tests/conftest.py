@@ -45,6 +45,16 @@ def random_m_matrix(rng, n, density=0.4, dominance=1.3):
                                z_pattern=True)
 
 
+def reducible_m_matrices():
+    """Random M-matrices, many reducible, each with a right-hand side that
+    is zero in about half its entries."""
+    rng = np.random.default_rng(1)
+    for _ in range(150):
+        n = int(rng.integers(2, 40))
+        m = random_m_matrix(rng, n, density=float(rng.uniform(0.02, 0.5)))
+        yield m, rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
+
+
 def dense_jacobi_matrix(a: SparseMatrix) -> np.ndarray:
     """|D|^-1 |B| of the comparison matrix, densely (test oracle)."""
     ad = a.to_dense()

@@ -1,16 +1,18 @@
 """Asynchronous solvers: determinism, staleness traces, threaded agreement."""
 
+import re
 import sys
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
-from mslcp import (AllEveryStep, AsyncSchedule, InnerSchedule, LcpProblem,
+from mslcp import (AllEveryStep, AsyncSchedule, ConvergenceError,
+                   InnerSchedule, LcpProblem,
                    Partition, RandomFair, RoundRobin, SolverConfig,
                    SparseMatrix, build_block_splitting, reference_solve,
                    solve_async_sim, solve_async_threaded, solve_sync,
                    weighted_max_norm)
-from mslcp.hmatrix import solve_m_matrix
 from mslcp.splitting import ContractionOperator, Splitting, MultisplittingSet, \
     WeightingScheme
 
@@ -161,7 +163,7 @@ class TestEpochContraction:
         prob = grid_problem(3)
         ms = grid_multisplitting(3, 3, "jacobi")
         x_star = reference_solve(prob, tol=1e-13).x
-        w = solve_m_matrix(prob.A, np.ones(prob.n))
+        w = spsolve(prob.A.to_scipy().tocsc(), np.ones(prob.n))
         q = 2
         ops = [ContractionOperator(s) for s in ms.splittings]
         thetas = []
@@ -293,3 +295,69 @@ class TestThreaded:
                 assert rep.total_inner_iterations == 40
         finally:
             sys.setswitchinterval(old)
+
+
+def overflowing_set(prob):
+    """Processor 0's factor is M = 5e-324 I with N = M - A, so its first
+    solve's F / M overflows to +inf; processor 1 uses the Jacobi splitting."""
+    base = build_block_splitting(prob.A, Partition.contiguous(prob.n, 2),
+                                 "jacobi")
+    tiny = SparseMatrix.from_diagonal(np.full(prob.n, 5e-324))
+    bad = Splitting(tiny, SparseMatrix.from_scipy(tiny.to_scipy()
+                                                  - prob.A.to_scipy()))
+    return MultisplittingSet((bad, base.splittings[1]), base.weighting,
+                             base.contraction_estimates, base.matrix_class)
+
+
+class TestDivergence:
+    """A diverging solve is reported by its error alone: numpy's overflow
+    and invalid warnings stay off, also in the threaded workers, where no
+    caller's ``np.errstate`` reaches."""
+
+    # processor 1's publications may land first
+    PUBLISHER = (r"async worker for processor 0 failed: iteration diverged "
+                 r"at publication \d+: update norm inf")
+
+    def test_threaded_divergence_names_the_publisher(self, grid_problem):
+        # the block holding +inf never lands, so no reader fails on it
+        prob = grid_problem(4)
+        ms = overflowing_set(prob)
+        for _ in range(20):
+            with pytest.raises(RuntimeError) as got:
+                solve_async_threaded(prob, ms, cfg_fixed(1), workers=2,
+                                     x0=np.ones(prob.n))
+            assert re.fullmatch(self.PUBLISHER, str(got.value))
+
+    @pytest.mark.parametrize("mode, q, message", [
+        ("sync", 1, "iteration diverged at outer step 0: update norm inf"),
+        ("sync", 2, "subproblem solve failed at outer step 0, processor 0: "
+                    "iteration diverged in inner solve 2: x contains "
+                    "non-finite entries"),
+        ("async-sim", 1, "iteration diverged at outer step 0: update norm "
+                         "inf"),
+        ("threaded", 1, PUBLISHER),
+        ("threaded", 2, "async worker for processor 0 failed: iteration "
+                        "diverged in inner solve 2: x contains non-finite "
+                        "entries"),
+    ], ids=["sync-q1", "sync-q2", "async-sim", "threaded-q1", "threaded-q2"])
+    def test_divergence_raises_no_runtime_warning(self, grid_problem, mode,
+                                                  q, message):
+        # each message is a regular expression
+        import warnings
+        prob = grid_problem(4)
+        ms = overflowing_set(prob)
+        cfg, x0 = cfg_fixed(q), np.ones(prob.n)
+        run = {
+            "sync": lambda: solve_sync(prob, ms, cfg, x0=x0),
+            "async-sim": lambda: solve_async_sim(
+                prob, ms, cfg, AsyncSchedule(staleness_bound=2,
+                                             policy=RoundRobin()), x0=x0),
+            "threaded": lambda: solve_async_threaded(prob, ms, cfg, 2, x0),
+        }[mode]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises((ConvergenceError, RuntimeError)) as got:
+                run()
+        assert re.fullmatch(message, str(got.value))
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []

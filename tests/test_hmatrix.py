@@ -1,4 +1,4 @@
-"""Spectral radius estimation, classification, weighted norms, M-matrix solves."""
+"""Spectral radius estimation, classification, weighted norms."""
 
 import itertools
 import os
@@ -12,11 +12,11 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 import mslcp.hmatrix
-from mslcp import (SparseMatrix, classify, solve_m_matrix,
-                   spectral_radius_nonneg, spmv, weighted_max_norm)
+from mslcp import (SparseMatrix, classify, spectral_radius_nonneg, spmv,
+                   weighted_max_norm)
 
 from conftest import (dense_contraction_matrix, dense_jacobi_matrix,
-                      random_m_matrix, random_sparse_hplus)
+                      random_sparse_hplus, reducible_m_matrices)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,16 +53,6 @@ def perron_zeros(seed=0, k=12):
     t[k:, :k] = rng.random((k, k))
     t[k:, k:] = rng.random((k, k))
     return t
-
-
-def reducible_m_matrices():
-    """Random M-matrices, many reducible, each with a right-hand side that
-    is zero in about half its entries."""
-    rng = np.random.default_rng(1)
-    for _ in range(150):
-        n = int(rng.integers(2, 40))
-        m = random_m_matrix(rng, n, density=float(rng.uniform(0.02, 0.5)))
-        yield m, rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
 
 
 class TestSpectralRadius:
@@ -344,54 +334,3 @@ class TestWeightedMaxNorm:
         with pytest.raises(ValueError, match="positive"):
             weighted_max_norm([1.0], [0.0])
 
-
-class TestSolveMMatrix:
-    def test_identity(self):
-        u = solve_m_matrix(SparseMatrix.identity(3), np.ones(3))
-        assert np.allclose(u, 1.0, atol=1e-12)
-
-    def test_diagonal(self):
-        m = SparseMatrix.from_dense([[2.0, 0.0], [0.0, 4.0]])
-        assert np.allclose(solve_m_matrix(m, [2.0, 8.0]), [1.0, 2.0], atol=1e-12)
-
-    def test_two_by_two(self):
-        m = SparseMatrix.from_dense([[4.0, -1.0], [-1.0, 4.0]])
-        u = solve_m_matrix(m, [1.0, 1.0])
-        assert np.allclose(u, [1.0 / 3.0, 1.0 / 3.0], atol=1e-12)
-
-    def test_random_against_dense_inverse(self):
-        rng = np.random.default_rng(19)
-        for _ in range(20):
-            n = int(rng.integers(2, 50))
-            m = random_m_matrix(rng, n)
-            b = rng.uniform(0.0, 2.0, n)
-            u = solve_m_matrix(m, b)
-            assert np.all(u >= 0.0)
-            assert np.allclose(u, np.linalg.solve(m.to_dense(), b), atol=1e-8)
-
-    def test_rejects_non_m_matrix(self):
-        a = SparseMatrix.from_dense([[1.0, -2.0], [-2.0, 1.0]])
-        with pytest.raises(ValueError, match="M-matrix"):
-            solve_m_matrix(a, [1.0, 1.0])
-
-    def test_rejects_negative_rhs(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            solve_m_matrix(SparseMatrix.identity(2), [-1.0, 0.0])
-
-    def test_nonnegative_and_exact_on_reducible_matrices(self):
-        # reducible M-matrices with zeros in b: the exact solution has zero
-        # entries, which the LU solve can leave a few ulps below zero
-        reducible = 0
-        for m, b in reducible_m_matrices():
-            reducible += connected_components(m.to_scipy(),
-                                              connection="strong")[0] > 1
-            u = solve_m_matrix(m, b)
-            assert np.all(u >= 0.0)
-            assert np.allclose(u, np.linalg.solve(m.to_dense(), b),
-                               rtol=0.0, atol=1e-10)
-        assert reducible > 0
-
-    def test_empty_matrix_returns_empty_vector(self):
-        empty = SparseMatrix.from_coo(0, 0, [], [], [])
-        u = solve_m_matrix(empty, np.zeros(0))
-        assert u.shape == (0,)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from mslcp import (ConvergenceError, MultisplittingSet, Partition, SparseMatrix,
                    Splitting, WeightingScheme, build_block_splitting, classify,
@@ -10,7 +11,28 @@ from mslcp import (ConvergenceError, MultisplittingSet, Partition, SparseMatrix,
 from mslcp.hmatrix import MAX_POWER_ITERS
 from mslcp.splitting import ContractionOperator
 
-from conftest import dense_contraction_matrix, random_m_matrix, random_sparse_hplus
+from conftest import (dense_contraction_matrix, random_m_matrix,
+                      random_sparse_hplus, reducible_m_matrices)
+
+
+def general_grid_set(prob, m):
+    """Splittings of the grid matrix whose M_i keeps A's diagonal plus A's
+    whole diagonal block i (entries above the diagonal included, so every
+    factor is ``general``), with the Jacobi set's weighting."""
+    a = prob.A
+    part = Partition.contiguous(prob.n, m)
+    base = build_block_splitting(a, part, "jacobi")
+    rows, cols = a.entry_rows(), a.col_indices
+    splittings = []
+    for idx in part.owner_sets:
+        member = np.zeros(a.n_rows, dtype=bool)
+        member[idx] = True
+        keep = (rows == cols) | (member[rows] & member[cols])
+        splittings.append(Splitting(
+            a.same_pattern(np.where(keep, a.values, 0.0)),
+            a.same_pattern(np.where(keep, 0.0, -a.values))))
+    return MultisplittingSet(tuple(splittings), base.weighting,
+                             base.contraction_estimates, base.matrix_class)
 
 
 class TestPartition:
@@ -261,6 +283,36 @@ class TestValidator:
             report.contraction_estimates[1]
 
 
+    def test_general_grid_splitting_validates(self, grid_problem):
+        # ARPACK applies the LU-backed operator to signed vectors
+        prob = grid_problem(16)
+        ms = general_grid_set(prob, 4)
+        assert {s.structure for s in ms.splittings} == {"general"}
+        report = validate_multisplitting(prob.A, ms)
+        assert report.ok
+        for s, est in zip(ms.splittings, report.contraction_estimates):
+            dense = float(np.max(np.abs(np.linalg.eigvals(
+                dense_contraction_matrix(s.M, s.N)))))
+            assert abs(est - dense) < 1e-9
+
+    @pytest.mark.parametrize("dense_m, reason", [
+        ([[1.0, -2.0], [-2.0, 1.0]],
+         "comparison matrix of M is not an M-matrix; contraction operator "
+         "undefined"),
+        ([[0.0, 0.0], [0.0, 4.0]],
+         "diagonal splitting factor has a zero entry"),
+    ], ids=["non-m-matrix", "zero-diagonal"])
+    def test_undefined_operator_reported_not_raised(self, dense_m, reason):
+        a = SparseMatrix.from_dense([[4.0, -1.0], [-1.0, 4.0]])
+        m = SparseMatrix.from_dense(dense_m)
+        n = SparseMatrix.from_scipy(m.to_scipy() - a.to_scipy())
+        ms = MultisplittingSet((Splitting(m, n),),
+                               WeightingScheme((np.ones(2),)), (0.0,))
+        report = validate_multisplitting(a, ms)
+        assert report.contraction_estimates == (np.inf,)
+        assert (0, "contraction", reason) in report.violations
+
+
 class TestMinInnerCount:
     def test_powers_of_half(self):
         m = SparseMatrix.from_dense([[2.0, 0.0], [0.0, 2.0]])
@@ -316,6 +368,21 @@ class TestMinInnerCount:
                 assert min_inner_count(s, eta, max_s=300) == expected
 
 
+    def test_general_grid_splitting_against_dense_powers(self, grid_problem):
+        # ||T^s||_inf = max(T^s e) for T >= 0
+        prob = grid_problem(16)
+        s = general_grid_set(prob, 4).splittings[0]
+        t = dense_contraction_matrix(s.M, s.N)
+        v = np.ones(prob.n)
+        expected = None
+        for k in range(1, 1000):
+            v = t @ v
+            if np.max(v) <= 0.1:
+                expected = k
+                break
+        assert expected == 148
+        assert min_inner_count(s, 0.1) == expected
+
 class TestComputeEta:
     def test_indicator_two_blocks(self):
         w = WeightingScheme.indicator(Partition.contiguous(6, 2))
@@ -362,3 +429,99 @@ class TestSplittingComparison:
             rho_d = spectral_radius_nonneg(op_d, n, tol=1e-10).value
             assert rho_m <= rho_d + 1e-8
             assert rho_d < 1.0
+
+
+class TestContractionOperator:
+    """The operator v -> <M>^-1 |N| v for each factor structure."""
+
+    @staticmethod
+    def _inverse(m):
+        """Splitting (m, I), whose operator is v -> <m>^-1 v."""
+        return ContractionOperator(
+            Splitting(m, SparseMatrix.identity(m.n_rows)))
+
+    def test_two_by_two(self):
+        op = self._inverse(SparseMatrix.from_dense([[4.0, -1.0], [-1.0, 4.0]]))
+        assert op.structure == "general"
+        assert np.allclose(op(np.ones(2)), [1.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+
+    def test_random_against_dense_inverse(self):
+        rng = np.random.default_rng(19)
+        general = 0
+        for _ in range(20):
+            n = int(rng.integers(2, 50))
+            m = random_m_matrix(rng, n)
+            b = rng.uniform(-2.0, 2.0, n)
+            op = self._inverse(m)
+            general += op.structure == "general"
+            assert np.allclose(op(b), np.linalg.solve(m.to_dense(), b),
+                               atol=1e-8)
+        assert general > 0
+
+    def test_exact_on_reducible_matrices(self):
+        # reducible M-matrices with zeros in b: no clamp, so the LU's
+        # rounding is all that separates the result from the dense solve
+        reducible = general = 0
+        for m, b in reducible_m_matrices():
+            reducible += connected_components(m.to_scipy(),
+                                              connection="strong")[0] > 1
+            op = self._inverse(m)
+            general += op.structure == "general"
+            assert np.allclose(op(b), np.linalg.solve(m.to_dense(), b),
+                               rtol=0.0, atol=1e-10)
+        assert reducible > 0 and general > 0
+
+    @pytest.mark.parametrize("variant", [
+        "jacobi", "block_lower_triangular", "general"])
+    def test_linear_on_signed_vectors(self, grid_problem, variant):
+        prob = grid_problem(8)
+        ms = general_grid_set(prob, 2) if variant == "general" \
+            else build_block_splitting(prob.A, Partition.contiguous(64, 2),
+                                       variant)
+        op = ContractionOperator(ms.splittings[1])
+        rng = np.random.default_rng(5)
+        v, w = rng.standard_normal((2, prob.n))
+        a, b = -1.5, 0.75
+        assert np.allclose(op(a * v + b * w), a * op(v) + b * op(w),
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(op(v), dense_contraction_matrix(
+            ms.splittings[1].M, ms.splittings[1].N) @ v, rtol=1e-10,
+            atol=1e-12)
+
+    def test_factorized_once_without_classify(self, monkeypatch,
+                                              grid_problem):
+        import mslcp.hmatrix
+        import mslcp.splitting
+        split = general_grid_set(grid_problem(8), 2).splittings[0]
+        calls = {"classify": 0, "splu": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (mslcp.hmatrix, mslcp.splitting):
+            monkeypatch.setattr(module, "classify",
+                                counting("classify", module.classify))
+        monkeypatch.setattr(mslcp.splitting, "splu",
+                            counting("splu", mslcp.splitting.splu))
+        op = ContractionOperator(split)
+        assert calls == {"classify": 0, "splu": 1}
+        v = np.ones(split.n)
+        for _ in range(5):
+            v = op(v)
+        min_inner_count(Splitting(split.M, split.N), 0.5)
+        assert calls == {"classify": 0, "splu": 2}
+
+    def test_rejects_non_m_matrix(self):
+        with pytest.raises(ValueError, match="comparison matrix of M is not "
+                                             "an M-matrix; contraction "
+                                             "operator undefined"):
+            self._inverse(SparseMatrix.from_dense([[1.0, -2.0], [-2.0, 1.0]]))
+
+    def test_rejects_singular(self):
+        with pytest.raises(ValueError, match="comparison matrix of M is not "
+                                             "an M-matrix; contraction "
+                                             "operator undefined"):
+            self._inverse(SparseMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]]))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from mslcp import (AsyncSchedule, ConvergenceError, GridLcpSpec,
                    InnerSchedule, LcpProblem, MultisplittingSet, Partition,
@@ -11,7 +12,6 @@ from mslcp import (AsyncSchedule, ConvergenceError, GridLcpSpec,
                    make_grid_lcp, natural_residual, reference_solve,
                    schedule_inner_count, solve_async_sim, solve_sub_lcp,
                    solve_sync, spmv, weighted_max_norm)
-from mslcp.hmatrix import solve_m_matrix
 from mslcp.splitting import ContractionOperator
 
 from conftest import random_sparse_hplus
@@ -364,7 +364,7 @@ class TestContractionBound:
         prob = grid_problem(4)
         ref = reference_solve(prob, tol=1e-14)
         x_star = ref.x
-        w = solve_m_matrix(prob.A, np.ones(prob.n))
+        w = spsolve(prob.A.to_scipy().tocsc(), np.ones(prob.n))
         for variant in ("jacobi", "block_lower_triangular"):
             ms = grid_multisplitting(4, 2, variant)
             q = 2
