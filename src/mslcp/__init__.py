@@ -8,7 +8,7 @@ asynchronously, with runtime validation of the convergence hypotheses.
 from .errors import ConvergenceError
 from .sparse import SparseMatrix, abs_matrix, comparison_matrix, spmv
 from .hmatrix import (MatrixClass, SpectralRadiusEstimate, classify,
-                      spectral_radius_nonneg, weighted_max_norm)
+                      spectral_radius_nonneg)
 from .splitting import (ContractionOperator, MultisplittingSet,
                         MultisplittingValidation, Partition, Splitting,
                         WeightingScheme, build_block_splitting, compute_eta,
@@ -33,7 +33,6 @@ __all__ = [
     "projected_gauss_seidel", "reference_solve", "schedule_inner_count",
     "solve_async_sim", "solve_async_threaded", "solve_sub_lcp", "solve_sync",
     "spectral_radius_nonneg", "spmv", "validate_multisplitting",
-    "weighted_max_norm",
 ]
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .errors import ConvergenceError
-from .sparse import SparseMatrix, as_vector, spmv
+from .sparse import SparseMatrix, spmv
 
 # classify's cap on its estimate's operator applications and witness steps
 MAX_POWER_ITERS = 20000
@@ -298,15 +298,3 @@ def classify(a: SparseMatrix, tol: float = 1e-6) -> MatrixClass:
         indeterminate=indeterminate,
         radius_converged=est.converged,
     )
-
-
-def weighted_max_norm(v, w) -> float:
-    """max_j |v_j| / w_j for a strictly positive weight vector."""
-    v = as_vector(v, name="v")
-    w = as_vector(w, len(v), name="w")
-    if np.any(w <= 0.0):
-        raise ValueError("weights must be strictly positive")
-    if len(v) == 0:
-        return 0.0
-    return float(np.max(np.abs(v) / w))
-

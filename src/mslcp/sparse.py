@@ -16,8 +16,13 @@ the check of x, for the clamp loop, which checks its own iterates.
 can overflow, so a diverging solve's huge finite entries raise no warning.
 
 ``gauss_seidel_sweep`` is the one sweep kernel behind forward substitution
-and every Gauss-Seidel sweep.  Each row subtracts its products in ascending
-column order, so it is bit-identical to a sequential row loop.
+and every Gauss-Seidel sweep.  Its rows run in level order, one
+``csr_matvec`` call per level on a work vector that starts as f: each row
+adds its negated products to f_j in place, in ascending column order, and
+an in-place divide (and projection) finishes the level.  f + (-p) is f - p
+in IEEE arithmetic, so each row is bit-identical to a sequential row loop,
+as long as the kernel sums in stored order without fused multiply-adds,
+which ``spmv`` assumes too.
 
 All values are immutable after construction; instances are safe to share
 between threads.
@@ -297,10 +302,14 @@ def _sweep_schedule(a: SparseMatrix):
     """Level schedule of ``gauss_seidel_sweep`` for ``a`` (cached).
 
     A level holds the rows whose strictly-lower entries read earlier levels
-    only.  Position k of a level's (position x row) slot and value arrays is
-    each row's k-th off-diagonal entry in ascending column order.  Slots index
-    the work vector [new iterate | previous iterate | 0]; shorter rows read
-    the zero with value 0.0, and subtracting ``0.0 * 0.0`` changes no sum.
+    only.  ``perm`` lists the rows in level order (stable, so ascending
+    inside a level), and level k is the range [s, e) of that order.  Each
+    level keeps its rows' off-diagonal entries as a CSR slice in ascending
+    column order: offsets rebased to 0, negated values, and column slots into
+    the work vector [new iterate in level order | previous iterate].  A
+    lower entry's slot lies in an earlier level's range, an upper entry's in
+    the second half, so no level reads its own range.  Returns (levels,
+    perm, whether ``a`` has an entry above the diagonal).
     """
     cached = a._caches.get("sweep")
     if cached is None:
@@ -310,20 +319,26 @@ def _sweep_schedule(a: SparseMatrix):
             # CSR order: a row's lower neighbours are final before it
             level[j] = max(level[j], level[c] + 1)
         level = np.asarray(level, dtype=np.int64)
+        perm = np.argsort(level, kind="stable")
+        pos = np.empty(n, dtype=np.int64)
+        pos[perm] = np.arange(n)
         off = rows != cols
-        r, c, v = rows[off], cols[off], a.values[off]
-        rank = np.arange(len(r)) - np.searchsorted(r, r)
-        slot = np.where(c < r, c, n + c)
+        r, c, at = rows[off], cols[off], pos[rows[off]]
+        # entries arrive row by row in ascending column order; a stable sort
+        # by level position keeps each row's order
+        order = np.argsort(at, kind="stable")
+        slot = np.where(c < r, pos[c], n + c)[order]
+        negvals = -a.values[off][order]
+        row_offs = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(at, minlength=n), out=row_offs[1:])
+        diag = a.diagonal()[perm]
+        bounds = np.searchsorted(level[perm], np.arange(level.max(initial=-1) + 2))
         levels = []
-        for lv in range(level.max(initial=-1) + 1):
-            members = np.flatnonzero(level == lv)
-            e = level[r] == lv
-            idx = np.full((rank[e].max(initial=-1) + 1, len(members)), 2 * n)
-            val = np.zeros(idx.shape)
-            at = (rank[e], np.searchsorted(members, r[e]))
-            idx[at], val[at] = slot[e], v[e]
-            levels.append((members, a.diagonal()[members], idx, val))
-        cached = a._caches["sweep"] = (levels, bool(np.any(cols > rows)))
+        for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            lo, hi = row_offs[s], row_offs[e]
+            levels.append((s, e, row_offs[s:e + 1] - lo, slot[lo:hi],
+                           negvals[lo:hi], diag[s:e]))
+        cached = a._caches["sweep"] = (levels, perm, bool(np.any(cols > rows)))
     return cached
 
 
@@ -333,32 +348,46 @@ def gauss_seidel_sweep(a: SparseMatrix, f, x_old=None,
 
     Row j takes ``(f_j - sum_{c<j} a_jc y_c - sum_{c>j} a_jc x_old_c) / a_jj``,
     set to 0.0 when negative if ``project``.  Without ``x_old`` the matrix
-    must be lower triangular (forward substitution).  The rows of a level are
-    updated together (Anderson & Saad 1989; Saltz 1990).  The caller checks
+    must be lower triangular (forward substitution).  The caller checks
     that the diagonal is nonzero.
+
+    The rows of a level are updated together (Anderson & Saad 1989; Saltz
+    1990), in level order in a work vector that starts as f: one
+    ``csr_matvec`` call adds each row's negated products to its f_j in
+    ascending column order, in place, then one divide and one projection
+    finish the level.  f + (-p) is f - p in IEEE arithmetic, so each row is
+    bit-identical to the sequential row loop, provided the kernel sums in
+    stored order without fused multiply-adds, as ``spmv`` assumes.
+    ``np.copyto`` projects, not ``np.maximum``, which turns -0.0 into 0.0.
     """
-    levels, has_upper = _sweep_schedule(a)
-    n = a.n_rows
-    work = np.zeros(2 * n + 1)
-    if x_old is not None:
-        work[n:2 * n] = x_old
-    elif has_upper:
+    levels, perm, has_upper = _sweep_schedule(a)
+    if x_old is None and has_upper:
         raise ValueError("forward substitution requires a lower-triangular matrix")
-    f = np.asarray(f, dtype=np.float64)
-    for members, diag, idx, val in levels:
-        s = f[members]
-        for products in val * work[idx]:
-            s = s - products
-        y = s / diag
-        work[members] = np.where(y < 0.0, 0.0, y) if project else y
-    return work[:n].copy()
+    n = a.n_rows
+    work = np.empty(2 * n)
+    work[:n] = np.asarray(f, dtype=np.float64)[perm]
+    # only upper entries read the second half
+    work[n:] = 0.0 if x_old is None else x_old
+    for s, e, offs, slots, negvals, diag in levels:
+        seg = work[s:e]
+        csr_matvec(e - s, 2 * n, offs, slots, negvals, work, seg)
+        np.divide(seg, diag, out=seg)
+        if project:
+            np.copyto(seg, 0.0, where=seg < 0.0)
+    y = np.empty(n)
+    y[perm] = work[:n]
+    return y
 
 
 def solve_lower_triangular(l: SparseMatrix, b) -> np.ndarray:
-    """Forward substitution for a lower-triangular matrix with nonzero diagonal."""
+    """Forward substitution for a lower-triangular matrix with nonzero
+    diagonal; the matrix is checked once and the result cached in
+    ``l._caches`` (a failing one is not cached)."""
     b = as_vector(b, l.n_rows, name="b")
-    if not l.is_square:
-        raise ValueError("triangular solve requires a square matrix")
-    if np.any(l.diagonal() == 0.0):
-        raise ValueError("triangular solve requires a nonzero diagonal")
+    if "triangular_solve" not in l._caches:
+        if not l.is_square:
+            raise ValueError("triangular solve requires a square matrix")
+        if np.any(l.diagonal() == 0.0):
+            raise ValueError("triangular solve requires a nonzero diagonal")
+        l._caches["triangular_solve"] = True
     return gauss_seidel_sweep(l, b)

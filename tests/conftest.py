@@ -55,6 +55,16 @@ def reducible_m_matrices():
         yield m, rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
 
 
+def weighted_max_norm(v, w) -> float:
+    """max_j |v_j| / w_j for a strictly positive weight vector w: the norm in
+    which the asynchronous iteration contracts (test oracle)."""
+    v = np.asarray(v, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    if np.any(w <= 0.0):
+        raise ValueError("weights must be strictly positive")
+    return float(np.max(np.abs(v) / w, initial=0.0))
+
+
 def dense_jacobi_matrix(a: SparseMatrix) -> np.ndarray:
     """|D|^-1 |B| of the comparison matrix, densely (test oracle)."""
     ad = a.to_dense()

@@ -23,11 +23,12 @@ from mslcp import (AsyncSchedule, InnerSchedule, LcpProblem, Partition,
                    RandomFair, RoundRobin, SolverConfig, SparseMatrix,
                    brute_force_lcp, build_block_splitting, classify,
                    min_inner_count, solve_async_sim, solve_async_threaded,
-                   solve_sync, weighted_max_norm)
+                   solve_sync)
 from mslcp.splitting import ContractionOperator, validate_multisplitting
 
 from conftest import (dense_contraction_matrix, dense_jacobi_matrix,
-                      random_sparse_hplus, record_acceptance_line)
+                      random_sparse_hplus, record_acceptance_line,
+                      weighted_max_norm)
 
 
 def announce(num, name, ok, detail=""):

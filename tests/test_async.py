@@ -11,10 +11,11 @@ from mslcp import (AllEveryStep, AsyncSchedule, ConvergenceError,
                    InnerSchedule, LcpProblem,
                    Partition, RandomFair, RoundRobin, SolverConfig,
                    SparseMatrix, build_block_splitting, reference_solve,
-                   solve_async_sim, solve_async_threaded, solve_sync,
-                   weighted_max_norm)
+                   solve_async_sim, solve_async_threaded, solve_sync)
 from mslcp.splitting import ContractionOperator, Splitting, MultisplittingSet, \
     WeightingScheme
+
+from conftest import weighted_max_norm
 
 
 def cfg_fixed(q, tol=1e-6, **kw):
@@ -205,6 +206,19 @@ class TestThreaded:
     def test_two_workers_agree_with_sync(self, grid_problem, grid_multisplitting):
         prob = grid_problem(4)
         ms = grid_multisplitting(4, 2, "jacobi")
+        cfg = cfg_fixed(4)
+        x_sync, _ = solve_sync(prob, ms, cfg)
+        for _ in range(3):
+            x_thr, rep = solve_async_threaded(prob, ms, cfg, workers=2)
+            assert rep.converged
+            assert np.max(np.abs(x_thr - x_sync)) < 1e-5
+
+    def test_block_lower_two_workers_agree_with_sync(self, grid_problem,
+                                                     grid_multisplitting):
+        # each worker's inner solves are projected forward sweeps, and the
+        # workers build the stacked factors' sweep schedules concurrently
+        prob = grid_problem(4)
+        ms = grid_multisplitting(4, 2, "block_lower_triangular")
         cfg = cfg_fixed(4)
         x_sync, _ = solve_sync(prob, ms, cfg)
         for _ in range(3):

@@ -12,11 +12,11 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 import mslcp.hmatrix
-from mslcp import (SparseMatrix, classify, spectral_radius_nonneg, spmv,
-                   weighted_max_norm)
+from mslcp import SparseMatrix, classify, spectral_radius_nonneg, spmv
 
 from conftest import (dense_contraction_matrix, dense_jacobi_matrix,
-                      random_sparse_hplus, reducible_m_matrices)
+                      random_sparse_hplus, reducible_m_matrices,
+                      weighted_max_norm)
 
 ROOT = Path(__file__).resolve().parents[1]
 

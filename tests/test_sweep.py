@@ -6,12 +6,15 @@ to run in Python.  The kernel reorders the rows by level but keeps every
 row's arithmetic, so the two must agree bit for bit, signed zeros included.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from mslcp import (GridLcpSpec, Partition, SparseMatrix, build_block_splitting,
                    make_grid_lcp, solve_sub_lcp)
-from mslcp.sparse import gauss_seidel_sweep, solve_lower_triangular
+from mslcp.sparse import (_sweep_schedule, gauss_seidel_sweep,
+                          solve_lower_triangular)
 from mslcp.sublcp import projected_gauss_seidel
 
 
@@ -90,6 +93,75 @@ def test_general_with_previous_iterate_matches_row_loop(n, density, project):
         expected = sequential_sweep(a, f, x_old, project=project)
         assert gauss_seidel_sweep(a, f, x_old, project=project).tobytes() \
             == expected.tobytes()
+
+
+@pytest.mark.parametrize("lower", [True, False])
+@pytest.mark.parametrize("n,density", CASES)
+def test_levels_read_only_earlier_levels_or_previous_iterate(n, density, lower):
+    rng = np.random.default_rng([n, int(density * 100), lower, 2])
+    a = random_matrix(rng, n, density, lower=lower)
+    levels, perm, has_upper = _sweep_schedule(a)
+    assert sorted(perm.tolist()) == list(range(n))
+    start = 0
+    for s, e, offs, slots, negvals, diag in levels:
+        assert s == start < e
+        assert offs[0] == 0 and offs[-1] == len(slots) == len(negvals)
+        assert len(diag) == e - s
+        # slots in [s, n) would read this level's own range or a later one
+        assert np.all((slots < s) | ((slots >= n) & (slots < 2 * n)))
+        if lower:
+            assert np.all(slots < s)
+        start = e
+    assert start == n and has_upper == (not lower and bool(
+        np.any(a.col_indices > a.entry_rows())))
+
+
+@pytest.mark.parametrize("project", [False, True])
+@pytest.mark.parametrize("lower", [True, False])
+def test_nonfinite_inputs_match_row_loop(lower, project):
+    rng = np.random.default_rng([lower, project, 3])
+    for n, density in CASES:
+        a = random_matrix(rng, n, density, lower=lower)
+        f = random_forcing(rng, n)
+        f[rng.random(n) < 0.03] = np.inf
+        f[rng.random(n) < 0.03] = -np.inf
+        f[rng.random(n) < 0.03] = np.nan
+        x_old = None
+        if not lower:
+            x_old = rng.standard_normal(n)
+            x_old[rng.random(n) < 0.03] = np.inf
+            x_old[rng.random(n) < 0.03] = np.nan
+        with np.errstate(all="ignore"):
+            got = gauss_seidel_sweep(a, f, x_old, project=project)
+            expected = sequential_sweep(a, f, x_old, project=project)
+        assert np.array_equal(np.isfinite(got), np.isfinite(expected))
+        finite = np.isfinite(expected)
+        assert got[finite].tobytes() == expected[finite].tobytes()
+
+
+def test_threads_building_one_schedule_get_the_same_bits():
+    # every thread's first sweep finds the schedule cache empty
+    rng = np.random.default_rng(29)
+    threads = 4
+    for _ in range(5):
+        a = random_matrix(rng, 90, 0.3, lower=False)
+        f = random_forcing(rng, 90)
+        x_old = rng.standard_normal(90)
+        barrier = threading.Barrier(threads)
+        results = [None] * threads
+
+        def sweep(i):
+            barrier.wait()
+            results[i] = gauss_seidel_sweep(a, f, x_old, project=True)
+
+        workers = [threading.Thread(target=sweep, args=(i,))
+                   for i in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        expected = sequential_sweep(a, f, x_old, project=True).tobytes()
+        assert all(y.tobytes() == expected for y in results)
 
 
 def test_repeated_sweeps_on_grid_match_row_loop(grid_problem):

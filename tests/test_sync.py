@@ -11,10 +11,10 @@ from mslcp import (AsyncSchedule, ConvergenceError, GridLcpSpec,
                    WeightingScheme, brute_force_lcp, build_block_splitting,
                    make_grid_lcp, natural_residual, reference_solve,
                    schedule_inner_count, solve_async_sim, solve_sub_lcp,
-                   solve_sync, spmv, weighted_max_norm)
+                   solve_sync, spmv)
 from mslcp.splitting import ContractionOperator
 
-from conftest import random_sparse_hplus
+from conftest import random_sparse_hplus, weighted_max_norm
 
 
 def fixed_cfg(q, tol=1e-6, **kw):
