@@ -16,13 +16,10 @@ the check of x, for the clamp loop, which checks its own iterates.
 can overflow, so a diverging solve's huge finite entries raise no warning.
 
 ``gauss_seidel_sweep`` is the one sweep kernel behind forward substitution
-and every Gauss-Seidel sweep.  Its rows run in level order, one
-``csr_matvec`` call per level on a work vector that starts as f: each row
-adds its negated products to f_j in place, in ascending column order, and
-an in-place divide (and projection) finishes the level.  f + (-p) is f - p
-in IEEE arithmetic, so each row is bit-identical to a sequential row loop,
-as long as the kernel sums in stored order without fused multiply-adds,
-which ``spmv`` assumes too.
+and every Gauss-Seidel sweep.  Its rows run in level order, one in-place
+``csr_matvec`` call per level, and each row is bit-identical to a
+sequential row loop as long as that kernel sums in stored order without
+fused multiply-adds, as ``spmv`` assumes too.
 
 All values are immutable after construction; instances are safe to share
 between threads.

@@ -6,6 +6,7 @@ to run in Python.  The kernel reorders the rows by level but keeps every
 row's arithmetic, so the two must agree bit for bit, signed zeros included.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -140,28 +141,36 @@ def test_nonfinite_inputs_match_row_loop(lower, project):
 
 
 def test_threads_building_one_schedule_get_the_same_bits():
-    # every thread's first sweep finds the schedule cache empty
+    # every thread's first sweep finds the schedule cache empty; a short
+    # switch interval interleaves the schedule builds
     rng = np.random.default_rng(29)
     threads = 4
-    for _ in range(5):
-        a = random_matrix(rng, 90, 0.3, lower=False)
-        f = random_forcing(rng, 90)
-        x_old = rng.standard_normal(90)
-        barrier = threading.Barrier(threads)
-        results = [None] * threads
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            a = random_matrix(rng, 90, 0.3, lower=False)
+            f = random_forcing(rng, 90)
+            x_old = rng.standard_normal(90)
+            barrier = threading.Barrier(threads)
+            results = [None] * threads
 
-        def sweep(i):
-            barrier.wait()
-            results[i] = gauss_seidel_sweep(a, f, x_old, project=True)
+            def sweep(i):
+                barrier.wait(timeout=30)
+                results[i] = gauss_seidel_sweep(a, f, x_old, project=True)
 
-        workers = [threading.Thread(target=sweep, args=(i,))
-                   for i in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        expected = sequential_sweep(a, f, x_old, project=True).tobytes()
-        assert all(y.tobytes() == expected for y in results)
+            workers = [threading.Thread(target=sweep, args=(i,))
+                       for i in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+                assert not w.is_alive()
+            expected = sequential_sweep(a, f, x_old, project=True).tobytes()
+            assert all(y is not None and y.tobytes() == expected
+                       for y in results)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_repeated_sweeps_on_grid_match_row_loop(grid_problem):
