@@ -19,7 +19,11 @@ can overflow, so a diverging solve's huge finite entries raise no warning.
 and every Gauss-Seidel sweep.  Its rows run in level order, one in-place
 ``csr_matvec`` call per level, and each row is bit-identical to a
 sequential row loop as long as that kernel sums in stored order without
-fused multiply-adds, as ``spmv`` assumes too.
+fused multiply-adds, as ``spmv`` assumes too.  A projected level is one
+in-place ``np.maximum(0.0, seg, out=seg)``, which relies on the tie rule
+that ``maximum`` returns its second argument unless the first is greater or
+a NaN, so -0.0 and NaN stay as in the row loop; ``tests/test_sweep.py``
+pins that rule against the row loop.
 
 All values are immutable after construction; instances are safe to share
 between threads.
@@ -345,32 +349,46 @@ def gauss_seidel_sweep(a: SparseMatrix, f, x_old=None,
 
     Row j takes ``(f_j - sum_{c<j} a_jc y_c - sum_{c>j} a_jc x_old_c) / a_jj``,
     set to 0.0 when negative if ``project``.  Without ``x_old`` the matrix
-    must be lower triangular (forward substitution).  The caller checks
+    must be lower triangular (forward substitution), and the work vector has
+    no previous-iterate half.  ``f`` must have length n.  The caller checks
     that the diagonal is nonzero.
 
     The rows of a level are updated together (Anderson & Saad 1989; Saltz
-    1990), in level order in a work vector that starts as f: one
+    1990), in level order in a work vector that f is gathered into: one
     ``csr_matvec`` call adds each row's negated products to its f_j in
     ascending column order, in place, then one divide and one projection
     finish the level.  f + (-p) is f - p in IEEE arithmetic, so each row is
     bit-identical to the sequential row loop, provided the kernel sums in
     stored order without fused multiply-adds, as ``spmv`` assumes.
-    ``np.copyto`` projects, not ``np.maximum``, which turns -0.0 into 0.0.
+
+    The projection is ``np.maximum(0.0, seg, out=seg)``, which returns its
+    second argument unless the first is greater or a NaN: a row keeps -0.0
+    and NaN, as the row loop's ``if new < 0.0`` does.  The other argument
+    order turns -0.0 into +0.0.  numpy documents only the NaN half of this
+    tie rule, so ``tests/test_sweep.py`` pins both against the row loop.
     """
     levels, perm, has_upper = _sweep_schedule(a)
-    if x_old is None and has_upper:
-        raise ValueError("forward substitution requires a lower-triangular matrix")
     n = a.n_rows
-    work = np.empty(2 * n)
-    work[:n] = np.asarray(f, dtype=np.float64)[perm]
-    # only upper entries read the second half
-    work[n:] = 0.0 if x_old is None else x_old
+    if x_old is None:
+        if has_upper:
+            raise ValueError("forward substitution requires a lower-triangular matrix")
+        work = np.empty(n)
+    else:
+        # only upper entries read this second half
+        work = np.empty(2 * n)
+        work[n:] = x_old
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (n,):
+        raise ValueError(f"f has shape {f.shape}, expected ({n},)")
+    # the check above keeps every index in range, so "clip" never clips; it
+    # lets take gather into the view without a buffer
+    f.take(perm, out=work[:n], mode="clip")
     for s, e, offs, slots, negvals, diag in levels:
         seg = work[s:e]
-        csr_matvec(e - s, 2 * n, offs, slots, negvals, work, seg)
+        csr_matvec(e - s, work.size, offs, slots, negvals, work, seg)
         np.divide(seg, diag, out=seg)
         if project:
-            np.copyto(seg, 0.0, where=seg < 0.0)
+            np.maximum(0.0, seg, out=seg)
     y = np.empty(n)
     y[perm] = work[:n]
     return y

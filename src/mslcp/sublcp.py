@@ -70,12 +70,15 @@ def projected_gauss_seidel(a: SparseMatrix, f_vec: np.ndarray,
                            tol: float = 1e-12,
                            max_sweeps: int = 200000):
     """Projected Gauss-Seidel sweeps until the iterate moves less than ``tol``
-    in the max norm.  Returns (x, sweeps, last_change).  A change that turns
-    non-finite (the iterate overflowed) raises ``ConvergenceError`` naming
-    the sweep, since no later sweep can bring it back."""
+    in the max norm.  Returns (x, sweeps, last_change).  ``f_vec`` and
+    ``x0`` must be finite vectors of length n (``as_vector``).  A change that
+    turns non-finite (the iterate overflowed) raises ``ConvergenceError``
+    naming the sweep, since no later sweep can bring it back."""
     if np.any(a.diagonal() <= 0.0):
         raise ValueError("projected Gauss-Seidel needs a positive diagonal")
-    x = np.zeros(a.n_rows) if x0 is None else np.array(x0, dtype=np.float64)
+    f_vec = as_vector(f_vec, a.n_rows, name="forcing vector")
+    x = np.zeros(a.n_rows) if x0 is None \
+        else as_vector(x0, a.n_rows, name="x0")
     delta = np.inf
     # an overflowing sweep is reported by the ConvergenceError below, not by
     # numpy's warnings on the way there

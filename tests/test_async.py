@@ -323,6 +323,24 @@ def overflowing_set(prob):
                              base.contraction_estimates, base.matrix_class)
 
 
+def overflowing_sweep_set(prob, bad):
+    """Block-lower multisplitting on two blocks, except that processor
+    ``bad``'s factor has a diagonal of 5e-324 (N = M - A), so its first
+    forward sweep divides a positive f_j by it and overflows to +inf."""
+    base = build_block_splitting(prob.A, Partition.contiguous(prob.n, 2),
+                                 "block_lower_triangular")
+    m = base.splittings[bad].M
+    tiny = m.same_pattern(np.where(m.entry_rows() == m.col_indices, 5e-324,
+                                   m.values))
+    odd = Splitting(tiny, SparseMatrix.from_scipy(tiny.to_scipy()
+                                                  - prob.A.to_scipy()))
+    assert odd.structure == "lower_triangular"
+    splits = tuple(odd if i == bad else s
+                   for i, s in enumerate(base.splittings))
+    return MultisplittingSet(splits, base.weighting,
+                             base.contraction_estimates, base.matrix_class)
+
+
 class TestDivergence:
     """A diverging solve is reported by its error alone: numpy's overflow
     and invalid warnings stay off, also in the threaded workers, where no
@@ -373,5 +391,31 @@ class TestDivergence:
             with pytest.raises((ConvergenceError, RuntimeError)) as got:
                 run()
         assert re.fullmatch(message, str(got.value))
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    @pytest.mark.parametrize("mode", ["sync", "async-sim"])
+    def test_forward_sweep_divergence_names_the_second_solve(
+            self, grid_problem, mode, bad):
+        # the first sweep's divide overflows; the stacked group's second
+        # solve rejects that y, and no overflow or invalid warning from the
+        # sweep's divide or projection gets out
+        import warnings
+        prob = LcpProblem(grid_problem(4).A, np.ones(16))
+        ms = overflowing_sweep_set(prob, bad)
+        cfg = cfg_fixed(2)
+        sched = AsyncSchedule() if mode == "sync" else AsyncSchedule(
+            staleness_bound=2, policy=RoundRobin())
+        run = solve_sync if mode == "sync" else (
+            lambda *args: solve_async_sim(*args[:3], sched))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConvergenceError) as got:
+                run(prob, ms, cfg)
+        assert str(got.value) == (
+            f"subproblem solve failed at outer step 0, processor {bad}: "
+            f"iteration diverged in inner solve 2: x contains non-finite "
+            f"entries")
         assert [str(w.message) for w in caught
                 if issubclass(w.category, RuntimeWarning)] == []

@@ -1,5 +1,7 @@
 """Subproblem solvers, the brute-force oracle, and the natural residual."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,36 @@ class TestProblemValidation:
         a = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="positive diagonal"):
             projected_gauss_seidel(a, np.ones(2))
+
+    M3 = [[4.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 4.0]]
+
+    @pytest.mark.parametrize("f_vec, message", [
+        (np.ones(4), "forcing vector has length 4, expected 3"),
+        (np.ones(2), "forcing vector has length 2, expected 3"),
+        (np.ones((3, 1)), "forcing vector must be one-dimensional, got "
+                           "shape (3, 1)"),
+        ([1.0, np.inf, 1.0], "forcing vector contains non-finite entries"),
+        ([np.nan, 1.0, 1.0], "forcing vector contains non-finite entries"),
+    ], ids=["long", "short", "column", "inf", "nan"])
+    def test_pgs_checks_the_forcing_vector(self, f_vec, message):
+        a = SparseMatrix.from_dense(self.M3)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            projected_gauss_seidel(a, f_vec)
+
+    @pytest.mark.parametrize("x0, message", [
+        ([5.0], "x0 has length 1, expected 3"),
+        (np.ones(4), "x0 has length 4, expected 3"),
+        ([1.0, 1.0, np.inf], "x0 contains non-finite entries"),
+    ], ids=["one-entry", "long", "inf"])
+    def test_pgs_checks_the_start(self, x0, message):
+        a = SparseMatrix.from_dense(self.M3)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            projected_gauss_seidel(a, np.ones(3), x0=x0)
+
+    def test_pgs_leaves_its_inputs_alone(self):
+        a = SparseMatrix.from_dense(self.M3)
+        f_vec, x0 = np.ones(3), np.full(3, 5.0)
+        x, sweeps, _ = projected_gauss_seidel(a, f_vec, x0=x0)
+        assert np.array_equal(f_vec, np.ones(3))
+        assert np.array_equal(x0, np.full(3, 5.0)) and sweeps > 1
+        assert np.allclose(a.to_dense() @ x, f_vec, rtol=0.0, atol=1e-11)

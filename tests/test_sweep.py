@@ -60,11 +60,13 @@ def random_forcing(rng, n):
     return f
 
 
-def block_lower_factor(p, i):
+def block_lower_factors(p):
+    """The four block-lower factors of the p x p grid, and their stack, the
+    matrix that the synchronous solve sweeps."""
     prob = make_grid_lcp(GridLcpSpec(p=p))
     ms = build_block_splitting(prob.A, Partition.contiguous(prob.n, 4),
                                "block_lower_triangular")
-    return ms.splittings[i].M
+    return [s.M for s in ms.splittings] + [ms.stacked((0, 1, 2, 3)).M]
 
 
 CASES = [(n, density) for n in (1, 2, 7, 30, 90) for density in (0.05, 0.3, 0.8)]
@@ -187,9 +189,8 @@ def test_repeated_sweeps_on_grid_match_row_loop(grid_problem):
 @pytest.mark.parametrize("p", [4, 8, 16])
 def test_block_lower_factors_match_row_loop(p):
     rng = np.random.default_rng(p)
-    for i in range(4):
-        m = block_lower_factor(p, i)
-        f = rng.standard_normal(m.n_rows)
+    for m in block_lower_factors(p):
+        f = random_forcing(rng, m.n_rows)
         for project in (False, True):
             assert gauss_seidel_sweep(m, f, project=project).tobytes() \
                 == sequential_sweep(m, f, project=project).tobytes()
