@@ -77,8 +77,10 @@ class RandomFair:
     MAX_M = 63
 
     def __post_init__(self):
-        object.__setattr__(self, "full_round_every",
-                           as_count("full_round_every", self.full_round_every))
+        for name in ("seed", "full_round_every"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
+        if self.seed < 0:
+            raise ValueError("random policy seed must be nonnegative")
         if self.full_round_every < 1:
             raise ValueError("full_round_every must be at least 1")
 
@@ -113,10 +115,12 @@ class AsyncSchedule:
     reads_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "staleness_bound",
-                           as_count("staleness_bound", self.staleness_bound))
+        for name in ("staleness_bound", "reads_seed"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
         if self.staleness_bound < 0:
             raise ValueError("staleness bound must be nonnegative")
+        if self.reads_seed < 0:
+            raise ValueError("reads seed must be nonnegative")
         if self.reads not in READ_RULES:
             raise ValueError(f"unknown read rule {self.reads!r}")
 

@@ -10,20 +10,20 @@ deterministic (ascending-column) summation order for matrix-vector products.
 module ``scipy.sparse._sparsetools`` on the stored arrays, the kernel that
 ``csr_array @ x`` ends in, so the inner loops pay for the product and not
 for the operator's dispatch.  ``spmv_unchecked`` is the same call without
-the check of x, for the clamp loop, which checks its own iterates.
+the check of x, for the solvers' inner loop, which checks its own iterates.
 
 ``all_finite`` tests finiteness with one dot product that no finite array
 can overflow, so a diverging solve's huge finite entries raise no warning.
 
 ``gauss_seidel_sweep`` is the one sweep kernel behind forward substitution
 and every Gauss-Seidel sweep.  Its rows run in level order, one in-place
-``csr_matvec`` call per level, and each row is bit-identical to a
-sequential row loop as long as that kernel sums in stored order without
-fused multiply-adds, as ``spmv`` assumes too.  A projected level is one
-in-place ``np.maximum(0.0, seg, out=seg)``, which relies on the tie rule
-that ``maximum`` returns its second argument unless the first is greater or
-a NaN, so -0.0 and NaN stay as in the row loop; ``tests/test_sweep.py``
-pins that rule against the row loop.
+``csr_matvec`` call per level with off-diagonal entries, and each row is
+bit-identical to a sequential row loop as long as that kernel sums in
+stored order without fused multiply-adds, as ``spmv`` assumes too.  A
+projected level is one in-place ``np.maximum(0.0, seg, out=seg)``, which
+relies on the tie rule that ``maximum`` returns its second argument unless
+the first is greater or a NaN, so -0.0 and NaN stay as in the row loop;
+``tests/test_sweep.py`` pins that rule against the row loop.
 
 All values are immutable after construction; instances are safe to share
 between threads.
@@ -125,6 +125,8 @@ class SparseMatrix:
         offs = np.ascontiguousarray(self.row_offsets, dtype=np.int64)
         cols = np.ascontiguousarray(self.col_indices, dtype=np.int64)
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
+        for name in ("n_rows", "n_cols"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
         if self.n_rows < 0 or self.n_cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if offs.shape != (self.n_rows + 1,):
@@ -306,8 +308,10 @@ def _sweep_schedule(a: SparseMatrix):
     only.  ``perm`` lists the rows in level order (stable, so ascending
     inside a level), and level k is the range [s, e) of that order.  Each
     level keeps its rows' off-diagonal entries as a CSR slice in ascending
-    column order: offsets rebased to 0, negated values, and column slots into
-    the work vector [new iterate in level order | previous iterate].  A
+    column order: offsets rebased to 0, column slots into the work vector
+    [new iterate in level order | previous iterate], and negated values; a
+    level with none (level 0 of a lower-triangular matrix, the only level
+    of a diagonal one) keeps None and makes no kernel call.  A
     lower entry's slot lies in an earlier level's range, an upper entry's in
     the second half, so no level reads its own range.  Returns (levels,
     perm, whether ``a`` has an entry above the diagonal).
@@ -337,8 +341,8 @@ def _sweep_schedule(a: SparseMatrix):
         levels = []
         for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             lo, hi = row_offs[s], row_offs[e]
-            levels.append((s, e, row_offs[s:e + 1] - lo, slot[lo:hi],
-                           negvals[lo:hi], diag[s:e]))
+            entries = (row_offs[s:e + 1] - lo, slot[lo:hi], negvals[lo:hi])
+            levels.append((s, e, entries if hi > lo else None, diag[s:e]))
         cached = a._caches["sweep"] = (levels, perm, bool(np.any(cols > rows)))
     return cached
 
@@ -383,9 +387,10 @@ def gauss_seidel_sweep(a: SparseMatrix, f, x_old=None,
     # the check above keeps every index in range, so "clip" never clips; it
     # lets take gather into the view without a buffer
     f.take(perm, out=work[:n], mode="clip")
-    for s, e, offs, slots, negvals, diag in levels:
+    for s, e, entries, diag in levels:
         seg = work[s:e]
-        csr_matvec(e - s, work.size, offs, slots, negvals, work, seg)
+        if entries is not None:
+            csr_matvec(e - s, work.size, *entries, work, seg)
         np.divide(seg, diag, out=seg)
         if project:
             np.maximum(0.0, seg, out=seg)

@@ -24,7 +24,8 @@ import scipy.sparse
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError
-from .hmatrix import MatrixClass, classify, spectral_radius_nonneg
+from .hmatrix import MatrixClass, SpectralRadiusEstimate, classify, \
+    spectral_radius_nonneg
 from .sparse import SparseMatrix, abs_matrix, as_count, as_vector, \
     comparison_matrix, solve_lower_triangular, spmv
 from .sublcp import factor_structure
@@ -146,8 +147,9 @@ class Splitting:
 
     M alone decides how the subproblem is solved: ``structure`` is
     ``sublcp.factor_structure(M)``, one of ``diagonal``, ``lower_triangular``
-    and ``general``.  ``contraction_operator`` is built on first use and
-    kept, so processors that share a splitting object share it.
+    and ``general``.  ``contraction_operator`` and its radius estimate
+    ``contraction_estimate`` are built on first use and kept, so processors
+    that share a splitting object share them.
     """
 
     M: SparseMatrix
@@ -170,67 +172,72 @@ class Splitting:
     def contraction_operator(self) -> "ContractionOperator":
         return ContractionOperator(self)
 
+    @cached_property
+    def contraction_estimate(self) -> SpectralRadiusEstimate:
+        return spectral_radius_nonneg(self.contraction_operator, self.n,
+                                      tol=1e-8)
+
 
 class ContractionOperator:
-    """The linear map v -> <M>^-1 (|N| v).  A ``general`` <M> (a Z-matrix)
-    is factorized once by sparse LU, and x = <M>^-1 e > 0 certifies it an
-    M-matrix; ``ValueError`` if it is not, or if a diagonal <M> has a 0."""
+    """The linear map v -> <M>^-1 (|N| v): forward substitution for an exact
+    <M>, whose diagonal is checked here, or one sparse LU of a ``general``
+    <M> (a Z-matrix), which x = <M>^-1 e > 0 certifies an M-matrix.
+    ``ValueError`` if either check fails."""
 
     def __init__(self, splitting: Splitting):
         self.comp_m = comparison_matrix(splitting.M)
         self.abs_n = abs_matrix(splitting.N)
-        self.structure = factor_structure(self.comp_m)
-        if self.structure == "diagonal":
-            self._diag = self.comp_m.diagonal()
-            if np.any(self._diag == 0.0):
+        self.structure = splitting.structure
+        if self.structure != "general":
+            if np.any(self.comp_m.diagonal() == 0.0):
                 raise ValueError("diagonal splitting factor has a zero entry")
-        elif self.structure == "general":
-            try:
-                self._lu = splu(self.comp_m.to_scipy().tocsc())
-                x = self._lu.solve(np.ones(splitting.n))
-            except RuntimeError:  # the factor is exactly singular
-                x = np.zeros(splitting.n)
-            if not np.all((x > 0.0) & (x < np.inf)):
-                raise ValueError("comparison matrix of M is not an M-matrix; "
-                                 "contraction operator undefined")
+            return
+        try:
+            self._lu = splu(self.comp_m.to_scipy().tocsc())
+            x = self._lu.solve(np.ones(splitting.n))
+        except RuntimeError:  # the factor is exactly singular
+            x = np.zeros(splitting.n)
+        if not np.all((x > 0.0) & (x < np.inf)):
+            raise ValueError("comparison matrix of M is not an M-matrix; "
+                             "contraction operator undefined")
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         w = spmv(self.abs_n, v)
-        if self.structure == "diagonal":
-            return w / self._diag
-        if self.structure == "lower_triangular":
-            return solve_lower_triangular(self.comp_m, w)
-        return self._lu.solve(w)
+        if self.structure == "general":
+            return self._lu.solve(w)
+        return solve_lower_triangular(self.comp_m, w)
 
 
 @dataclass(frozen=True)
 class MultisplittingSet:
     """A validated family of splittings plus its weighting.
 
-    ``contraction_estimates[i]`` estimates rho(<M_i>^-1 |N_i|) at build time
-    with ``spectral_radius_nonneg`` at its default cap (Jacobi sets reuse the
-    classification's); no solver reads it, and ``validate_multisplitting``
-    recomputes it.  ``matrix_class`` carries the classification of the
-    matrix the set was built from, when known.  The blocks a processor owns
-    are ``weighting.indicator_owners`` for an indicator weighting.  ``n`` is
-    at least 1, because every weighting diagonal carries a positive entry.
+    ``contraction_estimates[i]`` is the value of splitting i's
+    ``contraction_estimate``, so a set holds no radius of its own; no solver
+    reads it.  ``matrix_class`` carries the classification of the matrix the
+    set was built from, when known.  The blocks a processor owns are
+    ``weighting.indicator_owners`` for an indicator weighting.  ``n`` is at
+    least 1, because every weighting diagonal carries a positive entry.
     The set keeps no solve state: inner counts and stacks belong to each
     solve.
     """
 
     splittings: tuple
     weighting: WeightingScheme
-    contraction_estimates: tuple
     matrix_class: MatrixClass | None = None
 
     def __post_init__(self):
         m = len(self.splittings)
         if m == 0:
             raise ValueError("multisplitting needs at least one splitting")
-        if self.weighting.m != m or len(self.contraction_estimates) != m:
-            raise ValueError("splittings, weighting and estimates must agree on m")
+        if self.weighting.m != m:
+            raise ValueError("splittings and weighting must agree on m")
         if self.weighting.n != self.splittings[0].n:
             raise ValueError("weighting size does not match the splittings")
+
+    @property
+    def contraction_estimates(self) -> tuple:
+        return tuple(s.contraction_estimate.value for s in self.splittings)
 
     @property
     def m(self) -> int:
@@ -264,12 +271,10 @@ def build_block_splitting(a: SparseMatrix, partition: Partition,
 
     Factors are produced by masking A's entry array, so M_i - N_i = A holds
     bit-exactly.  The weighting is the indicator scheme of the partition.
-    Contraction radii are estimated once and cached on the result: Jacobi's
-    <D>^-1 |N| is the Jacobi matrix of <A>, so it takes the classification's
-    ``jacobi_radius_estimate``; block-lower estimates each splitting's with
-    ``spectral_radius_nonneg`` at its default cap.  ``matrix_class`` is
-    computed with ``classify``'s defaults when omitted; a caller that needs
-    another budget classifies first and passes the result.
+    Each block-lower splitting's ``contraction_estimate`` is evaluated here,
+    the Jacobi one on first use.  ``matrix_class`` is computed with
+    ``classify``'s defaults when omitted; a caller that needs another budget
+    classifies first and passes the result.
 
     Raises
     ------
@@ -294,7 +299,6 @@ def build_block_splitting(a: SparseMatrix, partition: Partition,
         m_mat = a.same_pattern(np.where(on_diag, a.values, 0.0))
         n_mat = a.same_pattern(np.where(on_diag, 0.0, -a.values))
         splittings = [Splitting(m_mat, n_mat)] * partition.m
-        estimates = [cls.jacobi_radius_estimate] * partition.m
     else:
         for idx in partition.owner_sets:
             member = np.zeros(a.n_rows, dtype=bool)
@@ -303,13 +307,12 @@ def build_block_splitting(a: SparseMatrix, partition: Partition,
             m_mat = a.same_pattern(np.where(keep, a.values, 0.0))
             n_mat = a.same_pattern(np.where(keep, 0.0, -a.values))
             splittings.append(Splitting(m_mat, n_mat))
-        estimates = [spectral_radius_nonneg(s.contraction_operator, s.n,
-                                            tol=1e-8).value
-                     for s in splittings]
+        for s in splittings:  # estimated now, cached on the splitting
+            s.contraction_estimate
 
     return MultisplittingSet(tuple(splittings),
                              WeightingScheme.indicator(partition),
-                             tuple(estimates), matrix_class=cls)
+                             matrix_class=cls)
 
 
 @dataclass(frozen=True)
@@ -338,12 +341,12 @@ def validate_multisplitting(a: SparseMatrix, ms: MultisplittingSet,
 
     Per splitting: (a) M_i - N_i reconstructs A within ``tol`` relative to
     A's largest entry, (b) <A> <= <M_i> - |N_i| entrywise with slack ``tol``,
-    (c) the estimated contraction radius is converged, so a Ritz value has
-    passed the Collatz-Wielandt check of ``spectral_radius_nonneg``, and is
-    below one; an undefined operator is reported with its reason and
-    estimate inf.  Each distinct splitting object is checked once;
-    processors that share it get the same entries.  Violations are
-    reported, never raised.
+    (c) the splitting's cached ``contraction_estimate`` is converged, so a
+    Ritz value has passed the Collatz-Wielandt check of
+    ``spectral_radius_nonneg``, and is below one; an undefined operator is
+    reported with its reason and estimate inf.  Each distinct splitting
+    object is checked once; processors that share it get the same entries.
+    Violations are reported, never raised.
     """
     comp_a = comparison_matrix(a).to_scipy()
     a_sp = a.to_scipy()
@@ -356,7 +359,7 @@ def validate_multisplitting(a: SparseMatrix, ms: MultisplittingSet,
         err = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
         margin = float(np.min(dom.data)) if dom.nnz else 0.0
         try:
-            est = spectral_radius_nonneg(s.contraction_operator, s.n, tol=1e-8)
+            est = s.contraction_estimate
         except ValueError as exc:  # the operator is undefined
             return err, margin, np.inf, str(exc)
         if est.converged and est.value < 1.0:

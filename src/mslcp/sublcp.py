@@ -4,18 +4,17 @@ The subproblem for a factor M and forcing vector F is: find y with
 
     y >= 0,    M y - F >= 0,    y . (M y - F) = 0.
 
-M alone decides how it is solved (``factor_structure``): for diagonal M a
-componentwise clamp; for lower-triangular M a single projected forward
-sweep, exact whatever the signs of the strict-lower entries, because once
-the earlier components are fixed each row is a one-dimensional problem
-(Bai, SIAM J. Matrix Anal. Appl. 21, 1999).  Every built-in splitting's
-factor is one of these two.  Only an M with entries above the diagonal
-iterates projected Gauss-Seidel, at that function's defaults.  Both sweeps
-are calls to ``mslcp.sparse.gauss_seidel_sweep`` with projection, which
-gives the same bits as the sequential row loop.  The solvers' inner loop
-(``sync._run_processor_inner``) runs the clamp itself, with the same
-arithmetic and the same ``positive_diagonal``, and calls ``solve_sub_lcp``
-for every other factor.
+M alone decides how it is solved (``factor_structure``).  For M with no
+entry above the diagonal, every built-in factor's case, one projected
+forward sweep is exact whatever the signs of the strict-lower entries,
+because once the earlier components are fixed each row is a
+one-dimensional problem (Bai, SIAM J. Matrix Anal. Appl. 21, 1999); for
+diagonal M it is the clamp max(0, F / d).  Only an M with entries above the
+diagonal iterates projected Gauss-Seidel, at that function's defaults.
+Both are calls to ``mslcp.sparse.gauss_seidel_sweep`` with projection,
+which gives the same bits as the sequential row loop.  The solvers' inner
+loop (``sync._run_processor_inner``) clamps a diagonal factor itself and
+calls ``solve_sub_lcp`` for every other factor.
 """
 
 from __future__ import annotations
@@ -125,21 +124,16 @@ def positive_diagonal(m: SparseMatrix) -> np.ndarray:
 
 def solve_sub_lcp(m: SparseMatrix, structure: str, f_vec) -> np.ndarray:
     """Solve the subproblem for the factor M, with ``structure`` its
-    ``factor_structure``.
-
-    ``diagonal`` is a clamp and ``lower_triangular`` one projected forward
-    sweep, both exact; anything else runs ``projected_gauss_seidel`` at its
-    defaults.  A ``diagonal`` or ``lower_triangular`` claim that M's own
-    structure does not bear out falls back to the general path, so a
-    non-diagonal M is never clamped.  The forcing vector is checked for
-    finiteness on every call.
+    ``factor_structure``: one projected forward sweep for an exact claim
+    (``diagonal`` or ``lower_triangular``) that M bears out, otherwise
+    ``projected_gauss_seidel`` at its defaults.  M's diagonal must be
+    positive, and the forcing vector is checked for finiteness on every
+    call.
     """
     f_vec = as_vector(f_vec, m.n_rows, name="forcing vector")
-    diag = positive_diagonal(m)
-    kind = m._caches.get("structure") or factor_structure(m)
-    if structure == kind == "diagonal":
-        return np.maximum(0.0, f_vec / diag)
-    if structure == "lower_triangular" and kind != "general":
+    positive_diagonal(m)
+    if structure in ("diagonal", "lower_triangular") \
+            and factor_structure(m) != "general":
         return gauss_seidel_sweep(m, f_vec, project=True)
     x, _, _ = projected_gauss_seidel(m, f_vec)
     return x

@@ -14,26 +14,22 @@ of counts (lo, hi): the inner loop stops after hi solves, or earlier once it
 has run lo or more and the local complementarity gap is below
 ``schedule.theta``.  ``fixed`` and ``adaptive`` give lo == hi.
 
-The inner loop solves a ``diagonal`` factor's subproblem itself: each solve
-is the clamp y = max(0, (f + N y) / d), one call of the raw CSR kernel and
-one finiteness test on (f + N y) / d.  Only when that test fails does the
-loop work out which vector failed, so a diverging solve still fails with
-the message of the per-solve checks.  ``lower_triangular`` and ``general``
-factors go through ``spmv`` and ``solve_sub_lcp`` on every solve.
+Every solve refreshes the forcing vector F = f + N y with the raw CSR
+kernel; the inner loop clamps a ``diagonal`` factor's subproblem itself and
+calls ``solve_sub_lcp`` for every other factor.
 
-Processors whose subproblem is an exact row-local solve (the clamp of a
-``diagonal`` factor, or the projected forward sweep of a
-``lower_triangular`` one; see ``sublcp.factor_structure``) and whose count
-is fixed in advance (lo == hi) run together: ``_processor_groups`` collects
-them by (structure, count), and one inner loop solves the stacked system
-blockdiag(M_i), blockdiag(N_i) on the concatenated starts.  Each stacked
-row does the arithmetic of its member's row in the same order, so the
-slices are bit-identical to separate loops.  Members with the same
-splitting object and the same start array would compute the same y, so the
-simulator stacks only one representative of each such set per step and
-gives the others its slice: the synchronous Jacobi solve, whose processors
-share one splitting and one start, runs one unstacked inner loop per step
-and hands every processor the same y.
+Processors whose subproblem is an exact row-local solve (one projected
+forward sweep, of which the clamp is the one-level case; see
+``sublcp.factor_structure``) and whose count is fixed in advance (lo == hi)
+run together: ``_processor_groups`` collects them by count, and one inner
+loop solves the stacked system blockdiag(M_i), blockdiag(N_i) on the
+concatenated starts.  Each stacked row does the arithmetic of its member's
+row in the same order, so the slices are bit-identical to separate loops.
+Members with the same splitting object and the same start array would
+compute the same y, so the simulator stacks only one representative of
+each such set per step and gives the others its slice: the synchronous
+Jacobi solve, whose processors share one splitting and one start, runs one
+unstacked inner loop per step and hands every processor the same y.
 
 ``solve_sync`` runs this as the asynchronous simulator's zero-delay case.
 """
@@ -211,15 +207,15 @@ def _processor_groups(ms: MultisplittingSet, bounds) -> list:
 
     Processors with an exact row-local subproblem (a ``structure`` other
     than ``general``) and a count fixed in advance (lo == hi in ``bounds``)
-    are grouped by (structure, count); every other processor is a group of
-    one.  Structures never mix: the clamp and the sweep treat -0.0
-    differently.  Groups come in order of their lowest member.
+    are grouped by that count; every other processor is a group of one.
+    Diagonal and lower-triangular factors mix: the clamp and the projected
+    forward sweep give a diagonal row the same bits.  Groups come in order
+    of their lowest member.
     """
     groups = {}
     for i, (split, (lo, hi)) in enumerate(zip(ms.splittings, bounds)):
         exact = split.structure != "general" and lo == hi
-        key = (split.structure, hi) if exact else i
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(("count", hi) if exact else i, []).append(i)
     return [tuple(g) for g in groups.values()]
 
 
@@ -232,51 +228,49 @@ def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
     end to end.  ``bounds`` is (lo, hi) from ``schedule_inner_count``: the
     loop stops after hi solves, or earlier once it has run lo or more and
     the gap |y . (A y - f)| is below ``theta``.  The gap is computed only
-    when lo <= count < hi, so a group (lo == hi) never computes it.  Each
-    solve refreshes the forcing vector from the newest local iterate:
-    F = f + N y.
+    when lo <= count < hi, so a group (lo == hi) never computes it.
 
-    A ``diagonal`` factor, whose diagonal d must be positive, is solved in
-    the loop itself: F by ``spmv_unchecked``, z = F / d, and y = max(0, z)
-    after one ``all_finite`` test on z, which passes exactly when F and the
-    new y are both finite.  Only y0, and a y whose z held -inf (clamped to
-    0.0), are checked at the start of the next solve.  Any other factor goes through
-    ``spmv`` and ``solve_sub_lcp`` on every solve.  Both paths check the
-    same vectors at the same solves: a non-finite y or F means the iteration
-    diverged, and it is raised as ``ConvergenceError`` naming the inner
-    solve, with ``member`` the position in the group of the first
-    non-finite slice.  A +inf in the last solve's y is returned, for the
-    caller's update-norm check.
+    y0 is checked once.  Each solve computes F = f + N y by
+    ``spmv_unchecked``; a ``diagonal`` factor, whose diagonal d must be
+    positive, then takes y = max(0, F / d) after one ``all_finite`` test on
+    F / d, and any other factor ``solve_sub_lcp``, which checks F.  A
+    non-finite F, or a non-finite y at the gap, means the iteration
+    diverged: ``ConvergenceError`` names the inner solve and ``x`` when that
+    solve's input y is non-finite, else the ``forcing vector``, with
+    ``member`` the position in the group of the first non-finite slice.  So
+    a +inf in an entry of y that no row of N reads is recomputed, not an
+    error, and a +inf in the last solve's y is returned, for the caller's
+    update-norm check.
     """
     m_fac, n_fac, structure = splitting.M, splitting.N, splitting.structure
     lo, hi = bounds
     clamp = structure == "diagonal"
     if clamp:
         d = positive_diagonal(m_fac)
-    y, f_vec, count, y_finite = y0, f, 0, False
+    y, f_vec, count = y0, f, 0
     try:
+        y = as_vector(y0, n_fac.n_cols, name="x")
         while True:
+            f_vec = f + spmv_unchecked(n_fac, y)
             if clamp:
-                if not y_finite:
-                    y = as_vector(y, n_fac.n_cols, name="x")
-                f_vec = f + spmv_unchecked(n_fac, y)
                 z = f_vec / d
-                y_finite = all_finite(z)
-                if not y_finite:
+                if not all_finite(z):
                     require_finite("forcing vector", f_vec)
                 y = np.maximum(0.0, z)
             else:
-                f_vec = f + spmv(n_fac, y)
                 y = solve_sub_lcp(m_fac, structure, f_vec)
             count += 1
             if count >= hi or (count >= lo and abs(
                     float(y @ (spmv(prob.A, y) - prob.f))) < theta):
                 return y, count
     except NonFiniteError as exc:
-        err = ConvergenceError(
-            f"iteration diverged in inner solve {count + 1}: {exc}")
-        # only the vector that failed its check is non-finite
-        bad = ~(np.isfinite(y) & np.isfinite(f_vec))
+        # y is the failing solve's input, f_vec its F
+        bad = ~np.isfinite(y)
+        name, bad = ("x", bad) if bad.any() \
+            else ("forcing vector", ~np.isfinite(f_vec))
+        err = ConvergenceError(f"iteration diverged in inner solve "
+                               f"{count + 1}: {name} contains non-finite "
+                               f"entries")
         err.member = int(np.argmax(bad)) // prob.n
         raise err from exc
 

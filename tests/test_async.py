@@ -129,6 +129,23 @@ class TestScheduleProperties:
                             on_step=steps.append)
         assert steps == []
 
+    @pytest.mark.parametrize("make", [
+        lambda v: RandomFair(seed=v), lambda v: AsyncSchedule(reads_seed=v)],
+        ids=["policy", "reads"])
+    @pytest.mark.parametrize("value, message", [
+        (-1, "seed must be nonnegative"),
+        (2.0, "must be an integer, got 2.0"),
+        (True, "must be an integer, got True"),
+        (None, "must be an integer, got None")])
+    def test_seeds_are_nonnegative_integers(self, make, value, message):
+        # numpy rejects a negative seed only at its first draw, mid-solve
+        with pytest.raises(ValueError, match=message):
+            make(value)
+
+    def test_seeds_are_stored_as_int(self):
+        assert type(RandomFair(seed=np.int64(3)).seed) is int
+        assert type(AsyncSchedule(reads_seed=np.uint8(4)).reads_seed) is int
+
     @pytest.mark.parametrize("m", [1, 4, 62, 63])
     def test_random_policy_draws_one_mask_below_two_to_the_m(self, m):
         policy = RandomFair(seed=6)
@@ -248,7 +265,6 @@ class TestThreaded:
         smooth = WeightingScheme((np.full(9, 0.5), np.full(9, 0.5)))
         ms = MultisplittingSet(
             (base.splittings[0], base.splittings[0]), smooth,
-            (base.contraction_estimates[0],) * 2,
             matrix_class=base.matrix_class)
         with pytest.raises(ValueError, match="indicator"):
             solve_async_threaded(prob, ms, cfg_fixed(1), workers=2)
@@ -274,7 +290,7 @@ class TestThreaded:
         broken = Splitting(broken_m, good.splittings[1].N)
         ms = MultisplittingSet(
             (good.splittings[0], broken), good.weighting,
-            good.contraction_estimates, matrix_class=good.matrix_class)
+            matrix_class=good.matrix_class)
         with pytest.raises(RuntimeError, match="processor 1"):
             solve_async_threaded(prob, ms, cfg_fixed(1), workers=2)
 
@@ -320,7 +336,7 @@ def overflowing_set(prob):
     bad = Splitting(tiny, SparseMatrix.from_scipy(tiny.to_scipy()
                                                   - prob.A.to_scipy()))
     return MultisplittingSet((bad, base.splittings[1]), base.weighting,
-                             base.contraction_estimates, base.matrix_class)
+                             base.matrix_class)
 
 
 def overflowing_sweep_set(prob, bad):
@@ -337,8 +353,7 @@ def overflowing_sweep_set(prob, bad):
     assert odd.structure == "lower_triangular"
     splits = tuple(odd if i == bad else s
                    for i, s in enumerate(base.splittings))
-    return MultisplittingSet(splits, base.weighting,
-                             base.contraction_estimates, base.matrix_class)
+    return MultisplittingSet(splits, base.weighting, base.matrix_class)
 
 
 class TestDivergence:

@@ -126,12 +126,21 @@ class TestExitCodes:
         ["--grid", "4", "--m", "2", "--mode", "async-sim", "--staleness", "-1"],
         ["--grid", "8", "--m", "64", "--mode", "async-sim", "--policy",
          "random:1", "--staleness", "1"],
+        ["--grid", "4", "--m", "2", "--mode", "async-sim", "--policy",
+         "random", "--seed", "-1"],
+        ["--grid", "4", "--m", "2", "--mode", "async-sim", "--policy",
+         "random:-3"],
+        ["--grid", "4", "--m", "2", "--mode", "async-sim", "--reads",
+         "uniform", "--seed", "-2"],
+        ["--grid", "4", "--m", "2", "--seed", "-1"],
     ], ids=["partition-count", "partition-file-missing",
             "partition-index-range", "m-above-n", "max-outer-zero",
             "zero-diagonal-shift", "rectangular-matrix", "zero-diagonal-matrix",
             "omega-zero", "outer-tol-negative", "omega-nan", "omega-inf",
             "outer-tol-nan", "theta-nan", "m-zero", "grid-one",
-            "staleness-negative", "random-policy-m-64"])
+            "staleness-negative", "random-policy-m-64", "seed-negative",
+            "random-policy-seed-negative", "reads-seed-negative",
+            "sync-seed-negative"])
     def test_bad_setup_input_exits_64_with_one_line(self, tmp_path, capsys,
                                                      argv):
         from mslcp import SparseMatrix

@@ -47,6 +47,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="zero"):
             SparseMatrix(1, 2, np.array([0, 1]), np.array([0]), np.array([0.0]))
 
+    def test_rejects_float_dimensions(self):
+        # accepted before, and to_dense then failed with a TypeError
+        with pytest.raises(ValueError, match="n_rows must be an integer, "
+                                             "got 2.0"):
+            SparseMatrix(2.0, 2.0, [0, 1, 2], [0, 1], [1.0, 2.0])
+
+    def test_rejects_bool_dimensions(self):
+        with pytest.raises(ValueError, match="n_rows must be an integer, "
+                                             "got True"):
+            SparseMatrix(True, True, [0, 1], [0], [1.0])
+
+    def test_dimensions_are_stored_as_int(self):
+        a = SparseMatrix(np.int64(2), np.int32(3), [0, 1, 2], [0, 2],
+                         [1.0, 2.0])
+        assert (type(a.n_rows), type(a.n_cols)) == (int, int)
+        assert a.to_dense().shape == (2, 3)
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
             SparseMatrix(1, 1, np.array([0, 1]), np.array([0]), np.array([np.nan]))

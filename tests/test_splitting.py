@@ -32,7 +32,7 @@ def general_grid_set(prob, m):
             a.same_pattern(np.where(keep, a.values, 0.0)),
             a.same_pattern(np.where(keep, 0.0, -a.values))))
     return MultisplittingSet(tuple(splittings), base.weighting,
-                             base.contraction_estimates, base.matrix_class)
+                             base.matrix_class)
 
 
 class TestPartition:
@@ -224,8 +224,7 @@ class TestValidator:
         n = SparseMatrix.from_dense([[0.0, 2.0], [2.0, 0.0]])
         ms = MultisplittingSet(
             (Splitting(m, n),),
-            WeightingScheme((np.ones(2),)),
-            (2.0,))
+            WeightingScheme((np.ones(2),)))
         report = validate_multisplitting(a, ms)
         codes = {v[1] for v in report.violations}
         assert "contraction" in codes
@@ -237,17 +236,17 @@ class TestValidator:
         n = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
         ms = MultisplittingSet(
             (Splitting(m, n),),
-            WeightingScheme((np.ones(2),)),
-            (0.25,))
+            WeightingScheme((np.ones(2),)))
         report = validate_multisplitting(a, ms)
         assert any(v[1] == "sum" for v in report.violations)
 
     @pytest.mark.parametrize("variant, calls", [
-        ("jacobi", 1), ("block_lower_triangular", 4)])
+        ("jacobi", 1), ("block_lower_triangular", 0)])
     def test_one_estimate_per_splitting_object(self, monkeypatch, grid_problem,
                                                variant, calls):
         # the Jacobi processors share one splitting object, so one power
-        # iteration serves all four; block-lower has four splittings
+        # iteration serves all four; the build already cached the estimates
+        # of the four block-lower splittings
         import mslcp.splitting
         a = grid_problem(6).A
         ms = build_block_splitting(a, Partition.contiguous(36, 4), variant)
@@ -274,8 +273,7 @@ class TestValidator:
         shared = Splitting(SparseMatrix.identity(2), n)
         ms = MultisplittingSet(
             (shared, shared),
-            WeightingScheme((np.array([1.0, 0.0]), np.array([0.0, 1.0]))),
-            (2.0, 2.0))
+            WeightingScheme((np.array([1.0, 0.0]), np.array([0.0, 1.0]))))
         report = validate_multisplitting(a, ms)
         assert [v[:2] for v in report.violations] == [
             (0, "contraction"), (1, "contraction")]
@@ -301,13 +299,16 @@ class TestValidator:
          "undefined"),
         ([[0.0, 0.0], [0.0, 4.0]],
          "diagonal splitting factor has a zero entry"),
-    ], ids=["non-m-matrix", "zero-diagonal"])
+        # checked when the operator is built, not at its first application
+        ([[4.0, 0.0], [-1.0, 0.0]],
+         "diagonal splitting factor has a zero entry"),
+    ], ids=["non-m-matrix", "zero-diagonal", "lower-zero-diagonal"])
     def test_undefined_operator_reported_not_raised(self, dense_m, reason):
         a = SparseMatrix.from_dense([[4.0, -1.0], [-1.0, 4.0]])
         m = SparseMatrix.from_dense(dense_m)
         n = SparseMatrix.from_scipy(m.to_scipy() - a.to_scipy())
         ms = MultisplittingSet((Splitting(m, n),),
-                               WeightingScheme((np.ones(2),)), (0.0,))
+                               WeightingScheme((np.ones(2),)))
         report = validate_multisplitting(a, ms)
         assert report.contraction_estimates == (np.inf,)
         assert (0, "contraction", reason) in report.violations
@@ -487,6 +488,12 @@ class TestContractionOperator:
         assert np.allclose(op(v), dense_contraction_matrix(
             ms.splittings[1].M, ms.splittings[1].N) @ v, rtol=1e-10,
             atol=1e-12)
+
+    def test_exact_diagonal_checked_at_construction(self):
+        low = SparseMatrix.from_dense([[2.0, 0.0], [-1.0, 0.0]])
+        assert factor_structure(low) == "lower_triangular"
+        with pytest.raises(ValueError, match="has a zero entry"):
+            self._inverse(low)
 
     def test_factorized_once_without_classify(self, monkeypatch,
                                               grid_problem):

@@ -105,15 +105,22 @@ def test_levels_read_only_earlier_levels_or_previous_iterate(n, density, lower):
     a = random_matrix(rng, n, density, lower=lower)
     levels, perm, has_upper = _sweep_schedule(a)
     assert sorted(perm.tolist()) == list(range(n))
-    start = 0
-    for s, e, offs, slots, negvals, diag in levels:
+    start, off_diagonal = 0, a.entry_rows() != a.col_indices
+    for s, e, entries, diag in levels:
         assert s == start < e
-        assert offs[0] == 0 and offs[-1] == len(slots) == len(negvals)
         assert len(diag) == e - s
-        # slots in [s, n) would read this level's own range or a later one
-        assert np.all((slots < s) | ((slots >= n) & (slots < 2 * n)))
-        if lower:
-            assert np.all(slots < s)
+        held = int(np.count_nonzero(
+            off_diagonal & np.isin(a.entry_rows(), perm[s:e])))
+        # a level whose rows hold no off-diagonal entry makes no kernel call
+        assert (entries is None) == (held == 0)
+        if entries is not None:
+            offs, slots, negvals = entries
+            assert offs[0] == 0 and offs[-1] == len(slots) == len(negvals) \
+                == held
+            # slots in [s, n) would read this level's own range or a later one
+            assert np.all((slots < s) | ((slots >= n) & (slots < 2 * n)))
+            if lower:
+                assert np.all(slots < s)
         start = e
     assert start == n and has_upper == (not lower and bool(
         np.any(a.col_indices > a.entry_rows())))
@@ -206,6 +213,21 @@ def test_public_callers_match_row_loop():
         == sequential_sweep(low, f).tobytes()
     assert solve_sub_lcp(low, "lower_triangular", f).tobytes() \
         == sequential_sweep(low, f, project=True).tobytes()
+
+
+def test_diagonal_sweep_is_the_clamp():
+    # the one level of a diagonal factor makes no kernel call: divide and
+    # project give max(0, f / d) bit for bit, and the contraction operator
+    # of a diagonal <M> gives f / d
+    rng = np.random.default_rng(31)
+    d = rng.uniform(0.5, 4.0, 1600)
+    f = rng.choice([-0.0, 0.0, -1.0, 5e-324, 1.5, -2.5], 1600)
+    diag = SparseMatrix.from_diagonal(d)
+    levels, _, _ = _sweep_schedule(diag)
+    assert [entries for _, _, entries, _ in levels] == [None]
+    assert solve_sub_lcp(diag, "diagonal", f).tobytes() \
+        == np.maximum(0.0, f / d).tobytes()
+    assert solve_lower_triangular(diag, f).tobytes() == (f / d).tobytes()
 
 
 def test_empty_matrix():

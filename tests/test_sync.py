@@ -462,7 +462,7 @@ class TestReport:
         assert whole.structure == "general"
         return MultisplittingSet(
             (base.splittings[0], whole), base.weighting,
-            base.contraction_estimates, matrix_class=base.matrix_class)
+            matrix_class=base.matrix_class)
 
     def test_subsolve_failure_carries_step_and_processor(self, grid_problem):
         prob = grid_problem(3)
@@ -637,8 +637,23 @@ def _mixed_jacobi(prob):
                        SparseMatrix.from_scipy(split.N.to_scipy()
                                                + split.M.to_scipy()))
     splits = tuple(damped if i == 2 else split for i in range(4))
-    return MultisplittingSet(splits, base.weighting, base.contraction_estimates,
+    return MultisplittingSet(splits, base.weighting,
                              matrix_class=base.matrix_class)
+
+
+def test_a_set_carries_only_its_own_radii(grid_problem):
+    # the damped processor 2 has radius (1 + rho_J) / 2 = 0.95048; the set
+    # used to carry the Jacobi radius rho_J = 0.90097 for it
+    from mslcp import validate_multisplitting
+    prob = grid_problem(6)
+    ms = _mixed_jacobi(prob)
+    report = validate_multisplitting(prob.A, ms)
+    assert report.ok
+    assert ms.contraction_estimates == report.contraction_estimates
+    rho_j = np.cos(np.pi / 7)
+    assert ms.contraction_estimates[0] == pytest.approx(rho_j, abs=1e-9)
+    assert ms.contraction_estimates[2] == pytest.approx((1.0 + rho_j) / 2.0,
+                                                        abs=1e-9)
 
 
 def _uneven_partition(n, single_at):
@@ -711,8 +726,10 @@ class TestStackedGroups:
         "jacobi-m1": [(0,)],
         "jacobi-m2": [(0, 1)],
         "jacobi-m4": [(0, 1, 2, 3)],
-        "lower-single-at-0": [(0,), (1, 2, 3)],
-        "lower-single-at-2": [(0, 1, 3), (2,)],
+        # the one-row block's factor is diagonal; it stacks with the
+        # lower-triangular ones
+        "lower-single-at-0": [(0, 1, 2, 3)],
+        "lower-single-at-2": [(0, 1, 2, 3)],
         # adaptive counts 20, 18, 17, 18
         "lower-adaptive": [(0,), (1, 3), (2,)],
         "positive-lower": [(0, 1, 2)],
@@ -720,7 +737,7 @@ class TestStackedGroups:
         # min_count == max_count fixes the count in advance, so it stacks
         "innertol-lo-eq-hi": [(0, 1, 2, 3)],
         "async-jacobi": [(0, 1, 2, 3)],
-        "async-lower": [(0, 1, 3), (2,)],
+        "async-lower": [(0, 1, 2, 3)],
         "async-random-stalest": [(0, 1, 2, 3)],
         "mixed-splitting": [(0, 1, 2, 3)],
     }
@@ -847,7 +864,6 @@ class TestStackedGroups:
                             split.N)
         splits = tuple(odd if i == bad else split for i in range(4))
         ms = MultisplittingSet(splits, base.weighting,
-                               base.contraction_estimates,
                                matrix_class=base.matrix_class)
         cfg = fixed_cfg(3)
         x0 = np.ones(16)
@@ -878,7 +894,6 @@ class TestClampDivergence:
             SparseMatrix.from_diagonal(np.full(16, 5e-324)) if tiny
             else split.M, split.N.same_pattern(split.N.values * n_scale))
         return MultisplittingSet((odd,) * m, base.weighting,
-                                 base.contraction_estimates,
                                  matrix_class=base.matrix_class)
 
     SECOND = ("subproblem solve failed at outer step 0, processor 0: "
@@ -964,6 +979,31 @@ class TestClampDivergence:
         assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("structure", ["diagonal", "lower_triangular"])
+def test_infinite_entry_that_no_row_reads_is_recomputed(structure):
+    """The first solve overflows y_1 to +inf.  No row of N reads y_1, so the
+    second solve's F is finite and recomputes y_1 as max(0, -1 / 5e-324) =
+    0.0.  The checked loop of ``_reference_inner`` rejects y at solve 2."""
+    from mslcp.sync import _run_processor_inner
+    m = [[1.0, 0.0, 0.0], [0.0, 5e-324, 0.0],
+         [-0.5 if structure == "lower_triangular" else 0.0, 0.0, 1.0]]
+    split = Splitting(SparseMatrix.from_dense(m), SparseMatrix.from_coo(
+        3, 3, [1], [0], [-1.0]))
+    assert split.structure == structure
+    prob = LcpProblem(SparseMatrix.identity(3), [2.0, 1.0, 1.0])
+    with np.errstate(over="ignore"):
+        first, _ = _run_processor_inner(prob, split, prob.f, np.zeros(3),
+                                        (1, 1), None)
+        assert first[1] == np.inf
+        y, count = _run_processor_inner(prob, split, prob.f, np.zeros(3),
+                                        (2, 2), None)
+        with pytest.raises(ConvergenceError, match="inner solve 2: x "):
+            _reference_inner(prob, split, np.zeros(3), (2, 2), None)
+    assert count == 2
+    assert y.tobytes() == np.array(
+        [2.0, 0.0, 2.0 if structure == "lower_triangular" else 1.0]).tobytes()
+
+
 def _weighted_sum(ys, weighting):
     """sum_i E_i y_i by the loop, entries added in processor order."""
     acc = np.zeros(weighting.n)
@@ -1026,7 +1066,6 @@ class TestLeanStepPath:
         tiny = Splitting(SparseMatrix.from_diagonal(np.full(16, 5e-324)),
                          base.splittings[0].N)
         ms = MultisplittingSet((tiny, tiny), base.weighting,
-                               base.contraction_estimates,
                                matrix_class=base.matrix_class)
         cfg = fixed_cfg(1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1095,7 +1134,6 @@ class TestLeanStepPath:
             w = np.full(prob.n, 0.25)
             ms = MultisplittingSet(ms.splittings,
                                    WeightingScheme((w, 1.0 - w)),
-                                   ms.contraction_estimates,
                                    matrix_class=ms.matrix_class)
             omega = 0.9
         return prob, ms, sched, omega
