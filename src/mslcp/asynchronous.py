@@ -23,6 +23,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -151,16 +152,25 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     so each step (not ``on_step``) silences numpy's over/invalid warnings.
 
     The processors of a ``sync._processor_groups`` group run as one inner
-    loop.  At each step, members with the same splitting object and the same
-    start array (``is``) would compute the same y, so each folds onto the
-    lowest such member; only these representatives' starts are stacked and
-    solved.  ``ys[i]`` in a ``StepEvent`` is a read-only slice of the
-    stacked iterate at processor i's representative, or, when the group has
-    one representative, the read-only solved array itself, which then runs
-    from that start with no stacked copy.  So in the synchronous Jacobi
-    solve (one shared splitting, one start) every processor's ``ys`` is the
-    same array.  The solve keeps its own state: the inner bounds of each
-    splitting object, and for each sequence of splitting objects its stack
+    loop, and each (splitting, start) pair is solved once while its start is
+    readable.  The solve maps every pair of a splitting object and a start
+    array (``is``) that it has solved to its y and solve count.  An entry
+    whose start has left the streams of the last d + 1 steps can no longer
+    be read; such entries are dropped whenever the map holds more entries
+    than those streams can give readable pairs (m (d + 1)).  At
+    each step a group stacks and solves only the pairs not in the map, each
+    under its lowest member; every other processor, in any group, takes the
+    stored y and count.  In a group with more than one splitting object, a
+    splitting without a new pair also re-solves its lowest member's pair, to
+    the same bits, so the group's stacks differ only in how many copies of
+    each splitting they hold.  ``ys[i]`` in a ``StepEvent`` is a read-only
+    slice of the stacked iterate of the step that solved processor i's pair,
+    possibly an earlier step, or, when that stack held one pair, the
+    read-only solved array itself, which ran from that start with no stacked
+    copy.  So in the synchronous Jacobi solve (one shared splitting, one
+    start) every processor's ``ys`` is the same array.  The solve keeps its
+    own state: the inner bounds of each splitting object, the map, and for
+    each sequence of splitting objects its stack
     (``MultisplittingSet.stacked``) and that many copies of f.
 
     Returns (x, IterationReport) where x is the stream with the smallest
@@ -177,28 +187,42 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     recent_changes = deque(maxlen=window)
 
     n = prob.n
-    groups = _processor_groups(ms, bounds)
+    split_ids = tuple(map(id, ms.splittings))
+    # each group, with the lowest member of each of its splitting objects
+    # when it has more than one
+    groups = []
+    for members in _processor_groups(ms, bounds):
+        lowest = tuple({split_ids[i]: i for i in reversed(members)}.values())
+        groups.append((members, lowest if len(lowest) > 1 else ()))
     # sequence of splitting ids -> (their stack, that many copies of prob.f)
     stacks = {}
+    # (id(splitting), id(start)) -> (start, y, solve count) for each pair
+    # solved; holding the start keeps its id from being reused while the
+    # entry lasts
+    solved = {}
 
     for k in range(cfg.max_outer):
         reads = _pick_reads(sched, k, m, reads_rng)
         starts = tuple(ring[s - k - 1][i] for i, s in enumerate(reads))
         updated = sched.policy.update_set(k, m, policy_rng)
+        keys = list(zip(split_ids, map(id, starts)))
         with np.errstate(over="ignore", invalid="ignore"):
-            ys, counts = [None] * m, [0] * m
-            for members in groups:
-                # members with the same splitting and start compute the
-                # same y: each folds onto the lowest such member
-                reps, slot, at = [], {}, []
-                for i in members:
-                    key = (id(ms.splittings[i]), id(starts[i]))
-                    if key not in slot:
-                        slot[key] = len(reps)
-                        reps.append(i)
-                    at.append(slot[key])
+            for members, lowest in groups:
+                # the lowest member of each pair that no earlier step, group
+                # or member solved (setdefault marks the pair taken)
+                reps = [i for i in members if keys[i] not in solved
+                        and solved.setdefault(keys[i]) is None]
+                if not reps:
+                    continue
+                # a splitting without a new pair re-solves its lowest
+                # member's pair, so that the group's stacks differ only in
+                # how many copies of each splitting they hold
+                if lowest and len(reps) < len(members):
+                    covered = {keys[i][0] for i in reps}
+                    reps += [i for i in lowest if keys[i][0] not in covered]
+                    reps.sort()
                 g = len(reps)
-                key = tuple(id(ms.splittings[i]) for i in reps)
+                key = tuple(map(split_ids.__getitem__, reps))
                 if key not in stacks:
                     stacks[key] = (ms.stacked(tuple(reps)), np.tile(prob.f, g))
                 split, f = stacks[key]
@@ -214,9 +238,10 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
                         f"subproblem solve failed at outer step {k}, "
                         f"processor {i}: {exc}") from exc
                 y.setflags(write=False)
-                for i, j in zip(members, at):
-                    ys[i] = y if g == 1 else y[j * n:(j + 1) * n]
-                    counts[i] = count
+                for j, i in enumerate(reps):
+                    solved[keys[i]] = (starts[i], y if g == 1
+                                       else y[j * n:(j + 1) * n], count)
+            _, ys, counts = zip(*map(solved.__getitem__, keys))
             acc = _accumulate(ys, ms.weighting)
             streams = list(ring[-1])
             # one blend per distinct array (ring[-1] keeps the keys alive)
@@ -237,10 +262,15 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
                 streams[l] = blended[id(prev)]
         recent_changes.append(step_delta)
         ring.append(tuple(streams))
+        # each stream slot of the ring gives at most one readable pair, so
+        # a map with more entries holds some that no later step can read
+        if len(solved) > len(ring) * m:
+            live = set(map(id, chain.from_iterable(ring)))
+            solved = {key: v for key, v in solved.items() if key[1] in live}
         report.outer_iterations = k + 1
         report.total_inner_iterations += sum(counts)
         if on_step is not None:
-            on_step(StepEvent(k, tuple(reads), starts, tuple(ys), tuple(counts),
+            on_step(StepEvent(k, tuple(reads), starts, ys, counts,
                               tuple(sorted(updated)), step_delta, ring[-1]))
         if len(recent_changes) == window and max(recent_changes) < cfg.outer_tol:
             report.converged = True

@@ -190,7 +190,8 @@ class ContractionOperator:
         self.structure = splitting.structure
         if self.structure != "general":
             if np.any(self.comp_m.diagonal() == 0.0):
-                raise ValueError("diagonal splitting factor has a zero entry")
+                raise ValueError(f"{self.structure} splitting factor has a "
+                                 f"zero diagonal entry")
             return
         try:
             self._lu = splu(self.comp_m.to_scipy().tocsc())

@@ -25,11 +25,13 @@ run together: ``_processor_groups`` collects them by count, and one inner
 loop solves the stacked system blockdiag(M_i), blockdiag(N_i) on the
 concatenated starts.  Each stacked row does the arithmetic of its member's
 row in the same order, so the slices are bit-identical to separate loops.
-Members with the same splitting object and the same start array would
-compute the same y, so the simulator stacks only one representative of
-each such set per step and gives the others its slice: the synchronous
-Jacobi solve, whose processors share one splitting and one start, runs one
-unstacked inner loop per step and hands every processor the same y.
+Processors with the same splitting object and the same start array compute
+the same y, so the simulator solves each (splitting, start) pair once while
+its start is readable: a step stacks only the pairs that no earlier step or
+processor solved, and every other processor takes the stored y, which may
+be a slice of an earlier step's stack.  The synchronous Jacobi solve, whose
+processors share one splitting and one start, runs one unstacked inner loop
+per step and hands every processor the same y.
 
 ``solve_sync`` runs this as the asynchronous simulator's zero-delay case.
 """
@@ -164,14 +166,15 @@ class StepEvent:
     """One outer step k, passed to a solver's ``on_step`` hook.
 
     Processor i read step ``reads[i]`` = s_i(k), getting ``starts[i]``, and
-    ran ``inner_counts[i]`` solves ending at ``ys[i]``: a slice of its
-    group's stacked iterate, or the solved array itself when the group has
-    one representative (so in the synchronous Jacobi solve every ``ys[i]``
-    is one array).  The streams in ``updated`` (J(k), ascending) took the
-    combination, moving by at most ``update_norm``; ``iterates`` holds every
-    stream after the step (the synchronous solver repeats its one iterate m
-    times).  No solver writes these vectors afterwards, so a hook may keep
-    them.
+    ran ``inner_counts[i]`` solves ending at ``ys[i]``: a slice of the
+    stacked iterate that solved its (splitting, start) pair, at this step or
+    at an earlier one that read the same start, or the solved array itself
+    when that stack held one pair (so in the synchronous Jacobi solve every
+    ``ys[i]`` is one array).  The streams in ``updated`` (J(k), ascending)
+    took the combination, moving by at most ``update_norm``; ``iterates``
+    holds every stream after the step (the synchronous solver repeats its
+    one iterate m times).  No solver writes these vectors afterwards, so a
+    hook may keep them.
     """
 
     k: int
@@ -282,11 +285,11 @@ def _accumulate(ys, weighting) -> np.ndarray:
     With an indicator weighting and one finite array y in every ``ys[i]``
     (the synchronous Jacobi solve) the sum is y + 0.0 bit for bit: each
     entry adds one 1.0 * y_j and zeros to 0.0, and the zeros only turn -0.0
-    into +0.0.  A non-finite y takes the loop, so 0.0 * inf = nan still
-    reaches the caller's update-norm check."""
+    into +0.0.  A y that fails ``all_finite`` takes the loop, so 0.0 * inf =
+    nan still reaches the caller's update-norm check."""
     first = ys[0]
     if weighting.is_indicator and all(y is first for y in ys) \
-            and np.isfinite(first).all():
+            and all_finite(first):
         return first + 0.0
     acc = np.zeros(weighting.n)
     for w, y in zip(weighting.weights, ys):

@@ -298,10 +298,10 @@ class TestValidator:
          "comparison matrix of M is not an M-matrix; contraction operator "
          "undefined"),
         ([[0.0, 0.0], [0.0, 4.0]],
-         "diagonal splitting factor has a zero entry"),
+         "diagonal splitting factor has a zero diagonal entry"),
         # checked when the operator is built, not at its first application
         ([[4.0, 0.0], [-1.0, 0.0]],
-         "diagonal splitting factor has a zero entry"),
+         "lower_triangular splitting factor has a zero diagonal entry"),
     ], ids=["non-m-matrix", "zero-diagonal", "lower-zero-diagonal"])
     def test_undefined_operator_reported_not_raised(self, dense_m, reason):
         a = SparseMatrix.from_dense([[4.0, -1.0], [-1.0, 4.0]])
@@ -492,7 +492,8 @@ class TestContractionOperator:
     def test_exact_diagonal_checked_at_construction(self):
         low = SparseMatrix.from_dense([[2.0, 0.0], [-1.0, 0.0]])
         assert factor_structure(low) == "lower_triangular"
-        with pytest.raises(ValueError, match="has a zero entry"):
+        with pytest.raises(ValueError, match="^lower_triangular splitting "
+                                             "factor has a zero diagonal"):
             self._inverse(low)
 
     def test_factorized_once_without_classify(self, monkeypatch,

@@ -203,7 +203,9 @@ class TestSchedules:
     def test_gap_computed_only_where_it_can_stop_the_loop(
             self, monkeypatch, grid_problem, grid_multisplitting):
         # no gap is below theta: solves 1 and 2 cannot stop on the gap and
-        # solve 5 stops on the count, so only solves 3 and 4 compute it
+        # solve 5 stops on the count, so only solves 3 and 4 compute it; the
+        # two processors (groups of one, lo < hi) share one splitting and one
+        # start, so only the first runs the loop
         import mslcp.sync
         prob = grid_problem(4)
         ms = grid_multisplitting(4, 2, "jacobi")
@@ -223,7 +225,7 @@ class TestSchedules:
                                                    max_outer=6),
                             on_step=lambda e: counts.append(e.inner_counts))
         assert counts == [(5, 5)] * rep.outer_iterations
-        assert gaps == [prob.n] * (2 * ms.m * rep.outer_iterations)
+        assert gaps == [prob.n] * (2 * rep.outer_iterations)
 
 
 # every integer setting outside InnerSchedule, built from one value
@@ -712,8 +714,9 @@ class TestStackedGroups:
             return prob, low(Partition.contiguous(n, 4)), sched, sync, 0.9
         if name == "async-jacobi":
             return prob, jac(4), fixed, rr, 0.9
-        if name == "async-random-stalest":
-            fair = AsyncSchedule(staleness_bound=3, policy=RandomFair(seed=4))
+        if name.startswith("async-random-"):
+            fair = AsyncSchedule(staleness_bound=3, policy=RandomFair(seed=4),
+                                 reads=name.rsplit("-", 1)[1])
             return prob, jac(4), fixed, fair, 0.9
         if name == "lower-m4":
             return prob, low(Partition.contiguous(n, 4)), fixed, sync, 1.0
@@ -739,6 +742,8 @@ class TestStackedGroups:
         "async-jacobi": [(0, 1, 2, 3)],
         "async-lower": [(0, 1, 2, 3)],
         "async-random-stalest": [(0, 1, 2, 3)],
+        "async-random-uniform": [(0, 1, 2, 3)],
+        "async-random-latest": [(0, 1, 2, 3)],
         "mixed-splitting": [(0, 1, 2, 3)],
     }
 
@@ -790,37 +795,42 @@ class TestStackedGroups:
         real = MultisplittingSet.stacked
 
         def counting(ms, members):
-            built.append(tuple(id(ms.splittings[i]) for i in members))
+            built.append(tuple(members))
             return real(ms, members)
 
         monkeypatch.setattr(MultisplittingSet, "stacked", counting)
         fair = AsyncSchedule(staleness_bound=3, policy=RandomFair(seed=4))
+        cfg = SolverConfig(omega=0.9, schedule=InnerSchedule.fixed(3),
+                           max_outer=60)
         sizes = []
         for ms in (jac, low):
             built.clear()
-            _, rep = solve_async_sim(prob, ms, fixed_cfg(3, max_outer=60),
-                                     fair)
+            _, rep = solve_async_sim(prob, ms, cfg, fair)
             assert rep.outer_iterations > 10
-            assert built and len(built) == len(set(built))
-            sizes.append({len(key) for key in built})
-        # the Jacobi streams coincide at some steps and differ at others;
-        # block-lower members never fold, so one stack of all four serves
-        assert len(sizes[0]) > 1 and sizes[1] == {4}
+            keys = [tuple(id(ms.splittings[i]) for i in members)
+                    for members in built]
+            assert keys and len(keys) == len(set(keys))
+            sizes.append({len(members) for members in built})
+        # a step stacks the Jacobi pairs that no earlier step solved, one to
+        # four of them; a block-lower splitting without a new pair re-solves
+        # one, so one stack of all four serves every step
+        assert sizes[0] == {1, 2, 3, 4} and sizes[1] == {4}
 
-    # rows of the one inner loop at every step, when fixed in advance
+    # distinct (splitting, start) pairs at every step of a synchronous
+    # solve; None for the asynchronous ones, where it varies
     ROWS = {"jacobi-m4": 1, "lower-m4": 4, "mixed-splitting": 2,
-            "async-random-stalest": None}
+            "async-random-stalest": None, "async-random-uniform": None,
+            "async-random-latest": None}
 
     @pytest.mark.parametrize("name", list(ROWS))
     def test_one_solve_per_distinct_splitting_and_start(self, grid_problem,
                                                         monkeypatch, name):
-        # each step runs one inner loop over the stack of its distinct
-        # (splitting, start) pairs, and that loop runs the q = 3 solves
+        # over a whole solve each (splitting, start) pair reaches the inner
+        # loop once: a step runs one inner loop, of q = 3 solves, on the
+        # stack of the pairs that no earlier step solved, or none at all
         import mslcp.asynchronous
-        prob, ms, schedule, sched, omega = self._case(grid_problem, name)
-        cfg = SolverConfig(omega=omega, schedule=schedule, outer_tol=1e-8,
-                           max_outer=60)
-        loops, steps = [], []
+        prob, ms, schedule, sched, _ = self._case(grid_problem, name)
+        loops = []
         run = mslcp.asynchronous._run_processor_inner
 
         def counting(prob, splitting, f, y0, bounds, theta):
@@ -828,23 +838,59 @@ class TestStackedGroups:
             loops.append((len(y0), count))
             return y, count
 
-        def step(e):
-            pairs = {(id(ms.splittings[i]), id(e.starts[i]))
-                     for i in range(ms.m)}
-            steps.append((len(pairs), loops[:]))
-            loops.clear()
-
         monkeypatch.setattr(mslcp.asynchronous, "_run_processor_inner",
                             counting)
-        _, rep = solve_async_sim(prob, ms, cfg, sched, on_step=step)
-        assert len(steps) == rep.outer_iterations > 10
-        for distinct, runs in steps:
-            assert runs == [(prob.n * distinct, 3)]
-        if self.ROWS[name] is not None:
-            assert {d for d, _ in steps} == {self.ROWS[name]}
-        else:
-            # the streams coincide at some steps and differ at others
-            assert {d for d, _ in steps} > {1}
+        for omega in (1.0, 0.9):
+            # the events keep every start alive, so no id is reused
+            events, seen, steps = [], set(), []
+
+            def step(e):
+                events.append(e)
+                pairs = {(id(ms.splittings[i]), id(y0))
+                         for i, y0 in enumerate(e.starts)}
+                steps.append((len(pairs), len(pairs - seen), loops[:]))
+                seen.update(pairs)
+                loops.clear()
+
+            cfg = SolverConfig(omega=omega, schedule=schedule, outer_tol=1e-8,
+                               max_outer=60)
+            _, rep = solve_async_sim(prob, ms, cfg, sched, on_step=step)
+            assert len(steps) == rep.outer_iterations > 10
+            for _, new, runs in steps:
+                assert runs == ([(prob.n * new, 3)] if new else [])
+            assert sum(new for _, new, _ in steps) == len(seen)
+            if self.ROWS[name] is not None:
+                # no start is read twice, so every pair is new
+                assert {(d, new) for d, new, _ in steps} == {
+                    (self.ROWS[name], self.ROWS[name])}
+            else:
+                # streams coincide at some steps and differ at others, and
+                # some steps reuse pairs that an earlier step solved
+                assert max(d for d, _, _ in steps) > 1
+                assert len(seen) < sum(d for d, _, _ in steps)
+
+    def test_a_solve_is_forgotten_once_its_start_leaves_the_ring(
+            self, grid_problem):
+        # a start stays alive while the ring (d + 1 tuples of m streams) or
+        # the step holds it, or while the map does, which is swept once it
+        # holds more than m (d + 1) entries; a map that kept every solve
+        # would keep every start it was solved from
+        import weakref
+        prob, ms, schedule, sched, omega = self._case(grid_problem,
+                                                      "async-random-uniform")
+        cfg = SolverConfig(omega=omega, schedule=schedule, outer_tol=1e-8,
+                           max_outer=80)
+        refs, alive = [], []
+
+        def step(e):
+            refs.extend(weakref.ref(x) for x in {id(x): x
+                                                 for x in e.starts}.values())
+            alive.append(len({id(r()) for r in refs if r() is not None}))
+
+        solve_async_sim(prob, ms, cfg, sched, on_step=step)
+        slots = (sched.staleness_bound + 1) * ms.m
+        assert len(refs) > 4 * slots
+        assert max(alive) <= 2 * slots + 2 * ms.m
 
     @pytest.mark.parametrize("bad, inner", [(2, 1), (1, 2)])
     def test_divergence_names_the_lowest_nonfinite_member(self, grid_problem,
@@ -875,6 +921,51 @@ class TestStackedGroups:
         assert str(got.value) == str(want.value)
         assert (f"outer step 0, processor {bad}: iteration diverged in inner "
                 f"solve {inner}: ") in str(got.value)
+
+    @pytest.mark.parametrize("bad", [1, 3])
+    def test_divergence_after_a_step_of_reused_solves(self, grid_problem,
+                                                      monkeypatch, bad):
+        # reads of step 0 (stalest, d = 3) make steps 1 to 3 reuse every
+        # solve of step 0; processor ``bad`` has N scaled by 1e100, so its
+        # iterate grows by about 1e100 a solve: two solves reach 1e200 at
+        # step 0, and at step 4, which reads that stream, its second solve's
+        # F = f + N y overflows
+        import mslcp.asynchronous
+        prob = grid_problem(4)
+        base = build_block_splitting(prob.A, Partition.contiguous(16, 4),
+                                     "jacobi")
+        split = base.splittings[0]
+        odd = Splitting(split.M, split.N.same_pattern(split.N.values * 1e100))
+        ms = MultisplittingSet(tuple(odd if i == bad else split
+                                     for i in range(4)),
+                               base.weighting, matrix_class=base.matrix_class)
+        cfg, x0 = fixed_cfg(2), np.ones(16)
+        sched = AsyncSchedule(staleness_bound=3)
+        loops, run = [], mslcp.asynchronous._run_processor_inner
+
+        def counting(*args):
+            loops.append(None)
+            return run(*args)
+
+        monkeypatch.setattr(mslcp.asynchronous, "_run_processor_inner",
+                            counting)
+        per_step = []
+
+        def step(e):
+            per_step.append(len(loops))
+            loops.clear()
+
+        with np.errstate(over="ignore"):
+            with pytest.raises(ConvergenceError) as got:
+                solve_async_sim(prob, ms, cfg, sched, x0=x0, on_step=step)
+            with pytest.raises(ConvergenceError) as want:
+                _reference_run(prob, ms, cfg, sched, x0=x0)
+        assert per_step == [1, 0, 0, 0]
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(
+            f"subproblem solve failed at outer step 4, processor {bad}: "
+            f"iteration diverged in inner solve 2: forcing vector contains "
+            f"non-finite entries")
 
 
 class TestClampDivergence:
