@@ -51,11 +51,19 @@ class Partition:
             raise ValueError("owner_sets length must equal m")
         sets = []
         seen = np.zeros(self.n, dtype=bool)
-        for s in self.owner_sets:
-            idx = np.unique(np.asarray(s, dtype=np.int64))
-            if len(idx) == 0:
+        for b, s in enumerate(self.owner_sets):
+            block = np.asarray(s)
+            if block.ndim != 1:
+                raise ValueError(f"partition block {b} must be 1-D, got "
+                                 f"{block.ndim} dimensions")
+            if len(block) == 0:
                 raise ValueError("partition blocks must be nonempty")
-            if len(idx) != len(np.asarray(s)):
+            # a float or boolean index would be truncated or read as 0/1
+            if not np.issubdtype(block.dtype, np.integer):
+                raise ValueError(f"partition block {b} must hold integers, "
+                                 f"got dtype {block.dtype}")
+            idx = np.unique(block.astype(np.int64))
+            if len(idx) != len(block):
                 raise ValueError("partition block contains repeated indices")
             if idx[0] < 0 or idx[-1] >= self.n:
                 raise ValueError("partition index out of range")

@@ -243,6 +243,40 @@ class TestThreaded:
             assert rep.converged
             assert np.max(np.abs(x_thr - x_sync)) < 1e-5
 
+    def test_interleaved_blocks_agree_with_sync(self, grid_problem):
+        # even and odd indices: no owner set is one range of indices
+        prob = grid_problem(4)
+        part = Partition(16, 2, (np.arange(0, 16, 2), np.arange(1, 16, 2)))
+        ms = build_block_splitting(prob.A, part, "jacobi")
+        cfg = cfg_fixed(4)
+        x_sync, _ = solve_sync(prob, ms, cfg)
+        for _ in range(3):
+            x_thr, rep = solve_async_threaded(prob, ms, cfg, workers=2)
+            assert rep.converged
+            assert np.max(np.abs(x_thr - x_sync)) < 1e-5
+
+    def test_underrelaxed_agrees_with_sync(self, grid_problem,
+                                           grid_multisplitting):
+        # at omega < 1 each publication blends a new block with the old one
+        prob = grid_problem(4)
+        ms = grid_multisplitting(4, 2, "jacobi")
+        cfg = SolverConfig(omega=0.8, schedule=InnerSchedule.fixed(4),
+                           outer_tol=1e-6)
+        x_sync, _ = solve_sync(prob, ms, cfg)
+        for _ in range(3):
+            x_thr, rep = solve_async_threaded(prob, ms, cfg, workers=2)
+            assert rep.converged
+            assert np.max(np.abs(x_thr - x_sync)) < 1e-5
+
+    def test_fixed_count_inner_total(self, grid_problem, grid_multisplitting):
+        # every publication ran exactly q inner solves
+        prob = grid_problem(4)
+        ms = grid_multisplitting(4, 2, "jacobi")
+        for _ in range(3):
+            _, rep = solve_async_threaded(prob, ms, cfg_fixed(3), workers=2)
+            assert rep.converged
+            assert rep.total_inner_iterations == 3 * rep.outer_iterations
+
     def test_nonpositive_forcing_any_interleaving(self, grid_problem,
                                                   grid_multisplitting):
         a = grid_problem(3).A

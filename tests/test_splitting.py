@@ -54,6 +54,28 @@ class TestPartition:
         with pytest.raises(ValueError, match="nonempty"):
             Partition(4, 2, (np.arange(4), np.array([], dtype=np.int64)))
 
+    def test_empty_list_block_is_reported_empty(self):
+        # np.asarray([]) is a float array; emptiness is reported first
+        with pytest.raises(ValueError, match="nonempty"):
+            Partition(4, 2, (np.arange(4), []))
+
+    def test_rejects_float_block(self):
+        # 1.9 was truncated to 1, so the first block read {0, 1}
+        with pytest.raises(ValueError,
+                           match="block 0 must hold integers, got dtype float64"):
+            Partition(4, 2, ([0, 1.9], [2, 3]))
+
+    def test_rejects_boolean_block(self):
+        # booleans were read as the indices 0 and 1
+        with pytest.raises(ValueError,
+                           match="block 1 must hold integers, got dtype bool"):
+            Partition(4, 2, ([2, 3], [False, True]))
+
+    def test_rejects_two_dimensional_block(self):
+        # reported as "repeated indices" before
+        with pytest.raises(ValueError, match="block 0 must be 1-D, got 2"):
+            Partition(4, 1, (np.arange(4).reshape(2, 2),))
+
 
 class TestWeightingScheme:
     def test_indicator_sums_to_identity(self):
