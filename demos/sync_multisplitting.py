@@ -32,7 +32,7 @@ for variant in ("jacobi", "block_lower_triangular"):
 ms = build_block_splitting(prob.A, part, "jacobi")
 gamma = ms.matrix_class.jacobi_radius_estimate
 eta = compute_eta(gamma, ms.weighting)
-s_min = min_inner_count(ms.splittings[0], eta, max_s=10000)
+s_min = min_inner_count(ms.splittings[0], eta)
 print(f"gamma={gamma:.4f}, eta=gamma/sum||E_i||={eta:.4f}, "
       f"inner count reaching eta: {s_min}")
 

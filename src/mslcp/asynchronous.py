@@ -70,31 +70,28 @@ class RoundRobin:
 @dataclass(frozen=True)
 class RandomFair:
     """Random nonempty component subsets, with a forced full update every
-    ``full_round_every`` steps so no component starves."""
+    ``FULL_ROUND_EVERY`` steps so no component starves."""
 
     seed: int = 0
-    full_round_every: int = 8
+    FULL_ROUND_EVERY = 8
     # the subset is a bit mask drawn from [1, 1 << m), whose exclusive
     # bound numpy's int64 draw accepts up to 1 << 63
     MAX_M = 63
 
     def __post_init__(self):
-        for name in ("seed", "full_round_every"):
-            object.__setattr__(self, name, as_count(name, getattr(self, name)))
+        object.__setattr__(self, "seed", as_count("seed", self.seed))
         if self.seed < 0:
             raise ValueError("random policy seed must be nonnegative")
-        if self.full_round_every < 1:
-            raise ValueError("full_round_every must be at least 1")
 
     def fairness_window(self, m: int) -> int:
         # the simulator asks for the window before step 0
         if m > self.MAX_M:
             raise ValueError(f"the random policy supports at most "
                              f"{self.MAX_M} processors, got {m}")
-        return self.full_round_every
+        return self.FULL_ROUND_EVERY
 
     def update_set(self, k: int, m: int, rng) -> list:
-        if k % self.full_round_every == 0:
+        if k % self.FULL_ROUND_EVERY == 0:
             return list(range(m))
         mask = int(rng.integers(1, 1 << m))
         return [l for l in range(m) if (mask >> l) & 1]
@@ -170,7 +167,7 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     read-only solved array itself, which ran from that start with no stacked
     copy.  So in the synchronous Jacobi solve (one shared splitting, one
     start) every processor's ``ys`` is the same array.  The solve keeps its
-    own state: the inner bounds of each splitting object, the map, and for
+    own state: the inner count of each splitting object, the map, and for
     each sequence of splitting objects its stack
     (``MultisplittingSet.stacked``) and that many copies of f.
 
@@ -178,7 +175,7 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     natural residual (ties to the lowest index).
     """
     start = time.perf_counter()
-    report, x_init, bounds = _prologue(prob, ms, cfg, x0)
+    report, x_init, counts = _prologue(prob, ms, cfg, x0)
     m = ms.m
     # ring[-1] holds the streams after step k; a read of step s is ring[s - k - 1]
     ring = deque([(x_init,) * m], maxlen=sched.staleness_bound + 1)
@@ -192,7 +189,7 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     # each group, with the lowest member of each of its splitting objects
     # when it has more than one
     groups = []
-    for members in _processor_groups(ms, bounds):
+    for members in _processor_groups(ms, counts, cfg.schedule.theta):
         lowest = tuple({split_ids[i]: i for i in reversed(members)}.values())
         groups.append((members, lowest if len(lowest) > 1 else ()))
     # sequence of splitting ids -> (their stack, that many copies of prob.f)
@@ -231,7 +228,7 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
                     else np.concatenate([starts[i] for i in reps])
                 try:
                     y, count = _run_processor_inner(prob, split, f, y0,
-                                                    bounds[members[0]],
+                                                    counts[members[0]],
                                                     cfg.schedule.theta)
                 except ConvergenceError as exc:
                     i = reps[getattr(exc, "member", 0)]
@@ -242,7 +239,7 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
                 for j, i in enumerate(reps):
                     solved[keys[i]] = (starts[i], y if g == 1
                                        else y[j * n:(j + 1) * n], count)
-            _, ys, counts = zip(*map(solved.__getitem__, keys))
+            _, ys, inner_counts = zip(*map(solved.__getitem__, keys))
             acc = _accumulate(ys, ms.weighting)
             streams = list(ring[-1])
             # one blend per distinct array (ring[-1] keeps the keys alive)
@@ -269,9 +266,9 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
             live = set(map(id, chain.from_iterable(ring)))
             solved = {key: v for key, v in solved.items() if key[1] in live}
         report.outer_iterations = k + 1
-        report.total_inner_iterations += sum(counts)
+        report.total_inner_iterations += sum(inner_counts)
         if on_step is not None:
-            on_step(StepEvent(k, tuple(reads), starts, ys, counts,
+            on_step(StepEvent(k, tuple(reads), starts, ys, inner_counts,
                               tuple(sorted(updated)), step_delta, ring[-1]))
         if len(recent_changes) == window and max(recent_changes) < cfg.outer_tol:
             report.converged = True
@@ -313,7 +310,7 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
         raise ValueError("threaded execution requires an indicator weighting "
                          "(each worker must own a block to publish)")
     start = time.perf_counter()
-    report, x_init, bounds = _prologue(prob, ms, cfg, x0)
+    report, x_init, counts = _prologue(prob, ms, cfg, x0)
     m = ms.m
     # a block of consecutive indices is addressed by a slice, which numpy
     # reads and writes as a view instead of gathering and scattering
@@ -341,7 +338,7 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
         try:
             while not stop.is_set():
                 y, count = _run_processor_inner(prob, split, prob.f,
-                                                published, bounds[i],
+                                                published, counts[i],
                                                 cfg.schedule.theta)
                 new_block = _blend(y[own], cfg.omega, block)
                 change = float(np.maximum.reduce(np.abs(new_block - block)))

@@ -22,6 +22,8 @@ from .sparse import SparseMatrix, spmv
 
 # classify's cap on its estimate's operator applications and witness steps
 MAX_POWER_ITERS = 20000
+# classify's half-width of the indeterminate band around a radius of one
+CLASSIFY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -200,7 +202,7 @@ class MatrixClass:
     ``witness_u`` is a strictly positive vector with J u < u componentwise
     (J the Jacobi matrix of the comparison matrix), present exactly when the
     H-matrix test succeeded.  ``indeterminate`` is set when the radius
-    estimate fell within ``tol`` of one and no call could be made.
+    estimate fell within ``CLASSIFY_TOL`` of one and no call could be made.
     ``radius_converged`` is False when ``jacobi_radius_estimate`` is an
     upper bound on rho(J) rather than a converged estimate of it.
     """
@@ -225,50 +227,48 @@ def _jacobi_parts(a: SparseMatrix):
     return diag, a.same_pattern(np.where(off, np.abs(a.values), 0.0))
 
 
-def classify(a: SparseMatrix, tol: float = 1e-6) -> MatrixClass:
+def classify(a: SparseMatrix) -> MatrixClass:
     """Classify a square matrix as Z-patterned / M / H / H+.
 
-    The H test estimates rho(J) with ``spectral_radius_nonneg``.  It rejects
-    only when the estimate's Collatz-Wielandt lower bound reaches
-    ``1 + tol``, which proves rho(J) > 1.  A converged estimate within
-    ``tol`` of one is reported indeterminate.  Any other outcome, an
-    unconverged estimate (an upper bound on rho(J)) included, goes to the
-    witness: u > 0 satisfying J u < u, which proves rho(J) < 1 on its own.
-    It is built by u <- D^-1 e + theta J u with theta = 1 + tol, testing
-    J u < u on each iterate.  The iteration converges exactly when
-    theta rho(J) < 1, that is for rho(J) < 1 / (1 + tol), the range below
-    the indeterminate band, and its fixed point has
-    J u = (u - D^-1 e) / theta < u / theta: a relative margin of about
-    ``tol`` that rounding cannot erase, even where u is huge (for I - 1.5 S,
-    S the 100 x 100 down-shift, u grows to about 1.5^99).  For an
-    unconverged estimate the reported radius is then the witness's bound
-    max_i (J u)_i / u_i < 1 when that is smaller.  Failure to either
-    certify or reject within the budget raises.  ``tol`` must lie in
-    (0, 1), so that theta > 1.  ``MAX_POWER_ITERS`` caps both the operator
-    applications of the estimate and the witness iterations.
+    The H test estimates rho(J) with ``spectral_radius_nonneg`` at ARPACK
+    tolerance 1e-8.  With tol = ``CLASSIFY_TOL`` (1e-6), it rejects only
+    when the estimate's Collatz-Wielandt lower bound reaches ``1 + tol``,
+    which proves rho(J) > 1.  A converged estimate within ``tol`` of one is
+    reported indeterminate.  Any other outcome, an unconverged estimate (an
+    upper bound on rho(J)) included, goes to the witness: u > 0 satisfying
+    J u < u, which proves rho(J) < 1 on its own.  It is built by
+    u <- D^-1 e + theta J u with theta = 1 + tol, testing J u < u on each
+    iterate.  The iteration converges exactly when theta rho(J) < 1, that
+    is for rho(J) < 1 / (1 + tol), the range below the indeterminate band,
+    and its fixed point has J u = (u - D^-1 e) / theta < u / theta: a
+    relative margin of about ``tol`` that rounding cannot erase, even where
+    u is huge (for I - 1.5 S, S the 100 x 100 down-shift, u grows to about
+    1.5^99).  For an unconverged estimate the reported radius is then the
+    witness's bound max_i (J u)_i / u_i < 1 when that is smaller.  Failure
+    to either certify or reject within the budget raises.
+    ``MAX_POWER_ITERS`` caps both the operator applications of the estimate
+    and the witness iterations.
     """
     if not a.is_square:
         raise ValueError("classification requires a square matrix")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol {tol} must lie strictly between 0 and 1")
     diag, b = _jacobi_parts(a)
     n = a.n_rows
     est = spectral_radius_nonneg(lambda v: spmv(b, v) / diag, n,
-                                 tol=min(tol, 1e-8), max_iters=MAX_POWER_ITERS)
+                                 tol=1e-8, max_iters=MAX_POWER_ITERS)
     rho = est.value
 
     witness = None
     is_h = False
     indeterminate = False
-    if est.lower >= 1.0 + tol:
+    if est.lower >= 1.0 + CLASSIFY_TOL:
         pass  # firmly rejected: rho(J) >= est.lower
-    elif est.converged and rho > 1.0 - tol:
+    elif est.converged and rho > 1.0 - CLASSIFY_TOL:
         indeterminate = True  # estimate too close to one to call either way
     else:
         # estimate below the band, or unconverged (then only an upper bound):
         # the call rests on the witness, which is sound on its own
         c = 1.0 / diag
-        theta = 1.0 + tol
+        theta = 1.0 + CLASSIFY_TOL
         u = c
         for _ in range(MAX_POWER_ITERS):
             ju = spmv(b, u) / diag

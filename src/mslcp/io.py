@@ -33,9 +33,19 @@ def write_vector(path, v) -> None:
             fh.write(repr(float(entry)) + "\n")
 
 
+def _parse(path, lineno: int, token: str, kind):
+    """``kind(token)``, int or float; a bad token names the file and line."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise ValueError(f"{path}, line {lineno}: {token!r} is not " + (
+            "an integer" if kind is int else "a number")) from None
+
+
 def read_vector(path) -> np.ndarray:
     with open(path) as fh:
-        entries = [float(line) for line in fh if line.strip()]
+        entries = [_parse(path, lineno, line.strip(), float)
+                   for lineno, line in enumerate(fh, 1) if line.strip()]
     return as_vector(entries, name="vector file")
 
 
@@ -48,11 +58,12 @@ def write_partition(path, partition: Partition) -> None:
 def read_partition(path, n: int) -> Partition:
     blocks = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            blocks.append([int(tok) for tok in line.split()])
+            blocks.append([_parse(path, lineno, tok, int)
+                           for tok in line.split()])
     if not blocks:
         raise ValueError(f"partition file {path} contains no blocks")
     return Partition(n, len(blocks), tuple(np.asarray(b, dtype=np.int64)

@@ -31,6 +31,10 @@ from .sparse import SparseMatrix, abs_matrix, as_count, as_vector, \
 from .sublcp import factor_structure
 
 VARIANTS = ("jacobi", "block_lower_triangular")
+# cap on min_inner_count's search and on an inner_tolerance loop's solves
+MAX_INNER_COUNT = 100000
+# validate_multisplitting's slack, relative to A's largest entry
+VALIDATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -281,14 +285,14 @@ def build_block_splitting(a: SparseMatrix, partition: Partition,
     Factors are produced by masking A's entry array, so M_i - N_i = A holds
     bit-exactly.  The weighting is the indicator scheme of the partition.
     Each block-lower splitting's ``contraction_estimate`` is evaluated here,
-    the Jacobi one on first use.  ``matrix_class`` is computed with
-    ``classify``'s defaults when omitted; a caller that needs another budget
-    classifies first and passes the result.
+    the Jacobi one on first use.  ``matrix_class``, A's ``classify``, is
+    computed when omitted.
 
     Raises
     ------
     ValueError
-        If A fails the H+ classification or the partition does not match.
+        If A fails the H+ classification, or the partition or
+        ``matrix_class`` has another size.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown splitting variant {variant!r}")
@@ -298,6 +302,9 @@ def build_block_splitting(a: SparseMatrix, partition: Partition,
     if not cls.is_h_plus:
         raise ValueError("matrix is not classified H+ (positive diagonal H-matrix); "
                          "refusing to build a multisplitting")
+    if len(cls.witness_u) != a.n_rows:
+        raise ValueError(f"matrix_class is of a matrix of size "
+                         f"{len(cls.witness_u)}, not of this one ({a.n_rows})")
 
     rows = a.entry_rows()
     cols = a.col_indices
@@ -344,19 +351,23 @@ class MultisplittingValidation:
         return len(self.violations) == 0
 
 
-def validate_multisplitting(a: SparseMatrix, ms: MultisplittingSet,
-                            tol: float = 1e-12) -> MultisplittingValidation:
+def validate_multisplitting(a: SparseMatrix, ms: MultisplittingSet
+                            ) -> MultisplittingValidation:
     """Check the multisplitting hypotheses against A.
 
-    Per splitting: (a) M_i - N_i reconstructs A within ``tol`` relative to
-    A's largest entry, (b) <A> <= <M_i> - |N_i| entrywise with slack ``tol``,
+    Per splitting: (a) M_i - N_i reconstructs A within ``VALIDATION_TOL``
+    (1e-12) relative to A's largest entry, (b) <A> <= <M_i> - |N_i|
+    entrywise with the same slack,
     (c) the splitting's cached ``contraction_estimate`` is converged, so a
     Ritz value has passed the Collatz-Wielandt check of
     ``spectral_radius_nonneg``, and is below one; an undefined operator is
     reported with its reason and estimate inf.  Each distinct splitting
     object is checked once; processors that share it get the same entries.
-    Violations are reported, never raised.
+    Violations are reported, never raised; a set of another size is refused.
     """
+    if ms.n != a.n_rows:
+        raise ValueError(f"multisplitting size {ms.n} does not match the "
+                         f"matrix size {a.n_rows}")
     comp_a = comparison_matrix(a).to_scipy()
     a_sp = a.to_scipy()
     scale = float(np.max(np.abs(a.values))) if a.nnz else 1.0
@@ -384,9 +395,9 @@ def validate_multisplitting(a: SparseMatrix, ms: MultisplittingSet,
                                            for s in ms.splittings))
     violations = []
     for i, (err, margin, reason) in enumerate(zip(errors, margins, reasons)):
-        if err > tol * scale:
+        if err > VALIDATION_TOL * scale:
             violations.append((i, "sum", f"max |M - N - A| = {err:.3g}"))
-        if margin < -tol * scale:
+        if margin < -VALIDATION_TOL * scale:
             violations.append(
                 (i, "domination",
                  f"<M> - |N| falls below <A> by {-margin:.3g}"))
@@ -395,24 +406,24 @@ def validate_multisplitting(a: SparseMatrix, ms: MultisplittingSet,
     return MultisplittingValidation(ests, errors, margins, tuple(violations))
 
 
-def min_inner_count(splitting: Splitting, eta: float, max_s: int = 10000) -> int:
+def min_inner_count(splitting: Splitting, eta: float) -> int:
     """Smallest s with ||T^s||_inf <= eta for T = <M>^-1 |N|.
 
-    T is nonnegative, so ||T^s||_inf = ||T^s e||_inf; the powers are obtained
-    by repeated application of the splitting's cached contraction operator
-    without forming T.
+    T is nonnegative, so ||T^s||_inf = ||T^s e||_inf; the powers come from
+    the splitting's cached contraction operator without forming T.
+    ``ConvergenceError`` when no s up to ``MAX_INNER_COUNT`` reaches eta.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie strictly between 0 and 1")
     op = splitting.contraction_operator
     v = np.ones(splitting.n)
-    for s in range(1, max_s + 1):
+    for s in range(1, MAX_INNER_COUNT + 1):
         v = op(v)
         if float(np.max(v)) <= eta:
             return s
     raise ConvergenceError(
-        f"||T^s||_inf stayed above {eta:.3g} for all s <= {max_s}; "
-        "contraction too weak for the requested eta")
+        f"||T^s||_inf stayed above {eta:.3g} for all s <= "
+        f"{MAX_INNER_COUNT}; contraction too weak for the requested eta")
 
 
 def compute_eta(gamma: float, weighting: WeightingScheme) -> float:

@@ -9,29 +9,22 @@ with its newest local iterate each time), and the weighted combination
 closes the step.  Indicator weights need no separate path: 0.0 * y_i and
 1.0 * y_i are exact, so the sum takes each block exactly from its owner.
 
-Every schedule resolves, once per solve and splitting object, to a pair
-of counts (lo, hi): the inner loop stops after hi solves, or earlier once it
-has run lo or more and the local complementarity gap is below
-``schedule.theta``.  ``fixed`` and ``adaptive`` give lo == hi.
-
-Every solve refreshes the forcing vector F = f + N y with the raw CSR
-kernel; the inner loop clamps a ``diagonal`` factor's subproblem itself and
-calls ``solve_sub_lcp`` for every other factor.
+Every schedule resolves to one inner count per solve and splitting object
+(``schedule_inner_count``).  Every solve refreshes the forcing vector
+F = f + N y with the raw CSR kernel; the inner loop clamps a ``diagonal``
+factor's subproblem itself and calls ``solve_sub_lcp`` for every other
+factor.
 
 Processors whose subproblem is an exact row-local solve (one projected
 forward sweep, of which the clamp is the one-level case; see
-``sublcp.factor_structure``) and whose count is fixed in advance (lo == hi)
-run together: ``_processor_groups`` collects them by count, and one inner
-loop solves the stacked system blockdiag(M_i), blockdiag(N_i) on the
-concatenated starts.  Each stacked row does the arithmetic of its member's
-row in the same order, so the slices are bit-identical to separate loops.
-Processors with the same splitting object and the same start array compute
-the same y, so the simulator solves each (splitting, start) pair once while
-its start is readable: a step stacks only the pairs that no earlier step or
-processor solved, and every other processor takes the stored y, which may
-be a slice of an earlier step's stack.  The synchronous Jacobi solve, whose
-processors share one splitting and one start, runs one unstacked inner loop
-per step and hands every processor the same y.
+``sublcp.factor_structure``) and whose count is fixed in advance (every
+schedule but ``inner_tolerance``) run together: ``_processor_groups``
+collects them by count, and one inner loop solves the stacked system
+blockdiag(M_i), blockdiag(N_i) on the concatenated starts.  Each stacked row
+does the arithmetic of its member's row in the same order, so the slices
+are bit-identical to separate loops.  The simulator also solves each
+(splitting, start) pair once while its start is readable
+(``asynchronous.solve_async_sim``).
 
 ``solve_sync`` runs this as the asynchronous simulator's zero-delay case.
 """
@@ -44,7 +37,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NonFiniteError
 from .hmatrix import classify
-from .splitting import MultisplittingSet, min_inner_count
+from .splitting import MAX_INNER_COUNT, MultisplittingSet, min_inner_count
 # natural_residual stays bound here because perfbench's tracer patches it
 from .sublcp import (LcpProblem, natural_residual, positive_diagonal,
                      solve_sub_lcp)
@@ -59,37 +52,29 @@ class InnerSchedule:
     """How many subproblem solves each processor performs per outer step.
 
     * ``fixed``: exactly ``q`` solves.
-    * ``adaptive``: the smallest count s with ||(<M_i>^-1 |N_i|)^s||_inf <= eta,
-      floored at ``min_count``; computed once per splitting object and solve.
+    * ``adaptive``: the smallest s with ||(<M_i>^-1 |N_i|)^s||_inf <= eta
+      (``splitting.min_inner_count``), once per splitting object and solve.
     * ``inner_tolerance``: keep solving until the local iterate's
       complementarity gap |y . (A y - f)| falls below ``theta`` (the gap is
       the subproblem measure with the forcing vector refreshed from y
-      itself), or ``max_count`` is hit.  At least ``min_count`` solves run.
+      itself), or ``splitting.MAX_INNER_COUNT`` solves have run.
 
-    ``schedule_inner_count`` turns each kind into the bounds (lo, hi) that
-    the one inner loop reads.
-
-    The counts ``q``, ``min_count`` and ``max_count`` take any integer
-    (``numpy.int64`` included) and are stored as ``int``; a ``bool`` or
-    ``float`` is rejected.
+    ``schedule_inner_count`` turns each kind into the count that the one
+    inner loop reads.  ``q`` takes any integer (``numpy.int64`` included)
+    and is stored as ``int``; a ``bool`` or ``float`` is rejected.  Only
+    ``inner_tolerance`` takes a ``theta``.
     """
 
     kind: str
     q: int | None = None
     eta: float | None = None
     theta: float | None = None
-    min_count: int = 1
-    max_count: int = 100000
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        for name in ("q", "min_count", "max_count"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, as_count(name, value))
-        if self.min_count < 1 or self.max_count < self.min_count:
-            raise ValueError("need 1 <= min_count <= max_count")
+        if self.q is not None:
+            object.__setattr__(self, "q", as_count("q", self.q))
         if self.kind == "fixed" and (self.q is None or self.q < 1):
             raise ValueError("fixed schedule needs q >= 1")
         if self.kind == "adaptive" and not (self.eta is not None and 0.0 < self.eta < 1.0):
@@ -98,18 +83,20 @@ class InnerSchedule:
                 self.theta is not None and 0.0 < self.theta < np.inf):
             raise ValueError(f"inner_tolerance schedule needs a finite "
                              f"theta > 0, got {self.theta}")
+        if self.kind != "inner_tolerance" and self.theta is not None:
+            raise ValueError("theta applies only to inner_tolerance")
 
     @staticmethod
-    def fixed(q: int, **kw) -> "InnerSchedule":
-        return InnerSchedule("fixed", q=q, **kw)
+    def fixed(q: int) -> "InnerSchedule":
+        return InnerSchedule("fixed", q=q)
 
     @staticmethod
-    def adaptive(eta: float, **kw) -> "InnerSchedule":
-        return InnerSchedule("adaptive", eta=eta, **kw)
+    def adaptive(eta: float) -> "InnerSchedule":
+        return InnerSchedule("adaptive", eta=eta)
 
     @staticmethod
-    def inner_tolerance(theta: float, **kw) -> "InnerSchedule":
-        return InnerSchedule("inner_tolerance", theta=theta, **kw)
+    def inner_tolerance(theta: float) -> "InnerSchedule":
+        return InnerSchedule("inner_tolerance", theta=theta)
 
     def label(self) -> str:
         if self.kind == "fixed":
@@ -187,51 +174,45 @@ class StepEvent:
     iterates: tuple
 
 
-def schedule_inner_count(schedule: InnerSchedule, splitting) -> tuple:
-    """Resolve the inner-solve bounds (lo, hi) for one splitting.
-
-    The inner loop stops after hi solves, or earlier once it has run lo or
-    more and the gap |y . (A y - f)| is below ``schedule.theta``.  ``fixed``
-    gives (q, q); ``adaptive`` gives (s, s) with s from ``min_inner_count``
-    floored at ``min_count``; ``inner_tolerance`` gives (min_count,
-    max_count).
-    """
+def schedule_inner_count(schedule: InnerSchedule, splitting) -> int:
+    """The number of inner solves for one splitting: q for ``fixed``, the
+    count of ``min_inner_count`` for ``adaptive``, and the cap
+    ``MAX_INNER_COUNT`` for ``inner_tolerance``, whose loop also stops once
+    the gap |y . (A y - f)| is below ``schedule.theta``."""
     if schedule.kind == "fixed":
-        return schedule.q, schedule.q
+        return schedule.q
     if schedule.kind == "adaptive":
-        s = max(schedule.min_count, min_inner_count(
-            splitting, schedule.eta, max_s=schedule.max_count))
-        return s, s
-    return schedule.min_count, schedule.max_count
+        return min_inner_count(splitting, schedule.eta)
+    return MAX_INNER_COUNT
 
 
-def _processor_groups(ms: MultisplittingSet, bounds) -> list:
+def _processor_groups(ms: MultisplittingSet, counts, theta) -> list:
     """Processor index tuples that share one stacked inner loop.
 
-    Processors with an exact row-local subproblem (a ``structure`` other
-    than ``general``) and a count fixed in advance (lo == hi in ``bounds``)
-    are grouped by that count; every other processor is a group of one.
+    When the loop stops on its count alone (``theta`` is None: every
+    schedule but ``inner_tolerance``), processors with an exact row-local
+    subproblem (a ``structure`` other than ``general``) are grouped by
+    their count in ``counts``; every other processor is a group of one.
     Diagonal and lower-triangular factors mix: the clamp and the projected
     forward sweep give a diagonal row the same bits.  Groups come in order
     of their lowest member.
     """
     groups = {}
-    for i, (split, (lo, hi)) in enumerate(zip(ms.splittings, bounds)):
-        exact = split.structure != "general" and lo == hi
-        groups.setdefault(("count", hi) if exact else i, []).append(i)
+    for i, (split, count) in enumerate(zip(ms.splittings, counts)):
+        exact = theta is None and split.structure != "general"
+        groups.setdefault(("count", count) if exact else i, []).append(i)
     return [tuple(g) for g in groups.values()]
 
 
 def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
-                         y0: np.ndarray, bounds: tuple, theta):
+                         y0: np.ndarray, count: int, theta):
     """Run one processor group's inner loop from y0; returns (y, solve count).
 
     ``splitting`` is a processor's splitting with ``f`` = ``prob.f``, or a
     group's stacked splitting with ``f`` the matching copies of ``prob.f``
-    end to end.  ``bounds`` is (lo, hi) from ``schedule_inner_count``: the
-    loop stops after hi solves, or earlier once it has run lo or more and
-    the gap |y . (A y - f)| is below ``theta``.  The gap is computed only
-    when lo <= count < hi, so a group (lo == hi) never computes it.
+    end to end.  The loop stops after ``count`` solves (from
+    ``schedule_inner_count``), or earlier once ``theta`` is set and the gap
+    |y . (A y - f)| is below it; no gap is computed after the last solve.
 
     y0 is checked once.  Each solve computes F = f + N y by
     ``spmv_unchecked``; a ``diagonal`` factor, whose diagonal d must be
@@ -246,11 +227,10 @@ def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
     update-norm check.
     """
     m_fac, n_fac, structure = splitting.M, splitting.N, splitting.structure
-    lo, hi = bounds
     clamp = structure == "diagonal"
     if clamp:
         d = positive_diagonal(m_fac)
-    y, f_vec, count = y0, f, 0
+    y, f_vec, done = y0, f, 0
     try:
         y = as_vector(y0, n_fac.n_cols, name="x")
         while True:
@@ -262,17 +242,17 @@ def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
                 y = np.maximum(0.0, z)
             else:
                 y = solve_sub_lcp(m_fac, structure, f_vec)
-            count += 1
-            if count >= hi or (count >= lo and abs(
+            done += 1
+            if done >= count or (theta is not None and abs(
                     float(y @ (spmv(prob.A, y) - prob.f))) < theta):
-                return y, count
+                return y, done
     except NonFiniteError as exc:
         # y is the failing solve's input, f_vec its F
         bad = ~np.isfinite(y)
         name, bad = ("x", bad) if bad.any() \
             else ("forcing vector", ~np.isfinite(f_vec))
         err = ConvergenceError(f"iteration diverged in inner solve "
-                               f"{count + 1}: {name} contains non-finite "
+                               f"{done + 1}: {name} contains non-finite "
                                f"entries")
         err.member = int(np.argmax(bad)) // prob.n
         raise err from exc
@@ -306,9 +286,9 @@ def _blend(acc: np.ndarray, omega: float, x_prev: np.ndarray) -> np.ndarray:
 
 def _prologue(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
               x0: np.ndarray | None):
-    """Setup shared by every solver; returns (report, x, bounds) with ``x``
+    """Setup shared by every solver; returns (report, x, counts) with ``x``
     a read-only copy of ``x0``, or zero when ``x0`` is None, and
-    ``bounds[i]`` processor i's (lo, hi), resolved once per distinct
+    ``counts[i]`` processor i's inner count, resolved once per distinct
     splitting object."""
     if ms.n != prob.n:
         raise ValueError("multisplitting size does not match the problem")

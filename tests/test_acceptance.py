@@ -294,7 +294,7 @@ def test_c7_inner_count_threshold():
                     expected = s
                     break
             assert expected is not None
-            got = min_inner_count(split, eta, max_s=500)
+            got = min_inner_count(split, eta)
             assert got == expected, f"n={n} eta={eta}: {got} != {expected}"
             checked += 1
     return f"{checked} thresholds matched exactly"

@@ -303,13 +303,16 @@ class TestThreaded:
         with pytest.raises(ValueError, match="indicator"):
             solve_async_threaded(prob, ms, cfg_fixed(1), workers=2)
 
-    def test_infeasible_schedule_raises_before_threads(self, grid_problem):
+    def test_infeasible_schedule_raises_before_threads(self, grid_problem,
+                                                       monkeypatch):
+        import mslcp.splitting
+        monkeypatch.setattr(mslcp.splitting, "MAX_INNER_COUNT", 2)
         prob = grid_problem(3)
         part = Partition.contiguous(9, 2)
         ms = build_block_splitting(prob.A, part, "jacobi")
         # inner budget that cannot meet the requested contraction
         bad = SolverConfig(omega=1.0,
-                           schedule=InnerSchedule.adaptive(1e-12, max_count=2),
+                           schedule=InnerSchedule.adaptive(1e-12),
                            outer_tol=1e-6)
         with pytest.raises(Exception, match="contraction too weak"):
             solve_async_threaded(prob, ms, bad, workers=2)

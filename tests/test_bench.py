@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mslcp import GridLcpSpec, make_grid_lcp
 from mslcp.bench import HISTORY_HEADER, build_parser, main, resolved
 from mslcp.io import read_matrix_market, read_vector
 
@@ -262,6 +263,27 @@ class TestPartitions:
               "--output", str(base)])
         assert json.loads(out.read_text())["out_iterations"] == \
             json.loads(base.read_text())["out_iterations"]
+
+    @pytest.mark.parametrize("flag, name, text, message", [
+        ("--partition", "part.txt", "0 1 2 3 4 5 6 7\n8 9 14.5\n",
+         "set-up failed: {path}, line 2: '14.5' is not an integer"),
+        ("--rhs", "rhs.txt", "1.0\nabc\n",
+         "cannot load problem: {path}, line 2: 'abc' is not a number"),
+    ], ids=["partition", "vector"])
+    def test_bad_token_exits_64_naming_file_and_line(self, tmp_path, capsys,
+                                                     flag, name, text,
+                                                     message):
+        from mslcp.io import write_matrix_market
+        path = tmp_path / name
+        path.write_text(text)
+        write_matrix_market(tmp_path / "a.mtx",
+                            make_grid_lcp(GridLcpSpec(p=4)).A)
+        source = (["--grid", "4"] if flag == "--partition"
+                  else ["--matrix", str(tmp_path / "a.mtx")])
+        value = f"file:{path}" if flag == "--partition" else str(path)
+        assert main(source + ["--m", "2", flag, value]) == 64
+        err = capsys.readouterr().err
+        assert err == f"mslcp-bench: error: {message.format(path=path)}\n"
 
     def test_partition_block_count_must_match_m(self, tmp_path):
         part = tmp_path / "part.txt"

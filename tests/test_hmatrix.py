@@ -252,12 +252,22 @@ class TestClassify:
         assert np.all(j @ u < u)
 
     def test_indeterminate_band(self):
-        # Jacobi matrix [[0,1],[1,0]] has radius exactly 1
-        cls = classify(SparseMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]]),
-                       tol=1e-3)
+        # Jacobi matrix [[0,1],[1,0]] has radius exactly 1, inside the band
+        # of half-width CLASSIFY_TOL
+        cls = classify(SparseMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]]))
         assert cls.indeterminate
         assert not cls.is_h_matrix
         assert cls.witness_u is None
+
+    @pytest.mark.parametrize("r, indeterminate, is_h", [
+        (1.0 - 1e-5, False, True), (1.0 - 1e-7, True, False),
+        (1.0 + 1e-7, True, False), (1.0 + 1e-5, False, False)])
+    def test_band_half_width_is_classify_tol(self, r, indeterminate, is_h):
+        # [[1, -r], [-r, 1]] has Jacobi radius r; the band is 1 +- 1e-6
+        assert mslcp.hmatrix.CLASSIFY_TOL == 1e-6
+        cls = classify(SparseMatrix.from_dense([[1.0, -r], [-r, 1.0]]))
+        assert cls.indeterminate == indeterminate
+        assert cls.is_h_matrix == is_h == (cls.witness_u is not None)
 
     def test_spurious_ritz_value_does_not_reject(self):
         # Arnoldi's converged 1.13 for this radius-0.5 operator fails the
@@ -297,12 +307,6 @@ class TestClassify:
         u = cls.witness_u
         assert np.all(np.isfinite(u)) and np.all(u > 0.0)
         assert np.all(dense_jacobi_matrix(a) @ u < u)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, 1.0, float("nan")])
-    def test_tol_outside_unit_interval_rejected(self, tol):
-        a = SparseMatrix.from_dense([[4.0, -1.0], [-1.0, 4.0]])
-        with pytest.raises(ValueError, match="tol"):
-            classify(a, tol=tol)
 
     def test_zero_diagonal_rejected(self):
         a = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 2.0]])

@@ -1,5 +1,7 @@
 """File round trips: MatrixMarket, vectors, partitions."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,14 @@ class TestVectors:
         with pytest.raises(ValueError, match="non-finite"):
             read_vector(path)
 
+    def test_bad_token_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1.0\n\nabc\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, "
+                                             f"line 3: 'abc' is not "
+                                             f"a number$"):
+            read_vector(path)
+
 
 class TestPartitions:
     def test_roundtrip(self, tmp_path):
@@ -56,6 +66,14 @@ class TestPartitions:
         path.write_text("0 1\n1 2\n")  # overlap
         with pytest.raises(ValueError, match="disjoint"):
             read_partition(path, 3)
+
+    def test_bad_token_names_file_and_line(self, tmp_path):
+        path = tmp_path / "part.txt"
+        path.write_text("# blocks\n0 1 2\n3 14.5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, "
+                                             f"line 3: '14.5' is not "
+                                             f"an integer$"):
+            read_partition(path, 16)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"

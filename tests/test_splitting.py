@@ -157,6 +157,15 @@ class TestBuilder:
         with pytest.raises(ValueError, match="H\\+"):
             build_block_splitting(a, Partition.contiguous(2, 1), "jacobi")
 
+    def test_rejects_classification_of_another_size(self, grid_problem):
+        # the p = 3 class would give the p = 4 grid omega_bound 1.1716, not
+        # its own 1.1056
+        a = grid_problem(4).A
+        with pytest.raises(ValueError, match=r"size 9, not of this one "
+                                             r"\(16\)"):
+            build_block_splitting(a, Partition.contiguous(16, 2), "jacobi",
+                                  matrix_class=classify(grid_problem(3).A))
+
     def test_random_hplus_families_validate(self):
         # builder output must satisfy every hypothesis the validator checks
         rng = np.random.default_rng(101)
@@ -233,6 +242,13 @@ class TestJacobiEstimateFromClassification:
 
 
 class TestValidator:
+    def test_set_of_another_size_rejected(self, grid_problem):
+        ms = build_block_splitting(grid_problem(3).A,
+                                   Partition.contiguous(9, 2), "jacobi")
+        with pytest.raises(ValueError, match="multisplitting size 9 does "
+                                             "not match the matrix size 16"):
+            validate_multisplitting(grid_problem(4).A, ms)
+
     def test_jacobi_all_checks_pass(self):
         a = SparseMatrix.from_dense([[4.0, -1.0], [-1.0, 4.0]])
         ms = build_block_splitting(a, Partition.contiguous(2, 1), "jacobi")
@@ -261,6 +277,18 @@ class TestValidator:
             WeightingScheme((np.ones(2),)))
         report = validate_multisplitting(a, ms)
         assert any(v[1] == "sum" for v in report.violations)
+
+    @pytest.mark.parametrize("offset, flagged", [(1e-12, False),
+                                                 (1e-11, True)])
+    def test_sum_slack_is_validation_tol(self, offset, flagged):
+        # the slack is 1e-12 times A's largest entry, 4
+        a = SparseMatrix.from_dense([[4.0, -1.0], [-1.0, 4.0]])
+        m = SparseMatrix.from_dense([[4.0 + offset, 0.0], [0.0, 4.0]])
+        n = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
+        ms = MultisplittingSet((Splitting(m, n),),
+                               WeightingScheme((np.ones(2),)))
+        report = validate_multisplitting(a, ms)
+        assert any(v[1] == "sum" for v in report.violations) == flagged
 
     @pytest.mark.parametrize("variant, calls", [
         ("jacobi", 1), ("block_lower_triangular", 0)])
@@ -356,12 +384,14 @@ class TestMinInnerCount:
         s = Splitting(m, n)
         assert min_inner_count(s, 0.6) == 1
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        import mslcp.splitting
+        monkeypatch.setattr(mslcp.splitting, "MAX_INNER_COUNT", 3)
         m = SparseMatrix.from_dense([[2.0, 0.0], [0.0, 2.0]])
         n = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
         s = Splitting(m, n)
-        with pytest.raises(ConvergenceError):
-            min_inner_count(s, 0.01, max_s=3)
+        with pytest.raises(ConvergenceError, match="s <= 3;"):
+            min_inner_count(s, 0.01)
 
     def test_eta_range_validated(self):
         m = SparseMatrix.identity(2)
@@ -388,7 +418,7 @@ class TestMinInnerCount:
                         expected = k
                         break
                 assert expected is not None
-                assert min_inner_count(s, eta, max_s=300) == expected
+                assert min_inner_count(s, eta) == expected
 
 
     def test_general_grid_splitting_against_dense_powers(self, grid_problem):

@@ -73,12 +73,7 @@ class TestSchedules:
     def test_fixed_count(self, grid_multisplitting):
         ms = grid_multisplitting(4, 2, "jacobi")
         assert schedule_inner_count(InnerSchedule.fixed(3),
-                                    ms.splittings[0]) == (3, 3)
-
-    def test_inner_tolerance_bounds(self, grid_multisplitting):
-        ms = grid_multisplitting(4, 2, "jacobi")
-        sched = InnerSchedule.inner_tolerance(1e-6, min_count=2, max_count=7)
-        assert schedule_inner_count(sched, ms.splittings[0]) == (2, 7)
+                                    ms.splittings[0]) == 3
 
     def test_adaptive_count_cached(self, monkeypatch):
         # the count is resolved once per solve and read by every step; the
@@ -88,7 +83,7 @@ class TestSchedules:
         ms = build_block_splitting(a, Partition.contiguous(2, 1), "jacobi")
         sched = InnerSchedule.adaptive(0.1)
         # ||T^s||_inf = 0.5^s: smallest s at or under 0.1 is 4
-        assert schedule_inner_count(sched, ms.splittings[0]) == (4, 4)
+        assert schedule_inner_count(sched, ms.splittings[0]) == 4
         calls = []
         real = mslcp.sync.min_inner_count
         monkeypatch.setattr(mslcp.sync, "min_inner_count",
@@ -129,10 +124,8 @@ class TestSchedules:
         assert len({id(s) for s in seen}) == calls
         assert len({id(s.contraction_operator) for s in ms.splittings}) == calls
 
-    @pytest.mark.parametrize("make", [
-        lambda k: InnerSchedule.fixed(k),
-        lambda k: InnerSchedule.adaptive(0.5, min_count=k)],
-        ids=["fixed-q", "adaptive-min_count"])
+    @pytest.mark.parametrize("make", [lambda k: InnerSchedule.fixed(k)],
+                             ids=["fixed-q"])
     def test_numpy_int_count_runs_as_its_int(self, grid_problem,
                                              grid_multisplitting, make):
         prob = grid_problem(4)
@@ -140,8 +133,7 @@ class TestSchedules:
         runs = []
         for k in (np.int64(6), 6):
             sched = make(k)
-            assert type(sched.q if sched.kind == "fixed"
-                        else sched.min_count) is int
+            assert type(sched.q) is int
             runs.append(solve_sync(prob, ms, SolverConfig(schedule=sched)))
         (x, rep), (x_int, rep_int) = runs
         assert x.tobytes() == x_int.tobytes()
@@ -153,13 +145,23 @@ class TestSchedules:
         with pytest.raises(ValueError, match=f"q must be an integer, got "
                                              f"{value!r}"):
             InnerSchedule.fixed(value)
-        with pytest.raises(ValueError, match="min_count must be an integer"):
-            InnerSchedule.adaptive(0.5, min_count=value)
 
-    def test_adaptive_infeasible_raises(self):
+    @pytest.mark.parametrize("kind", ["fixed", "adaptive"])
+    def test_theta_only_for_inner_tolerance(self, kind):
+        with pytest.raises(ValueError, match="theta applies only"):
+            InnerSchedule(kind, q=2, eta=0.5, theta=1e-6)
+
+    def test_inner_tolerance_count_is_the_cap(self, grid_multisplitting):
+        ms = grid_multisplitting(4, 2, "jacobi")
+        sched = InnerSchedule.inner_tolerance(1e-6)
+        assert schedule_inner_count(sched, ms.splittings[0]) == 100000
+
+    def test_adaptive_infeasible_raises(self, monkeypatch):
+        import mslcp.splitting
+        monkeypatch.setattr(mslcp.splitting, "MAX_INNER_COUNT", 3)
         a = SparseMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
         ms = build_block_splitting(a, Partition.contiguous(2, 1), "jacobi")
-        sched = InnerSchedule.adaptive(1e-9, max_count=3)
+        sched = InnerSchedule.adaptive(1e-9)
         prob = LcpProblem(a, [1.0, 1.0])
         with pytest.raises(Exception, match="contraction too weak"):
             solve_sync(prob, ms, SolverConfig(schedule=sched))
@@ -190,22 +192,12 @@ class TestSchedules:
                 break
         assert counts[0][0] == count
 
-    def test_min_count_floor(self, grid_problem, grid_multisplitting):
-        prob = grid_problem(2)
-        ms = grid_multisplitting(2, 1, "jacobi")
-        sched = InnerSchedule.inner_tolerance(1e3, min_count=3)
-        cfg = SolverConfig(schedule=sched, outer_tol=1e-8)
-        counts = []
-        solve_sync(prob, ms, cfg,
-                   on_step=lambda e: counts.append(e.inner_counts))
-        assert all(c[0] == 3 for c in counts)
-
     def test_gap_computed_only_where_it_can_stop_the_loop(
             self, monkeypatch, grid_problem, grid_multisplitting):
-        # no gap is below theta: solves 1 and 2 cannot stop on the gap and
-        # solve 5 stops on the count, so only solves 3 and 4 compute it; the
-        # two processors (groups of one, lo < hi) share one splitting and one
-        # start, so only the first runs the loop
+        # no gap is below theta and the cap is 5: solve 5 stops on the count,
+        # so only solves 1 to 4 compute the gap; the two processors (groups
+        # of one, since theta is set) share one splitting and one start, so
+        # only the first runs the loop
         import mslcp.sync
         prob = grid_problem(4)
         ms = grid_multisplitting(4, 2, "jacobi")
@@ -218,14 +210,14 @@ class TestSchedules:
             return real(a, x)
 
         monkeypatch.setattr(mslcp.sync, "spmv", counting)
-        sched = InnerSchedule.inner_tolerance(1e-300, min_count=3,
-                                              max_count=5)
+        monkeypatch.setattr(mslcp.sync, "MAX_INNER_COUNT", 5)
+        sched = InnerSchedule.inner_tolerance(1e-300)
         counts = []
         _, rep = solve_sync(prob, ms, SolverConfig(schedule=sched,
                                                    max_outer=6),
                             on_step=lambda e: counts.append(e.inner_counts))
         assert counts == [(5, 5)] * rep.outer_iterations
-        assert gaps == [prob.n] * (2 * rep.outer_iterations)
+        assert gaps == [prob.n] * (4 * rep.outer_iterations)
 
 
 # every integer setting outside InnerSchedule, built from one value
@@ -236,7 +228,6 @@ INT_SETTINGS = {
     "p": lambda v: GridLcpSpec(v),
     "staleness_bound": lambda v: AsyncSchedule(staleness_bound=v),
     "period": lambda v: RoundRobin(v),
-    "full_round_every": lambda v: RandomFair(full_round_every=v),
 }
 
 
@@ -260,7 +251,7 @@ class TestIntegerSettings:
             INT_SETTINGS[name](value)
 
     @pytest.mark.parametrize("policy", [RoundRobin, lambda k: RandomFair(
-        seed=5, full_round_every=k)], ids=["roundrobin", "random"])
+        seed=k)], ids=["roundrobin", "random"])
     def test_numpy_int_settings_run_as_their_ints(self, grid_problem,
                                                   grid_multisplitting,
                                                   policy):
@@ -539,23 +530,22 @@ class TestReport:
                 solve_async_sim(prob, ms, cfg, sched)
 
 
-def _reference_inner(prob, splitting, y0, bounds, theta):
+def _reference_inner(prob, splitting, y0, count, theta):
     """One processor's inner loop, one checked ``spmv`` and one
     ``solve_sub_lcp`` call per solve; returns (y, solve count)."""
     from mslcp.errors import NonFiniteError
-    lo, hi = bounds
-    y, count = y0, 0
+    y, done = y0, 0
     try:
         while True:
             f_vec = prob.f + spmv(splitting.N, y)
             y = solve_sub_lcp(splitting.M, splitting.structure, f_vec)
-            count += 1
-            if count >= hi or (count >= lo and abs(
+            done += 1
+            if done >= count or (theta is not None and abs(
                     float(y @ (spmv(prob.A, y) - prob.f))) < theta):
-                return y, count
+                return y, done
     except NonFiniteError as exc:
         raise ConvergenceError(
-            f"iteration diverged in inner solve {count + 1}: {exc}") from exc
+            f"iteration diverged in inner solve {done + 1}: {exc}") from exc
 
 
 def _reference_run(prob, ms, cfg, sched, x0=None):
@@ -566,7 +556,7 @@ def _reference_run(prob, ms, cfg, sched, x0=None):
     from mslcp.asynchronous import _pick_reads
     from mslcp.sync import StepEvent, _accumulate, _blend, _prologue
 
-    report, x, bounds = _prologue(prob, ms, cfg, x0)
+    report, x, counts = _prologue(prob, ms, cfg, x0)
     m = ms.m
     ring = deque([(x,) * m], maxlen=sched.staleness_bound + 1)
     policy_rng = np.random.default_rng(getattr(sched.policy, "seed", 0))
@@ -580,7 +570,7 @@ def _reference_run(prob, ms, cfg, sched, x0=None):
         for i, y0 in enumerate(starts):
             try:
                 runs.append(_reference_inner(prob, ms.splittings[i], y0,
-                                             bounds[i], cfg.schedule.theta))
+                                             counts[i], cfg.schedule.theta))
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"subproblem solve failed at outer step {k}, "
@@ -680,7 +670,8 @@ def _positive_lower_problem(grid_problem):
 
 class TestStackedGroups:
     """The simulator runs processors with an exact row-local sub-solve and
-    a count fixed in advance (lo == hi) as one stacked solve; every result
+    a count fixed in advance (any schedule but inner_tolerance) as one
+    stacked solve; every result
     stays bit-identical to one inner loop per processor."""
 
     def _case(self, grid_problem, name):
@@ -708,10 +699,6 @@ class TestStackedGroups:
             return pos, ms, fixed, sync, 1.0
         if name == "innertol":
             return prob, jac(2), InnerSchedule.inner_tolerance(1e-6), sync, 1.0
-        if name == "innertol-lo-eq-hi":
-            sched = InnerSchedule.inner_tolerance(1e-6, min_count=3,
-                                                  max_count=3)
-            return prob, low(Partition.contiguous(n, 4)), sched, sync, 0.9
         if name == "async-jacobi":
             return prob, jac(4), fixed, rr, 0.9
         if name.startswith("async-random-"):
@@ -737,8 +724,6 @@ class TestStackedGroups:
         "lower-adaptive": [(0,), (1, 3), (2,)],
         "positive-lower": [(0, 1, 2)],
         "innertol": [(0,), (1,)],
-        # min_count == max_count fixes the count in advance, so it stacks
-        "innertol-lo-eq-hi": [(0, 1, 2, 3)],
         "async-jacobi": [(0, 1, 2, 3)],
         "async-lower": [(0, 1, 2, 3)],
         "async-random-stalest": [(0, 1, 2, 3)],
@@ -754,8 +739,9 @@ class TestStackedGroups:
         prob, ms, schedule, sched, omega = self._case(grid_problem, name)
         cfg = SolverConfig(omega=omega, schedule=schedule, outer_tol=1e-8,
                            max_outer=400)
-        bounds = [schedule_inner_count(schedule, s) for s in ms.splittings]
-        assert _processor_groups(ms, bounds) == self.CASES[name]
+        counts = [schedule_inner_count(schedule, s) for s in ms.splittings]
+        assert _processor_groups(ms, counts, schedule.theta) \
+            == self.CASES[name]
         if name == "positive-lower":
             # M_1's positive strict-lower entry leaves it lower triangular
             assert [s.structure for s in ms.splittings] == [
@@ -833,10 +819,10 @@ class TestStackedGroups:
         loops = []
         run = mslcp.asynchronous._run_processor_inner
 
-        def counting(prob, splitting, f, y0, bounds, theta):
-            y, count = run(prob, splitting, f, y0, bounds, theta)
-            loops.append((len(y0), count))
-            return y, count
+        def counting(prob, splitting, f, y0, count, theta):
+            y, done = run(prob, splitting, f, y0, count, theta)
+            loops.append((len(y0), done))
+            return y, done
 
         monkeypatch.setattr(mslcp.asynchronous, "_run_processor_inner",
                             counting)
@@ -999,11 +985,10 @@ class TestClampDivergence:
         "x-before-the-last-solve": (
             dict(m=2, tiny=True), InnerSchedule.fixed(3),
             SECOND + "x contains non-finite entries"),
-        # lo < hi: the gap after the first solve rejects that y, naming the
-        # second solve
+        # theta is set: the gap after the first solve rejects that y,
+        # naming the second solve
         "x-before-the-gap": (
-            dict(m=2, tiny=True),
-            InnerSchedule.inner_tolerance(1e-8, max_count=3),
+            dict(m=2, tiny=True), InnerSchedule.inner_tolerance(1e-8),
             SECOND + "x contains non-finite entries"),
         # +inf from the last solve is returned, and the update norm
         # reports it
@@ -1050,7 +1035,7 @@ class TestClampDivergence:
         y0 = np.ones(16)
         y0[5] = np.inf
         with pytest.raises(ConvergenceError) as got:
-            _run_processor_inner(prob, split, prob.f, y0, (2, 2), None)
+            _run_processor_inner(prob, split, prob.f, y0, 2, None)
         assert str(got.value) == ("iteration diverged in inner solve 1: x "
                                   "contains non-finite entries")
         assert got.value.member == 0
@@ -1084,12 +1069,12 @@ def test_infinite_entry_that_no_row_reads_is_recomputed(structure):
     prob = LcpProblem(SparseMatrix.identity(3), [2.0, 1.0, 1.0])
     with np.errstate(over="ignore"):
         first, _ = _run_processor_inner(prob, split, prob.f, np.zeros(3),
-                                        (1, 1), None)
+                                        1, None)
         assert first[1] == np.inf
         y, count = _run_processor_inner(prob, split, prob.f, np.zeros(3),
-                                        (2, 2), None)
+                                        2, None)
         with pytest.raises(ConvergenceError, match="inner solve 2: x "):
-            _reference_inner(prob, split, np.zeros(3), (2, 2), None)
+            _reference_inner(prob, split, np.zeros(3), 2, None)
     assert count == 2
     assert y.tobytes() == np.array(
         [2.0, 0.0, 2.0 if structure == "lower_triangular" else 1.0]).tobytes()
@@ -1193,18 +1178,17 @@ class TestLeanStepPath:
             "28869c3dc13ed53bee2b18da09473d752e99e5b921c5b3a847ae2e0238d8ad8e",
         "jacobi-p16-weighted":
             "d54163e6e9f5fc9861b45292d6ca558a2fcfcccd5f3971ba26769cacc9fef7fc",
-        # recorded from the solver that resolved a fixed or adaptive count
-        # to an int and inner_tolerance to a stop predicate
+        # recorded from the solver that resolved each schedule to bounds
+        # (lo, hi), with inner_tolerance at its default (1, 100000)
         "jacobi-p16-innertol":
-            "5d2c254987ee35c579dab530061c4c3a74b697c67d9bdce56ce7d3c68335aad6",
+            "f3b8f6cef9435b854b94beb6a30d9604e45c200ce6099cacb34ace7c089dd939",
         "lower-p16-adaptive":
             "23764feeb661f54d6b95f906803dda27208d5ef97621dff038bc4349ece0a9a0",
     }
     # (inner schedule, outer tolerance) where a case does not use fixed(4)
-    # and 1e-6; at 1e-12 the gap stops inner loops after 2, 3 and 6 solves
+    # and 1e-6; at 1e-12 the gap stops inner loops after 1 and 879 solves
     SCHEDULES = {
-        "jacobi-p16-innertol": (InnerSchedule.inner_tolerance(
-            1e-8, min_count=2, max_count=6), 1e-12),
+        "jacobi-p16-innertol": (InnerSchedule.inner_tolerance(1e-8), 1e-12),
         "lower-p16-adaptive": (InnerSchedule.adaptive(0.2), 1e-6),
     }
 
