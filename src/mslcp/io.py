@@ -7,6 +7,8 @@ per line of space-separated indices.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.io import mmread, mmwrite
 from scipy.sparse import coo_array
@@ -34,12 +36,16 @@ def write_vector(path, v) -> None:
 
 
 def _parse(path, lineno: int, token: str, kind):
-    """``kind(token)``, int or float; a bad token names the file and line."""
+    """``kind(token)``, int or finite float; a bad token names the file and
+    line."""
     try:
-        return kind(token)
+        value = kind(token)
     except ValueError:
         raise ValueError(f"{path}, line {lineno}: {token!r} is not " + (
             "an integer" if kind is int else "a number")) from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{path}, line {lineno}: {token!r} is not finite")
+    return value
 
 
 def read_vector(path) -> np.ndarray:

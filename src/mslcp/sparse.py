@@ -12,8 +12,10 @@ module ``scipy.sparse._sparsetools`` on the stored arrays, the kernel that
 for the operator's dispatch.  ``spmv_unchecked`` is the same call without
 the check of x, for the solvers' inner loop, which checks its own iterates.
 
-``all_finite`` tests finiteness with one dot product that no finite array
-can overflow, so a diverging solve's huge finite entries raise no warning.
+``all_finite`` tests finiteness with one dot product per chunk of at most
+8192 entries that no finite array can overflow, so a diverging solve's huge
+finite entries raise no warning and BLAS runs each product on the calling
+thread.
 
 ``gauss_seidel_sweep`` is the one sweep kernel behind forward substitution
 and every Gauss-Seidel sweep.  Its rows run in level order, one in-place
@@ -23,10 +25,14 @@ stored order without fused multiply-adds, as ``spmv`` assumes too.  A
 projected level is one in-place ``np.maximum(0.0, seg, out=seg)``, which
 relies on the tie rule that ``maximum`` returns its second argument unless
 the first is greater or a NaN, so -0.0 and NaN stay as in the row loop;
-``tests/test_sweep.py`` pins that rule against the row loop.
+``tests/test_sweep.py`` pins that rule against the row loop.  Each thread
+sweeps in its own work vector, held on the matrix in a ``threading.local``
+with every level's view of it and kernel arguments bound once, so a level
+costs its three kernel calls and the vector dies with its thread.
 
-All values are immutable after construction; instances are safe to share
-between threads.
+All values are immutable after construction, and the caches a matrix keeps
+hold no state that one thread's call leaves for another's; instances are
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +53,9 @@ from .errors import NonFiniteError
 # 2^-60 keeps the dot product of any finite array below the largest double
 # for fewer than 2^60 entries, whatever the order of its additions
 _PROBE_ENTRY = 2.0 ** -60
+# OpenBLAS's ddot runs threaded above 10 000 entries, and then waits for a
+# second core; a longer array is tested in chunks of this many
+_FINITE_CHUNK = 8192
 
 
 @functools.lru_cache(maxsize=16)
@@ -58,15 +68,24 @@ def _finite_probe(size: int) -> np.ndarray:
 def all_finite(arr: np.ndarray) -> bool:
     """Whether every entry of the float64 array ``arr`` is finite.
 
-    One dot product with a vector of 2^-60 entries decides: no finite array
-    can overflow it, and an inf or nan entry makes it inf or nan.  So huge
-    finite entries raise no overflow warning.  Entries of both infinite
-    signs set the invalid flag (inf - inf), and tiny ones may set the
-    underflow flag; where ``np.errstate`` or a warnings filter turns a flag
-    into an error, the entrywise test decides instead.
+    One dot product with a vector of 2^-60 entries decides, per chunk of at
+    most ``_FINITE_CHUNK`` entries, so BLAS runs it on this thread: no
+    finite array can overflow it, and an inf or nan entry makes it inf or
+    nan.  So huge finite entries raise no overflow warning.  Entries of both
+    infinite signs set the invalid flag (inf - inf), and tiny ones may set
+    the underflow flag; where ``np.errstate`` or a warnings filter turns a
+    flag into an error, the entrywise test decides instead.
     """
+    flat = arr.ravel()
     try:
-        return math.isfinite(_finite_probe(arr.size).dot(arr.ravel()))
+        if flat.size <= _FINITE_CHUNK:
+            return math.isfinite(_finite_probe(flat.size).dot(flat))
+        probe = _finite_probe(_FINITE_CHUNK)
+        for start in range(0, flat.size, _FINITE_CHUNK):
+            chunk = flat[start:start + _FINITE_CHUNK]
+            if not math.isfinite(probe[:chunk.size].dot(chunk)):
+                return False
+        return True
     except (FloatingPointError, RuntimeWarning):
         return bool(np.isfinite(arr).all())
 
@@ -347,6 +366,49 @@ def _sweep_schedule(a: SparseMatrix):
     return cached
 
 
+class _ThreadWork(threading.local):
+    """Each thread's sweep workspaces for one matrix; a pickled or copied
+    matrix starts with none."""
+
+    def __reduce__(self):
+        return _ThreadWork, ()
+
+
+def _workspace(a: SparseMatrix, with_old: bool):
+    """This thread's work vector for sweeping ``a``, with the levels bound
+    to it (built on a thread's first sweep of ``a``, then kept).
+
+    The vector has n entries, or 2n ``with_old``, and lives in a
+    ``threading.local`` (``_ThreadWork``) in ``a._caches``, so each thread
+    sweeps in its own vector and the vector dies with its thread (or with
+    ``a``).  Returns (the new-iterate
+    half, the previous-iterate half, perm, order, levels), each level as its
+    segment view, its ready ``csr_matvec`` argument tuple (None for a level
+    with no off-diagonal entry) and its diagonal.  ``order``, the inverse of
+    the schedule's ``perm``, gathers y back into row order.
+    """
+    local = a._caches.get("sweep_work")
+    if local is None:
+        local = a._caches.setdefault("sweep_work", _ThreadWork())
+    name = "with_old" if with_old else "without_old"
+    ws = getattr(local, name, None)
+    if ws is None:
+        levels, perm, has_upper = _sweep_schedule(a)
+        if has_upper and not with_old:
+            raise ValueError("forward substitution requires a lower-triangular matrix")
+        n = a.n_rows
+        work = np.empty(2 * n if with_old else n)
+        bound = []
+        for s, e, entries, diag in levels:
+            seg = work[s:e]
+            args = None if entries is None \
+                else (e - s, work.size, *entries, work, seg)
+            bound.append((seg, args, diag))
+        ws = (work[:n], work[n:], perm, np.argsort(perm), tuple(bound))
+        setattr(local, name, ws)
+    return ws
+
+
 def gauss_seidel_sweep(a: SparseMatrix, f, x_old=None,
                        project: bool = False) -> np.ndarray:
     """One Gauss-Seidel sweep for ``a y = f``, rows in order.
@@ -363,7 +425,10 @@ def gauss_seidel_sweep(a: SparseMatrix, f, x_old=None,
     ascending column order, in place, then one divide and one projection
     finish the level.  f + (-p) is f - p in IEEE arithmetic, so each row is
     bit-identical to the sequential row loop, provided the kernel sums in
-    stored order without fused multiply-adds, as ``spmv`` assumes.
+    stored order without fused multiply-adds, as ``spmv`` assumes.  Each
+    thread sweeps in its own work vector, held on the matrix with every
+    level's view and kernel arguments bound to it (``_workspace``), so a
+    level costs its three kernel calls; ``y`` is a fresh array.
 
     The projection is ``np.maximum(0.0, seg, out=seg)``, which returns its
     second argument unless the first is greater or a NaN: a row keeps -0.0
@@ -371,32 +436,24 @@ def gauss_seidel_sweep(a: SparseMatrix, f, x_old=None,
     order turns -0.0 into +0.0.  numpy documents only the NaN half of this
     tie rule, so ``tests/test_sweep.py`` pins both against the row loop.
     """
-    levels, perm, has_upper = _sweep_schedule(a)
+    head, tail, perm, order, levels = _workspace(a, x_old is not None)
     n = a.n_rows
-    if x_old is None:
-        if has_upper:
-            raise ValueError("forward substitution requires a lower-triangular matrix")
-        work = np.empty(n)
-    else:
-        # only upper entries read this second half
-        work = np.empty(2 * n)
-        work[n:] = x_old
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (n,):
         raise ValueError(f"f has shape {f.shape}, expected ({n},)")
+    if x_old is not None:
+        # only upper entries read this second half
+        tail[:] = x_old
     # the check above keeps every index in range, so "clip" never clips; it
     # lets take gather into the view without a buffer
-    f.take(perm, out=work[:n], mode="clip")
-    for s, e, entries, diag in levels:
-        seg = work[s:e]
-        if entries is not None:
-            csr_matvec(e - s, work.size, *entries, work, seg)
+    f.take(perm, out=head, mode="clip")
+    for seg, args, diag in levels:
+        if args is not None:
+            csr_matvec(*args)
         np.divide(seg, diag, out=seg)
         if project:
             np.maximum(0.0, seg, out=seg)
-    y = np.empty(n)
-    y[perm] = work[:n]
-    return y
+    return head.take(order)
 
 
 def solve_lower_triangular(l: SparseMatrix, b) -> np.ndarray:

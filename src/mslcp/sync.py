@@ -291,7 +291,8 @@ def _prologue(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     ``counts[i]`` processor i's inner count, resolved once per distinct
     splitting object."""
     if ms.n != prob.n:
-        raise ValueError("multisplitting size does not match the problem")
+        raise ValueError(f"multisplitting size {ms.n} does not match the "
+                         f"problem size {prob.n}")
     cls = ms.matrix_class if ms.matrix_class is not None else classify(prob.A)
     bound = 2.0 / (1.0 + cls.jacobi_radius_estimate)
     report = IterationReport(omega_bound=bound,

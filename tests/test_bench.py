@@ -269,7 +269,9 @@ class TestPartitions:
          "set-up failed: {path}, line 2: '14.5' is not an integer"),
         ("--rhs", "rhs.txt", "1.0\nabc\n",
          "cannot load problem: {path}, line 2: 'abc' is not a number"),
-    ], ids=["partition", "vector"])
+        ("--rhs", "rhs.txt", "1.0\nnan\n",
+         "cannot load problem: {path}, line 2: 'nan' is not finite"),
+    ], ids=["partition", "vector", "vector-nonfinite"])
     def test_bad_token_exits_64_naming_file_and_line(self, tmp_path, capsys,
                                                      flag, name, text,
                                                      message):

@@ -39,7 +39,17 @@ class TestVectors:
     def test_rejects_nan_on_read(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1.0\nnan\n")
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, "
+                                             f"line 2: 'nan' is not finite$"):
+            read_vector(path)
+
+    @pytest.mark.parametrize("token", ["inf", "-Infinity", "1e999"])
+    def test_nonfinite_entry_names_file_and_line(self, tmp_path, token):
+        path = tmp_path / "rhs.txt"
+        path.write_text(f"1.0\n\n2.5\n {token} \n3.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, "
+                                             f"line 4: '{token}' is not "
+                                             f"finite$"):
             read_vector(path)
 
     def test_bad_token_names_file_and_line(self, tmp_path):

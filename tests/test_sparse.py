@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mslcp import SparseMatrix, abs_matrix, comparison_matrix, spmv
-from mslcp.sparse import as_vector, require_finite, solve_lower_triangular
+from mslcp.sparse import (_FINITE_CHUNK, all_finite, as_vector, require_finite,
+                          solve_lower_triangular)
 
 
 def small_dense(max_n=6):
@@ -129,6 +130,35 @@ class TestConstruction:
         require_finite("matrix", np.zeros((0, 0)))
         empty = SparseMatrix.from_dense(np.zeros((0, 0)))
         assert empty.n_rows == 0 and spmv(empty, []).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_all_finite_sees_a_bad_entry_in_the_last_chunk(self, bad):
+        # two and a half chunks: the bad entry sits in the short last one
+        row = np.ones(5 * _FINITE_CHUNK // 2)
+        assert all_finite(row)
+        row[-1] = bad
+        assert not all_finite(row)
+        assert not all_finite(row.reshape(5, -1))
+
+    def test_all_finite_rejects_both_infinite_signs(self):
+        # in different chunks, and in one chunk, where inf - inf is a nan
+        # that sets the invalid flag
+        for at in ((3, -3), (-2, -1)):
+            row = np.zeros(3 * _FINITE_CHUNK)
+            row[list(at)] = np.inf, -np.inf
+            with np.errstate(invalid="ignore"):
+                assert not all_finite(row)
+            with np.errstate(all="raise"):
+                assert not all_finite(row)
+
+    def test_all_finite_accepts_huge_entries_across_many_chunks(self):
+        row = np.full(3 * (3 * _FINITE_CHUNK + 1), 1.7e308)
+        row[::3] *= -1.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert all_finite(row)
+            assert all_finite(row.reshape(-1, 3)[:, :2])
+        assert [str(w.message) for w in caught] == []
 
     def test_from_coo_sums_duplicates_and_drops_zeros(self):
         sp = SparseMatrix.from_coo(2, 2, [0, 0, 1, 1], [1, 1, 0, 0],

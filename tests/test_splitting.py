@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 from mslcp import (ConvergenceError, MultisplittingSet, Partition, SparseMatrix,
@@ -179,6 +180,36 @@ class TestBuilder:
                                        variants[trial % 2])
             assert validate_multisplitting(a, ms).ok
 
+
+
+class TestStacked:
+    @staticmethod
+    def scipy_stack(mats):
+        return SparseMatrix.from_scipy(scipy.sparse.block_diag(
+            [a.to_scipy() for a in mats], format="csr"))
+
+    @pytest.mark.parametrize("members", [(0, 1, 2), (2, 0), (1, 1, 0, 1)],
+                             ids=["all", "reordered", "repeated"])
+    def test_concatenation_equals_block_diag(self, members):
+        # uneven blocks give the members different nnz in M and in N
+        rng = np.random.default_rng(61)
+        a = random_sparse_hplus(rng, 30, density=0.3)
+        part = Partition(30, 3, (np.arange(0, 3), np.arange(3, 15),
+                                 np.arange(15, 30)))
+        ms = build_block_splitting(a, part, "block_lower_triangular")
+        assert len({s.M.nnz for s in ms.splittings}) == 3
+        assert len({s.N.nnz for s in ms.splittings}) == 3
+        stack = ms.stacked(members)
+        for name in ("M", "N"):
+            mats = [getattr(ms.splittings[i], name) for i in members]
+            assert getattr(stack, name).equal_entries(self.scipy_stack(mats))
+        assert stack.structure == "lower_triangular"
+
+    def test_one_member_is_the_splitting(self, grid_problem):
+        prob = grid_problem(4)
+        ms = build_block_splitting(prob.A, Partition.contiguous(prob.n, 2),
+                                   "block_lower_triangular")
+        assert ms.stacked((1,)) is ms.splittings[1]
 
 def _random_hplus_cases():
     rng = np.random.default_rng(501)

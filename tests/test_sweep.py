@@ -6,6 +6,8 @@ to run in Python.  The kernel reorders the rows by level but keeps every
 row's arithmetic, so the two must agree bit for bit, signed zeros included.
 """
 
+import copy
+import pickle
 import sys
 import threading
 
@@ -181,6 +183,69 @@ def test_threads_building_one_schedule_get_the_same_bits():
     finally:
         sys.setswitchinterval(interval)
 
+
+@pytest.mark.parametrize("lower", [False, True], ids=["previous", "forward"])
+def test_threads_sweeping_one_matrix_at_once_get_the_row_loop_bits(lower):
+    # each thread sweeps its own f (and previous iterate) many times while
+    # the others sweep the same matrix; a work vector shared between the
+    # threads would mix their levels
+    rng = np.random.default_rng(37)
+    threads, rounds, n = 4, 200, 90
+    a = random_matrix(rng, n, 0.3, lower=lower)
+    inputs = [(random_forcing(rng, n), None if lower
+               else rng.standard_normal(n)) for _ in range(threads)]
+    expected = [sequential_sweep(a, f, x_old, project=True).tobytes()
+                for f, x_old in inputs]
+    barrier = threading.Barrier(threads)
+    mismatches = [None] * threads
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+
+    def sweep(i):
+        f, x_old = inputs[i]
+        barrier.wait(timeout=30)
+        mismatches[i] = sum(
+            gauss_seidel_sweep(a, f, x_old, project=True).tobytes()
+            != expected[i] for _ in range(rounds))
+
+    try:
+        workers = [threading.Thread(target=sweep, args=(i,))
+                   for i in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+            assert not w.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == [0] * threads
+
+
+def test_later_sweeps_leave_an_earlier_result_unchanged():
+    rng = np.random.default_rng(41)
+    for lower in (True, False):
+        a = random_matrix(rng, 30, 0.3, lower=lower)
+        f = random_forcing(rng, 30)
+        x_old = None if lower else rng.standard_normal(30)
+        y = gauss_seidel_sweep(a, f, x_old, project=True)
+        kept = y.copy()
+        for _ in range(3):
+            other = gauss_seidel_sweep(a, random_forcing(rng, 30),
+                                       None if lower
+                                       else rng.standard_normal(30))
+            assert other is not y
+        assert y.tobytes() == kept.tobytes()
+
+
+def test_swept_matrix_pickles_and_copies_without_its_workspaces():
+    rng = np.random.default_rng(43)
+    a = random_matrix(rng, 30, 0.3, lower=False)
+    f, x_old = random_forcing(rng, 30), rng.standard_normal(30)
+    y = gauss_seidel_sweep(a, f, x_old, project=True)
+    for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert b.equal_entries(a)
+        assert gauss_seidel_sweep(b, f, x_old, project=True).tobytes() \
+            == y.tobytes()
 
 def test_repeated_sweeps_on_grid_match_row_loop(grid_problem):
     a = grid_problem(6).A

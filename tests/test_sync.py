@@ -68,6 +68,14 @@ class TestBasicSolves:
             assert rep.converged
             assert np.max(np.abs(x - brute_force_lcp(prob))) < 1e-9
 
+    def test_set_of_another_size_names_both_sizes(self, grid_problem,
+                                                  grid_multisplitting):
+        prob, ms = grid_problem(4), grid_multisplitting(3, 2)
+        with pytest.raises(ValueError, match=r"^multisplitting size 9 does "
+                                             r"not match the problem size "
+                                             r"16$"):
+            solve_sync(prob, ms, fixed_cfg(1))
+
 
 class TestSchedules:
     def test_fixed_count(self, grid_multisplitting):
