@@ -1,7 +1,8 @@
-"""Asynchronous relaxed nonstationary multisplitting.
+"""Asynchronous relaxed nonstationary multisplitting, and the outer step
+that every solver runs.
 
-Two execution models share the synchronous module's inner loops and
-combination arithmetic:
+Two execution models share the inner loop of ``sync`` and the combination
+below:
 
 * ``solve_async_sim`` replays asynchrony deterministically in one thread: a
   bounded-staleness schedule decides which past iterate each processor reads
@@ -15,6 +16,26 @@ combination arithmetic:
 The synchronous solver is the simulator at staleness 0 with the
 all-components policy: ``sync.solve_sync`` calls ``solve_async_sim`` with
 ``AsyncSchedule()``.
+
+A step ends in the weighted combination omega sum_i E_i y_i + (1 - omega) x
+(``_accumulate``, ``_blend``).  Indicator weights need no separate path:
+0.0 * y_i and 1.0 * y_i are exact, so the sum takes each block exactly from
+its owner.
+
+Stacking.  In the simulator, processors whose subproblem is an exact
+row-local solve (a ``structure`` other than ``general``: one projected
+forward sweep, of which the clamp is the one-level case; see
+``sublcp.factor_structure``) and whose count is fixed in advance (every
+schedule but ``inner_tolerance``, which stops each loop on its own gap)
+form one group per count; every other processor is a group of one.
+Diagonal and lower-triangular factors mix, since the sweep gives a diagonal
+row the clamp's bits.  A group's pairs to solve run as one inner loop on the
+stacked splitting blockdiag(M_i), blockdiag(N_i), whose CSR arrays are the
+members' concatenated (``sparse._block_diagonal``), from the concatenated
+starts with that many copies of f.  Each stacked row does the arithmetic of
+its member's row in the same order, so each slice is bit-identical to the
+member's own loop.  A failing stacked loop names the processor whose slice
+holds the first non-finite entry.
 """
 
 from __future__ import annotations
@@ -30,10 +51,9 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .sublcp import LcpProblem, natural_residual
-from .splitting import MultisplittingSet
-from .sparse import as_count
-from .sync import (SolverConfig, StepEvent, _accumulate, _blend,
-                   _processor_groups, _prologue, _run_processor_inner)
+from .splitting import MultisplittingSet, Splitting
+from .sparse import _block_diagonal, all_finite, as_count
+from .sync import SolverConfig, StepEvent, _prologue, _run_processor_inner
 
 READ_RULES = ("latest", "stalest", "uniform")
 
@@ -133,46 +153,54 @@ def _pick_reads(sched: AsyncSchedule, k: int, m: int, rng) -> list:
     return [int(rng.integers(lo, k + 1)) for _ in range(m)]
 
 
+def _accumulate(ys, weighting) -> np.ndarray:
+    """sum_i E_i y_i with a fixed accumulation order over i, so serial and
+    concurrent inner loops produce identical results.
+
+    With an indicator weighting and one finite array y in every ``ys[i]``
+    (the synchronous Jacobi solve) the sum is y + 0.0 bit for bit: each
+    entry adds one 1.0 * y_j and zeros to 0.0, and the zeros only turn -0.0
+    into +0.0.  A y that fails ``all_finite`` takes the loop, so 0.0 * inf =
+    nan still reaches the caller's update-norm check."""
+    first = ys[0]
+    if weighting.is_indicator and all(y is first for y in ys) \
+            and all_finite(first):
+        return first + 0.0
+    acc = np.zeros(weighting.n)
+    for w, y in zip(weighting.weights, ys):
+        acc += w * y
+    return acc
+
+
+def _blend(acc: np.ndarray, omega: float, x_prev: np.ndarray) -> np.ndarray:
+    """omega * acc + (1 - omega) * x_prev, skipping the no-op blend at omega=1."""
+    if omega == 1.0:
+        return acc
+    return omega * acc + (1.0 - omega) * x_prev
+
+
 def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
                     sched: AsyncSchedule, x0: np.ndarray | None = None,
                     on_step=None):
-    """Deterministic single-threaded replay of the asynchronous iteration.
+    """Deterministic single-threaded replay of the asynchronous iteration;
+    returns (x, IterationReport), x the stream with the smallest natural
+    residual (ties to the lowest index).
 
-    At step k every processor i reads its own stream at step s_i(k), runs its
-    scheduled subproblem solves, and the components in J(k) blend the
-    weighted combination into their stream; the rest copy forward.  Stops
-    once every update over a trailing window of fairness_window + d steps
-    moved less than ``cfg.outer_tol`` (the window covers one full fairness
-    round of every stream, and the extra d steps ensure the quiet stretch
-    cannot be an artifact of reads older than the window), or at
-    ``cfg.max_outer``.  A non-finite update norm means the iteration
-    diverged; it is raised as ``ConvergenceError`` naming the outer step,
-    so each step (not ``on_step``) silences numpy's over/invalid warnings.
+    At step k every processor i reads its own stream at step s_i(k), runs
+    its inner solves, and the streams in J(k) take the combination; the
+    rest carry forward.  The run has converged once every update over the
+    last fairness_window + d steps moved less than ``cfg.outer_tol`` (one
+    full fairness round of every stream, and d more steps so that the quiet
+    stretch is no artifact of old reads); it stops at ``cfg.max_outer``
+    steps.  A non-finite update norm or sub-solve raises
+    ``ConvergenceError`` naming the outer step; numpy's over and invalid
+    warnings are off inside each step.  ``on_step``, when given, receives a
+    ``StepEvent`` after every step.
 
-    The processors of a ``sync._processor_groups`` group run as one inner
-    loop, and each (splitting, start) pair is solved once while its start is
-    readable.  The solve maps every pair of a splitting object and a start
-    array (``is``) that it has solved to its y and solve count.  An entry
-    whose start has left the streams of the last d + 1 steps can no longer
-    be read; such entries are dropped whenever the map holds more entries
-    than those streams can give readable pairs (m (d + 1)).  At
-    each step a group stacks and solves only the pairs not in the map, each
-    under its lowest member; every other processor, in any group, takes the
-    stored y and count.  In a group with more than one splitting object, a
-    splitting without a new pair also re-solves its lowest member's pair, to
-    the same bits, so the group's stacks differ only in how many copies of
-    each splitting they hold.  ``ys[i]`` in a ``StepEvent`` is a read-only
-    slice of the stacked iterate of the step that solved processor i's pair,
-    possibly an earlier step, or, when that stack held one pair, the
-    read-only solved array itself, which ran from that start with no stacked
-    copy.  So in the synchronous Jacobi solve (one shared splitting, one
-    start) every processor's ``ys`` is the same array.  The solve keeps its
-    own state: the inner count of each splitting object, the map, and for
-    each sequence of splitting objects its stack
-    (``MultisplittingSet.stacked``) and that many copies of f.
-
-    Returns (x, IterationReport) where x is the stream with the smallest
-    natural residual (ties to the lowest index).
+    Each (splitting object, start array) pair is solved once while its
+    start is readable, so every processor with that pair, at this step or
+    a later one, gets the same read-only ``ys[i]``: the solved array, or a
+    slice of a stacked one.
     """
     start = time.perf_counter()
     report, x_init, counts = _prologue(prob, ms, cfg, x0)
@@ -186,10 +214,16 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
 
     n = prob.n
     split_ids = tuple(map(id, ms.splittings))
+    # exact row-local processors with a count fixed in advance group by
+    # count; every other processor is a group of one
+    grouped = {}
+    for i, (split, count) in enumerate(zip(ms.splittings, counts)):
+        exact = cfg.schedule.theta is None and split.structure != "general"
+        grouped.setdefault(("count", count) if exact else i, []).append(i)
     # each group, with the lowest member of each of its splitting objects
     # when it has more than one
     groups = []
-    for members in _processor_groups(ms, counts, cfg.schedule.theta):
+    for members in grouped.values():
         lowest = tuple({split_ids[i]: i for i in reversed(members)}.values())
         groups.append((members, lowest if len(lowest) > 1 else ()))
     # sequence of splitting ids -> (their stack, that many copies of prob.f)
@@ -213,8 +247,13 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
                 if not reps:
                     continue
                 # a splitting without a new pair re-solves its lowest
-                # member's pair, so that the group's stacks differ only in
-                # how many copies of each splitting they hold
+                # member's pair, to the same bits, so that the group's
+                # stacks differ only in how many copies of each splitting
+                # they hold.  Each new subset of splittings would build a
+                # new stack and sweep schedule, which costs more than the
+                # re-solves: on p = 16 block-lower, m = 8, d = 3, stacking
+                # only the new pairs built 194 stacks instead of one and
+                # took twice as long, though it solved 44% fewer slots
                 if lowest and len(reps) < len(members):
                     covered = {keys[i][0] for i in reps}
                     reps += [i for i in lowest if keys[i][0] not in covered]
@@ -222,7 +261,11 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
                 g = len(reps)
                 key = tuple(map(split_ids.__getitem__, reps))
                 if key not in stacks:
-                    stacks[key] = (ms.stacked(tuple(reps)), np.tile(prob.f, g))
+                    parts = [ms.splittings[i] for i in reps]
+                    stacks[key] = (parts[0] if g == 1 else Splitting(
+                        _block_diagonal([s.M for s in parts]),
+                        _block_diagonal([s.N for s in parts])),
+                        np.tile(prob.f, g))
                 split, f = stacks[key]
                 y0 = starts[reps[0]] if g == 1 \
                     else np.concatenate([starts[i] for i in reps])
@@ -231,7 +274,7 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
                                                     counts[members[0]],
                                                     cfg.schedule.theta)
                 except ConvergenceError as exc:
-                    i = reps[getattr(exc, "member", 0)]
+                    i = reps[getattr(exc, "index", 0) // n]
                     raise ConvergenceError(
                         f"subproblem solve failed at outer step {k}, "
                         f"processor {i}: {exc}") from exc

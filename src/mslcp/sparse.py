@@ -12,10 +12,10 @@ module ``scipy.sparse._sparsetools`` on the stored arrays, the kernel that
 for the operator's dispatch.  ``spmv_unchecked`` is the same call without
 the check of x, for the solvers' inner loop, which checks its own iterates.
 
-``all_finite`` tests finiteness with one dot product per chunk of at most
-8192 entries that no finite array can overflow, so a diverging solve's huge
-finite entries raise no warning and BLAS runs each product on the calling
-thread.
+``all_finite`` tests finiteness with one ``np.vdot`` per chunk of at most
+8192 entries that no finite array can overflow, so a diverging solve's
+entries, huge or not finite, raise no warning and BLAS runs each product on
+the calling thread.
 
 ``gauss_seidel_sweep`` is the one sweep kernel behind forward substitution
 and every Gauss-Seidel sweep.  Its rows run in level order, one in-place
@@ -71,19 +71,20 @@ def all_finite(arr: np.ndarray) -> bool:
     One dot product with a vector of 2^-60 entries decides, per chunk of at
     most ``_FINITE_CHUNK`` entries, so BLAS runs it on this thread: no
     finite array can overflow it, and an inf or nan entry makes it inf or
-    nan.  So huge finite entries raise no overflow warning.  Entries of both
-    infinite signs set the invalid flag (inf - inf), and tiny ones may set
-    the underflow flag; where ``np.errstate`` or a warnings filter turns a
-    flag into an error, the entrywise test decides instead.
+    nan.  The product is ``np.vdot``, which reads no floating-point flag, so
+    entries of both infinite signs (inf - inf) raise no invalid warning, as
+    ``dot`` does, and huge finite ones raise no overflow warning.  Should a
+    numpy build raise one anyway, under ``np.errstate`` or a warnings filter
+    that makes it an error, the entrywise test decides instead.
     """
     flat = arr.ravel()
     try:
         if flat.size <= _FINITE_CHUNK:
-            return math.isfinite(_finite_probe(flat.size).dot(flat))
+            return math.isfinite(np.vdot(_finite_probe(flat.size), flat))
         probe = _finite_probe(_FINITE_CHUNK)
         for start in range(0, flat.size, _FINITE_CHUNK):
             chunk = flat[start:start + _FINITE_CHUNK]
-            if not math.isfinite(probe[:chunk.size].dot(chunk)):
+            if not math.isfinite(np.vdot(probe[:chunk.size], chunk)):
                 return False
         return True
     except (FloatingPointError, RuntimeWarning):
@@ -318,6 +319,19 @@ def comparison_matrix(a: SparseMatrix) -> SparseMatrix:
 def abs_matrix(a: SparseMatrix) -> SparseMatrix:
     """Entrywise absolute value, same pattern."""
     return a.same_pattern(np.abs(a.values))
+
+
+def _block_diagonal(mats: list) -> SparseMatrix:
+    """blockdiag of the square ``mats``: their CSR arrays concatenated, each
+    member's row offsets shifted by the entries before it and its columns by
+    the rows before it, its values as they are."""
+    offsets, cols, n, nnz = [np.zeros(1, dtype=np.int64)], [], 0, 0
+    for a in mats:
+        offsets.append(a.row_offsets[1:] + nnz)
+        cols.append(a.col_indices + n)
+        n, nnz = n + a.n_rows, nnz + a.nnz
+    return SparseMatrix(n, n, np.concatenate(offsets), np.concatenate(cols),
+                        np.concatenate([a.values for a in mats]))
 
 
 def _sweep_schedule(a: SparseMatrix):

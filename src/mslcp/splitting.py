@@ -230,8 +230,7 @@ class MultisplittingSet:
     set was built from, when known.  The blocks a processor owns are
     ``weighting.indicator_owners`` for an indicator weighting.  ``n`` is at
     least 1, because every weighting diagonal carries a positive entry.
-    The set keeps no solve state: inner counts and stacks belong to each
-    solve.
+    The set keeps no solve state.
     """
 
     splittings: tuple
@@ -258,31 +257,6 @@ class MultisplittingSet:
     @property
     def n(self) -> int:
         return self.splittings[0].n
-
-    def stacked(self, members: tuple) -> Splitting:
-        """The splitting (blockdiag(M_i), blockdiag(N_i)) over ``members``,
-        which share one structure, so the stack has it too.  One member is
-        its own splitting; more are stacked anew on each call by
-        concatenating the members' CSR arrays, storing their factors once
-        more (at n = 1600 and four members, about 0.6 MB)."""
-        if len(members) == 1:
-            return self.splittings[members[0]]
-        parts = [self.splittings[i] for i in members]
-        return Splitting(_block_diagonal([s.M for s in parts]),
-                         _block_diagonal([s.N for s in parts]))
-
-
-def _block_diagonal(mats: list) -> SparseMatrix:
-    """blockdiag of the square ``mats``: their CSR arrays concatenated, each
-    member's row offsets shifted by the entries before it and its columns by
-    the rows before it, its values as they are."""
-    offsets, cols, n, nnz = [np.zeros(1, dtype=np.int64)], [], 0, 0
-    for a in mats:
-        offsets.append(a.row_offsets[1:] + nnz)
-        cols.append(a.col_indices + n)
-        n, nnz = n + a.n_rows, nnz + a.nnz
-    return SparseMatrix(n, n, np.concatenate(offsets), np.concatenate(cols),
-                        np.concatenate([a.values for a in mats]))
 
 
 def build_block_splitting(a: SparseMatrix, partition: Partition,

@@ -1,4 +1,5 @@
-"""Synchronous relaxed nonstationary multisplitting iteration.
+"""Synchronous relaxed nonstationary multisplitting: the solver settings,
+the inner loop and ``solve_sync``.
 
 One outer step: every processor i starts from the current iterate, performs
 its scheduled number of subproblem solves (refreshing the forcing vector
@@ -6,27 +7,15 @@ with its newest local iterate each time), and the weighted combination
 
     x_next = omega * sum_i E_i y_i + (1 - omega) * x
 
-closes the step.  Indicator weights need no separate path: 0.0 * y_i and
-1.0 * y_i are exact, so the sum takes each block exactly from its owner.
+closes the step.  ``solve_sync`` runs it as the asynchronous simulator's
+zero-delay case, so the outer step, the grouping of processors into one
+inner loop and the combination live in ``asynchronous``.
 
 Every schedule resolves to one inner count per solve and splitting object
 (``schedule_inner_count``).  Every solve refreshes the forcing vector
 F = f + N y with the raw CSR kernel; the inner loop clamps a ``diagonal``
 factor's subproblem itself and calls ``solve_sub_lcp`` for every other
 factor.
-
-Processors whose subproblem is an exact row-local solve (one projected
-forward sweep, of which the clamp is the one-level case; see
-``sublcp.factor_structure``) and whose count is fixed in advance (every
-schedule but ``inner_tolerance``) run together: ``_processor_groups``
-collects them by count, and one inner loop solves the stacked system
-blockdiag(M_i), blockdiag(N_i) on the concatenated starts.  Each stacked row
-does the arithmetic of its member's row in the same order, so the slices
-are bit-identical to separate loops.  The simulator also solves each
-(splitting, start) pair once while its start is readable
-(``asynchronous.solve_async_sim``).
-
-``solve_sync`` runs this as the asynchronous simulator's zero-delay case.
 """
 
 from __future__ import annotations
@@ -153,15 +142,13 @@ class StepEvent:
     """One outer step k, passed to a solver's ``on_step`` hook.
 
     Processor i read step ``reads[i]`` = s_i(k), getting ``starts[i]``, and
-    ran ``inner_counts[i]`` solves ending at ``ys[i]``: a slice of the
-    stacked iterate that solved its (splitting, start) pair, at this step or
-    at an earlier one that read the same start, or the solved array itself
-    when that stack held one pair (so in the synchronous Jacobi solve every
-    ``ys[i]`` is one array).  The streams in ``updated`` (J(k), ascending)
-    took the combination, moving by at most ``update_norm``; ``iterates``
-    holds every stream after the step (the synchronous solver repeats its
-    one iterate m times).  No solver writes these vectors afterwards, so a
-    hook may keep them.
+    ran ``inner_counts[i]`` solves ending at ``ys[i]``, a read-only array
+    that other processors, or an earlier step, may share
+    (``asynchronous.solve_async_sim``).  The streams in ``updated`` (J(k),
+    ascending) took the combination, moving by at most ``update_norm``;
+    ``iterates`` holds every stream after the step (the synchronous solver
+    repeats its one iterate m times).  No solver writes these vectors
+    afterwards, so a hook may keep them.
     """
 
     k: int
@@ -186,33 +173,14 @@ def schedule_inner_count(schedule: InnerSchedule, splitting) -> int:
     return MAX_INNER_COUNT
 
 
-def _processor_groups(ms: MultisplittingSet, counts, theta) -> list:
-    """Processor index tuples that share one stacked inner loop.
-
-    When the loop stops on its count alone (``theta`` is None: every
-    schedule but ``inner_tolerance``), processors with an exact row-local
-    subproblem (a ``structure`` other than ``general``) are grouped by
-    their count in ``counts``; every other processor is a group of one.
-    Diagonal and lower-triangular factors mix: the clamp and the projected
-    forward sweep give a diagonal row the same bits.  Groups come in order
-    of their lowest member.
-    """
-    groups = {}
-    for i, (split, count) in enumerate(zip(ms.splittings, counts)):
-        exact = theta is None and split.structure != "general"
-        groups.setdefault(("count", count) if exact else i, []).append(i)
-    return [tuple(g) for g in groups.values()]
-
-
 def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
                          y0: np.ndarray, count: int, theta):
-    """Run one processor group's inner loop from y0; returns (y, solve count).
+    """Run one inner loop of ``splitting`` from y0 with the forcing vector
+    ``f``; returns (y, solve count).
 
-    ``splitting`` is a processor's splitting with ``f`` = ``prob.f``, or a
-    group's stacked splitting with ``f`` the matching copies of ``prob.f``
-    end to end.  The loop stops after ``count`` solves (from
-    ``schedule_inner_count``), or earlier once ``theta`` is set and the gap
-    |y . (A y - f)| is below it; no gap is computed after the last solve.
+    The loop stops after ``count`` solves (from ``schedule_inner_count``),
+    or earlier once ``theta`` is set and the gap |y . (A y - f)| of
+    ``prob`` is below it; no gap is computed after the last solve.
 
     y0 is checked once.  Each solve computes F = f + N y by
     ``spmv_unchecked``; a ``diagonal`` factor, whose diagonal d must be
@@ -221,7 +189,7 @@ def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
     non-finite F, or a non-finite y at the gap, means the iteration
     diverged: ``ConvergenceError`` names the inner solve and ``x`` when that
     solve's input y is non-finite, else the ``forcing vector``, with
-    ``member`` the position in the group of the first non-finite slice.  So
+    ``index`` the position of the first non-finite entry there.  So
     a +inf in an entry of y that no row of N reads is recomputed, not an
     error, and a +inf in the last solve's y is returned, for the caller's
     update-norm check.
@@ -254,34 +222,8 @@ def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
         err = ConvergenceError(f"iteration diverged in inner solve "
                                f"{done + 1}: {name} contains non-finite "
                                f"entries")
-        err.member = int(np.argmax(bad)) // prob.n
+        err.index = int(np.argmax(bad))
         raise err from exc
-
-
-def _accumulate(ys, weighting) -> np.ndarray:
-    """sum_i E_i y_i with a fixed accumulation order over i, so serial and
-    concurrent inner loops produce identical results.
-
-    With an indicator weighting and one finite array y in every ``ys[i]``
-    (the synchronous Jacobi solve) the sum is y + 0.0 bit for bit: each
-    entry adds one 1.0 * y_j and zeros to 0.0, and the zeros only turn -0.0
-    into +0.0.  A y that fails ``all_finite`` takes the loop, so 0.0 * inf =
-    nan still reaches the caller's update-norm check."""
-    first = ys[0]
-    if weighting.is_indicator and all(y is first for y in ys) \
-            and all_finite(first):
-        return first + 0.0
-    acc = np.zeros(weighting.n)
-    for w, y in zip(weighting.weights, ys):
-        acc += w * y
-    return acc
-
-
-def _blend(acc: np.ndarray, omega: float, x_prev: np.ndarray) -> np.ndarray:
-    """omega * acc + (1 - omega) * x_prev, skipping the no-op blend at omega=1."""
-    if omega == 1.0:
-        return acc
-    return omega * acc + (1.0 - omega) * x_prev
 
 
 def _prologue(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,

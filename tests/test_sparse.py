@@ -151,6 +151,18 @@ class TestConstruction:
             with np.errstate(all="raise"):
                 assert not all_finite(row)
 
+    def test_both_infinite_signs_raise_no_warning(self):
+        # inf - inf is a nan that sets the invalid flag in a dot product; a
+        # warning recorded, not raised, leaves all_finite on its probe
+        long = np.zeros(3 * _FINITE_CHUNK)
+        long[[5, 6]] = np.inf, -np.inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="x contains non-finite"):
+                as_vector([1.0, np.inf, -np.inf], name="x")
+            assert not all_finite(long)
+        assert [str(w.message) for w in caught] == []
+
     def test_all_finite_accepts_huge_entries_across_many_chunks(self):
         row = np.full(3 * (3 * _FINITE_CHUNK + 1), 1.7e308)
         row[::3] *= -1.0

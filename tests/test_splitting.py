@@ -10,6 +10,7 @@ from mslcp import (ConvergenceError, MultisplittingSet, Partition, SparseMatrix,
                    compute_eta, factor_structure, min_inner_count,
                    spectral_radius_nonneg, validate_multisplitting)
 from mslcp.hmatrix import MAX_POWER_ITERS
+from mslcp.sparse import _block_diagonal
 from mslcp.splitting import ContractionOperator
 
 from conftest import (dense_contraction_matrix, random_m_matrix,
@@ -183,6 +184,9 @@ class TestBuilder:
 
 
 class TestStacked:
+    """``sparse._block_diagonal``, the stack the simulator solves a group's
+    pairs on, against ``scipy.sparse.block_diag``."""
+
     @staticmethod
     def scipy_stack(mats):
         return SparseMatrix.from_scipy(scipy.sparse.block_diag(
@@ -199,17 +203,21 @@ class TestStacked:
         ms = build_block_splitting(a, part, "block_lower_triangular")
         assert len({s.M.nnz for s in ms.splittings}) == 3
         assert len({s.N.nnz for s in ms.splittings}) == 3
-        stack = ms.stacked(members)
+        stack = []
         for name in ("M", "N"):
             mats = [getattr(ms.splittings[i], name) for i in members]
-            assert getattr(stack, name).equal_entries(self.scipy_stack(mats))
-        assert stack.structure == "lower_triangular"
+            stack.append(_block_diagonal(mats))
+            assert stack[-1].equal_entries(self.scipy_stack(mats))
+        assert Splitting(*stack).structure == "lower_triangular"
 
     def test_one_member_is_the_splitting(self, grid_problem):
         prob = grid_problem(4)
         ms = build_block_splitting(prob.A, Partition.contiguous(prob.n, 2),
                                    "block_lower_triangular")
-        assert ms.stacked((1,)) is ms.splittings[1]
+        split = ms.splittings[1]
+        for a in (split.M, split.N):
+            assert _block_diagonal([a]).equal_entries(a)
+
 
 def _random_hplus_cases():
     rng = np.random.default_rng(501)

@@ -16,7 +16,7 @@ import pytest
 
 from mslcp import (GridLcpSpec, Partition, SparseMatrix, build_block_splitting,
                    make_grid_lcp, solve_sub_lcp)
-from mslcp.sparse import (_sweep_schedule, gauss_seidel_sweep,
+from mslcp.sparse import (_block_diagonal, _sweep_schedule, gauss_seidel_sweep,
                           solve_lower_triangular)
 from mslcp.sublcp import projected_gauss_seidel
 
@@ -68,7 +68,8 @@ def block_lower_factors(p):
     prob = make_grid_lcp(GridLcpSpec(p=p))
     ms = build_block_splitting(prob.A, Partition.contiguous(prob.n, 4),
                                "block_lower_triangular")
-    return [s.M for s in ms.splittings] + [ms.stacked((0, 1, 2, 3)).M]
+    factors = [s.M for s in ms.splittings]
+    return factors + [_block_diagonal(factors)]
 
 
 CASES = [(n, density) for n in (1, 2, 7, 30, 90) for density in (0.05, 0.3, 0.8)]

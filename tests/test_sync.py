@@ -561,8 +561,8 @@ def _reference_run(prob, ms, cfg, sched, x0=None):
     processor and no grouping; returns (x, report, events)."""
     from collections import deque
 
-    from mslcp.asynchronous import _pick_reads
-    from mslcp.sync import StepEvent, _accumulate, _blend, _prologue
+    from mslcp.asynchronous import _accumulate, _blend, _pick_reads
+    from mslcp.sync import StepEvent, _prologue
 
     report, x, counts = _prologue(prob, ms, cfg, x0)
     m = ms.m
@@ -665,6 +665,50 @@ def _uneven_partition(n, single_at):
                                  for lo, hi in zip(bounds, bounds[1:])))
 
 
+def _general_among_exact(prob):
+    """Block-lower on four blocks where processor 1's factor keeps all of
+    A's diagonal block 1, upper entries too: a ``general`` factor, solved by
+    projected Gauss-Seidel, among three lower-triangular ones."""
+    from mslcp import MultisplittingSet, Splitting
+    a = prob.A
+    part = Partition.contiguous(prob.n, 4)
+    base = build_block_splitting(a, part, "block_lower_triangular")
+    rows, cols = a.entry_rows(), a.col_indices
+    block = part.owner_sets[1]
+    keep = (np.isin(rows, block) & np.isin(cols, block)) | (rows == cols)
+    full = Splitting(a.same_pattern(np.where(keep, a.values, 0.0)),
+                     a.same_pattern(np.where(keep, 0.0, -a.values)))
+    splits = tuple(full if i == 1 else s
+                   for i, s in enumerate(base.splittings))
+    return MultisplittingSet(splits, base.weighting,
+                             matrix_class=base.matrix_class)
+
+
+def _recorded_stacks(monkeypatch, ms):
+    """Record the stacks that the simulator builds from ``ms``'s splittings:
+    returns a list that gains, per stack, its splitting objects in stack
+    order."""
+    import mslcp.asynchronous
+    built, real = [], mslcp.asynchronous._block_diagonal
+
+    def recording(mats):
+        # the M factors name the slots; the N call matches no M
+        slots = [next((s for s in ms.splittings if s.M is a), None)
+                 for a in mats]
+        if None not in slots:
+            built.append(tuple(slots))
+        return real(mats)
+
+    monkeypatch.setattr(mslcp.asynchronous, "_block_diagonal", recording)
+    return built
+
+
+def _stack_processors(ms, slots) -> tuple:
+    """The processors whose splitting object a stack holds."""
+    return tuple(i for i, s in enumerate(ms.splittings)
+                 if any(s is t for t in slots))
+
+
 def _positive_lower_problem(grid_problem):
     """The p=6 grid with entry (13, 12), inside block 1 of three, made
     positive: still H+ but no longer a Z-matrix, and M_1 stays lower
@@ -679,8 +723,8 @@ def _positive_lower_problem(grid_problem):
 class TestStackedGroups:
     """The simulator runs processors with an exact row-local sub-solve and
     a count fixed in advance (any schedule but inner_tolerance) as one
-    stacked solve; every result
-    stays bit-identical to one inner loop per processor."""
+    stacked solve; every result stays bit-identical to one inner loop per
+    processor."""
 
     def _case(self, grid_problem, name):
         prob = grid_problem(6)
@@ -717,46 +761,62 @@ class TestStackedGroups:
             return prob, low(Partition.contiguous(n, 4)), fixed, sync, 1.0
         if name == "mixed-splitting":
             return prob, _mixed_jacobi(prob), fixed, sync, 1.0
+        if name == "general-among-exact":
+            return prob, _general_among_exact(prob), fixed, sync, 1.0
         assert name == "async-lower"
         return prob, low(_uneven_partition(n, 2)), fixed, rr, 1.1
 
+    # the stacks that a solve builds, each as the processors whose
+    # splitting it holds; a processor in no stack is solved alone.  The
+    # processors of one Jacobi splitting stack only at steps where their
+    # starts differ, and one splitting at one start is solved once
     CASES = {
-        "jacobi-m1": [(0,)],
-        "jacobi-m2": [(0, 1)],
-        "jacobi-m4": [(0, 1, 2, 3)],
+        "jacobi-m1": set(),
+        "jacobi-m2": set(),
+        "jacobi-m4": set(),
         # the one-row block's factor is diagonal; it stacks with the
         # lower-triangular ones
-        "lower-single-at-0": [(0, 1, 2, 3)],
-        "lower-single-at-2": [(0, 1, 2, 3)],
+        "lower-single-at-0": {(0, 1, 2, 3)},
+        "lower-single-at-2": {(0, 1, 2, 3)},
         # adaptive counts 20, 18, 17, 18
-        "lower-adaptive": [(0,), (1, 3), (2,)],
-        "positive-lower": [(0, 1, 2)],
-        "innertol": [(0,), (1,)],
-        "async-jacobi": [(0, 1, 2, 3)],
-        "async-lower": [(0, 1, 2, 3)],
-        "async-random-stalest": [(0, 1, 2, 3)],
-        "async-random-uniform": [(0, 1, 2, 3)],
-        "async-random-latest": [(0, 1, 2, 3)],
-        "mixed-splitting": [(0, 1, 2, 3)],
+        "lower-adaptive": {(1, 3)},
+        "positive-lower": {(0, 1, 2)},
+        # inner_tolerance stacks nothing
+        "innertol": set(),
+        # round robin changes one stream per step, so a step has at most
+        # one new pair
+        "async-jacobi": set(),
+        "async-lower": {(0, 1, 2, 3)},
+        "async-random-stalest": {(0, 1, 2, 3)},
+        "async-random-uniform": {(0, 1, 2, 3)},
+        "async-random-latest": {(0, 1, 2, 3)},
+        # processors 0, 1 and 3 share one splitting and one start
+        "mixed-splitting": {(0, 1, 2, 3)},
+        # the general factor of processor 1 is solved alone
+        "general-among-exact": {(0, 2, 3)},
     }
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_bitwise_equal_to_one_loop_per_processor(self, grid_problem,
-                                                     name):
-        from mslcp.sync import _processor_groups
+                                                     monkeypatch, name):
         prob, ms, schedule, sched, omega = self._case(grid_problem, name)
         cfg = SolverConfig(omega=omega, schedule=schedule, outer_tol=1e-8,
                            max_outer=400)
-        counts = [schedule_inner_count(schedule, s) for s in ms.splittings]
-        assert _processor_groups(ms, counts, schedule.theta) \
-            == self.CASES[name]
         if name == "positive-lower":
             # M_1's positive strict-lower entry leaves it lower triangular
             assert [s.structure for s in ms.splittings] == [
                 "lower_triangular"] * 3
+        if name == "general-among-exact":
+            assert [s.structure for s in ms.splittings] == [
+                "lower_triangular", "general", "lower_triangular",
+                "lower_triangular"]
+        built = _recorded_stacks(monkeypatch, ms)
         events = []
         x, rep = solve_async_sim(prob, ms, cfg, sched, on_step=events.append)
+        assert {_stack_processors(ms, slots) for slots in built} \
+            == self.CASES[name]
         x_ref, rep_ref, events_ref = _reference_run(prob, ms, cfg, sched)
+        assert rep.converged
         assert x.tobytes() == x_ref.tobytes()
         assert _report_fields(rep) == _report_fields(rep_ref)
         assert rep.total_inner_iterations == sum(
@@ -769,46 +829,28 @@ class TestStackedGroups:
 
     def test_stacks_are_shared_by_equal_splitting_sequences(
             self, grid_problem, monkeypatch):
-        import scipy.linalg
+        # a solve builds one stack per sequence of two or more splitting
+        # objects and reuses it at every later step; one pair runs on its
+        # splitting itself
         prob = grid_problem(6)
         part = Partition.contiguous(prob.n, 4)
         jac = build_block_splitting(prob.A, part, "jacobi")
-        assert jac.stacked((2,)) is jac.splittings[2]
         low = build_block_splitting(prob.A, part, "block_lower_triangular")
-        stack = low.stacked((0, 1))
-        assert stack.structure == "lower_triangular"
-        for name in ("M", "N"):
-            blocks = [getattr(low.splittings[i], name).to_dense()
-                      for i in (0, 1)]
-            assert np.array_equal(getattr(stack, name).to_dense(),
-                                  scipy.linalg.block_diag(*blocks))
-        # the set keeps no stack; a solve builds one per sequence of
-        # splitting objects and reuses it at every later step
-        assert low.stacked((0, 1)) is not stack
-        built = []
-        real = MultisplittingSet.stacked
-
-        def counting(ms, members):
-            built.append(tuple(members))
-            return real(ms, members)
-
-        monkeypatch.setattr(MultisplittingSet, "stacked", counting)
         fair = AsyncSchedule(staleness_bound=3, policy=RandomFair(seed=4))
         cfg = SolverConfig(omega=0.9, schedule=InnerSchedule.fixed(3),
                            max_outer=60)
         sizes = []
         for ms in (jac, low):
-            built.clear()
+            built = _recorded_stacks(monkeypatch, ms)
             _, rep = solve_async_sim(prob, ms, cfg, fair)
             assert rep.outer_iterations > 10
-            keys = [tuple(id(ms.splittings[i]) for i in members)
-                    for members in built]
+            keys = [tuple(map(id, slots)) for slots in built]
             assert keys and len(keys) == len(set(keys))
-            sizes.append({len(members) for members in built})
-        # a step stacks the Jacobi pairs that no earlier step solved, one to
+            sizes.append({len(slots) for slots in built})
+        # a step stacks the Jacobi pairs that no earlier step solved, two to
         # four of them; a block-lower splitting without a new pair re-solves
         # one, so one stack of all four serves every step
-        assert sizes[0] == {1, 2, 3, 4} and sizes[1] == {4}
+        assert sizes[0] == {2, 3, 4} and sizes[1] == {4}
 
     # distinct (splitting, start) pairs at every step of a synchronous
     # solve; None for the asynchronous ones, where it varies
@@ -1046,7 +1088,7 @@ class TestClampDivergence:
             _run_processor_inner(prob, split, prob.f, y0, 2, None)
         assert str(got.value) == ("iteration diverged in inner solve 1: x "
                                   "contains non-finite entries")
-        assert got.value.member == 0
+        assert got.value.index == 5
 
     def test_huge_finite_entries_raise_no_warning(self, grid_problem):
         # N = 1e307 (M - A): the first solve's F is finite, yet its entries
@@ -1113,7 +1155,7 @@ class TestLeanStepPath:
     y + 0.0 for the indicator sum of one shared y) change no bit."""
 
     def test_indicator_shortcut_equals_the_loop_on_negative_zeros(self):
-        from mslcp.sync import _accumulate
+        from mslcp.asynchronous import _accumulate
         y = np.array([-0.0, 0.0, 1.5, -0.0, -2.0, 3e-320, -0.0])
         weighting = WeightingScheme.indicator(Partition.contiguous(7, 3))
         acc = _accumulate((y,) * 3, weighting)
@@ -1122,7 +1164,7 @@ class TestLeanStepPath:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_nonfinite_shared_y_takes_the_loop(self, bad):
-        from mslcp.sync import _accumulate
+        from mslcp.asynchronous import _accumulate
         y = np.array([1.0, bad, -0.0, 2.0])
         weighting = WeightingScheme.indicator(Partition.contiguous(4, 2))
         with np.errstate(invalid="ignore"):
@@ -1133,7 +1175,7 @@ class TestLeanStepPath:
         assert np.isnan(acc[1])
 
     def test_non_indicator_weighting_takes_the_loop(self):
-        from mslcp.sync import _accumulate
+        from mslcp.asynchronous import _accumulate
         y = np.random.default_rng(3).standard_normal(12)
         weighting = WeightingScheme((np.full(12, 0.3), np.full(12, 0.7)))
         acc = _accumulate((y, y), weighting)
