@@ -689,7 +689,8 @@ def _recorded_stacks(monkeypatch, ms):
     returns a list that gains, per stack, its splitting objects in stack
     order."""
     import mslcp.asynchronous
-    built, real = [], mslcp.asynchronous._block_diagonal
+    import mslcp.sparse
+    built, real = [], mslcp.sparse._block_diagonal
 
     def recording(mats):
         # the M factors name the slots; the N call matches no M
@@ -750,7 +751,9 @@ class TestStackedGroups:
                                        "block_lower_triangular")
             return pos, ms, fixed, sync, 1.0
         if name == "innertol":
-            return prob, jac(2), InnerSchedule.inner_tolerance(1e-6), sync, 1.0
+            # four splittings at one start: four new pairs at every step
+            return prob, low(Partition.contiguous(n, 4)), \
+                InnerSchedule.inner_tolerance(1e-6), sync, 1.0
         if name == "async-jacobi":
             return prob, jac(4), fixed, rr, 0.9
         if name.startswith("async-random-"):
@@ -781,7 +784,8 @@ class TestStackedGroups:
         # adaptive counts 20, 18, 17, 18
         "lower-adaptive": {(1, 3)},
         "positive-lower": {(0, 1, 2)},
-        # inner_tolerance stacks nothing
+        # inner_tolerance stacks nothing, though every step has four new
+        # pairs of one count
         "innertol": set(),
         # round robin changes one stream per step, so a step has at most
         # one new pair
