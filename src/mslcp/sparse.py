@@ -334,6 +334,19 @@ def _block_diagonal(mats: list) -> SparseMatrix:
                         np.concatenate([a.values for a in mats]))
 
 
+def _leading_block(a: SparseMatrix, n: int) -> SparseMatrix:
+    """The leading n x n block of ``a``, whose first n rows must read only
+    its first n columns, as a ``_block_diagonal`` cut between two members
+    does: views of a's arrays, with a's diagonal and entry rows cut to
+    match, so the block allocates no array of its own until it is swept."""
+    nnz = int(a.row_offsets[n])
+    lead = SparseMatrix(n, n, a.row_offsets[:n + 1], a.col_indices[:nnz],
+                        a.values[:nnz])
+    lead._caches.update(diag=a.diagonal()[:n],
+                        entry_rows=a.entry_rows()[:nnz])
+    return lead
+
+
 def _sweep_schedule(a: SparseMatrix):
     """Level schedule of ``gauss_seidel_sweep`` for ``a`` (cached).
 

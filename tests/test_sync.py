@@ -728,6 +728,13 @@ class TestStackedGroups:
     processor."""
 
     def _case(self, grid_problem, name):
+        if "-stalest-" in name:
+            # a synchronous case run as stalest async-sim at d = 2
+            base, policy = name.split("-stalest-")
+            prob, ms, schedule, _, omega = self._case(grid_problem, base)
+            return prob, ms, schedule, AsyncSchedule(
+                staleness_bound=2, policy=RandomFair(seed=4)
+                if policy == "fair" else RoundRobin(2)), omega
         prob = grid_problem(6)
         n = prob.n
         jac = lambda m: build_block_splitting(
@@ -772,7 +779,8 @@ class TestStackedGroups:
     # the stacks that a solve builds, each as the processors whose
     # splitting it holds; a processor in no stack is solved alone.  The
     # processors of one Jacobi splitting stack only at steps where their
-    # starts differ, and one splitting at one start is solved once
+    # starts differ, or under stalest reads, and one splitting at one start
+    # is solved once
     CASES = {
         "jacobi-m1": set(),
         "jacobi-m2": set(),
@@ -788,8 +796,9 @@ class TestStackedGroups:
         # pairs of one count
         "innertol": set(),
         # round robin changes one stream per step, so a step has at most
-        # one new pair
-        "async-jacobi": set(),
+        # one new pair, but stalest reads stack it with the new pairs of
+        # the next d steps
+        "async-jacobi": {(0, 1, 2, 3)},
         "async-lower": {(0, 1, 2, 3)},
         "async-random-stalest": {(0, 1, 2, 3)},
         "async-random-uniform": {(0, 1, 2, 3)},
@@ -798,6 +807,17 @@ class TestStackedGroups:
         "mixed-splitting": {(0, 1, 2, 3)},
         # the general factor of processor 1 is solved alone
         "general-among-exact": {(0, 2, 3)},
+        # under stalest reads a group of one still solves one pair a step,
+        # the one-row diagonal block looks ahead with its block-lower
+        # group, and a group whose members share some splittings but not
+        # all keeps one loop a step
+        "innertol-stalest-fair": set(),
+        "innertol-stalest-rr": set(),
+        "general-among-exact-stalest-fair": {(0, 2, 3)},
+        "general-among-exact-stalest-rr": {(0, 2, 3)},
+        "lower-single-at-0-stalest-fair": {(0, 1, 2, 3)},
+        "lower-single-at-0-stalest-rr": {(0, 1, 2, 3)},
+        "mixed-splitting-stalest-fair": {(0, 1, 2, 3)},
     }
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -833,28 +853,37 @@ class TestStackedGroups:
 
     def test_stacks_are_shared_by_equal_splitting_sequences(
             self, grid_problem, monkeypatch):
-        # a solve builds one stack per sequence of two or more splitting
-        # objects and reuses it at every later step; one pair runs on its
-        # splitting itself
+        # a solve builds at most one stack per sequence of two or more
+        # splitting objects and reuses it at every later step; one pair
+        # runs on its splitting itself
         prob = grid_problem(6)
         part = Partition.contiguous(prob.n, 4)
         jac = build_block_splitting(prob.A, part, "jacobi")
         low = build_block_splitting(prob.A, part, "block_lower_triangular")
         fair = AsyncSchedule(staleness_bound=3, policy=RandomFair(seed=4))
+        latest = AsyncSchedule(staleness_bound=3, policy=RandomFair(seed=4),
+                               reads="latest")
         cfg = SolverConfig(omega=0.9, schedule=InnerSchedule.fixed(3),
                            max_outer=60)
         sizes = []
-        for ms in (jac, low):
+        for ms, sched in ((jac, fair), (low, fair), (jac, latest),
+                          (_mixed_jacobi(prob), fair)):
             built = _recorded_stacks(monkeypatch, ms)
-            _, rep = solve_async_sim(prob, ms, cfg, fair)
+            _, rep = solve_async_sim(prob, ms, cfg, sched)
             assert rep.outer_iterations > 10
             keys = [tuple(map(id, slots)) for slots in built]
             assert keys and len(keys) == len(set(keys))
             sizes.append({len(slots) for slots in built})
-        # a step stacks the Jacobi pairs that no earlier step solved, two to
-        # four of them; a block-lower splitting without a new pair re-solves
-        # one, so one stack of all four serves every step
-        assert sizes[0] == {2, 3, 4} and sizes[1] == {4}
+        # a step stacks the Jacobi pairs that no earlier step solved, and
+        # under stalest reads the new pairs of the next d steps, up to
+        # (d + 1) m = 16 of them; a block-lower splitting without a new pair
+        # re-solves one, so a loop stacks all four once per ring slot that
+        # it covers.  Each group builds its largest stack, of 16 blocks, and
+        # runs a smaller one on its leading blocks.  Latest reads take no
+        # pairs ahead: a step stacks the two to four new Jacobi pairs.
+        # Neither does a group whose members share some splittings but not
+        # all, whose sequences would not lead one stack
+        assert sizes == [{16}, {16}, {2, 3, 4}, {2, 3, 4}]
 
     # distinct (splitting, start) pairs at every step of a synchronous
     # solve; None for the asynchronous ones, where it varies
@@ -866,48 +895,106 @@ class TestStackedGroups:
     def test_one_solve_per_distinct_splitting_and_start(self, grid_problem,
                                                         monkeypatch, name):
         # over a whole solve each (splitting, start) pair reaches the inner
-        # loop once: a step runs one inner loop, of q = 3 solves, on the
-        # stack of the pairs that no earlier step solved, or none at all
+        # loop once, no later than the step that first reads it: a step runs
+        # one inner loop, of q = 3 solves, on the stack of the pairs that no
+        # earlier step solved, or none at all, and under stalest reads that
+        # loop also takes the new pairs that the next d steps read
         import mslcp.asynchronous
         prob, ms, schedule, sched, _ = self._case(grid_problem, name)
+        n, d = prob.n, sched.staleness_bound
         loops = []
         run = mslcp.asynchronous._run_processor_inner
 
         def counting(prob, splitting, f, y0, count, theta):
             y, done = run(prob, splitting, f, y0, count, theta)
-            loops.append((len(y0), done))
+            loops.append((len(steps), y, done))
             return y, done
 
         monkeypatch.setattr(mslcp.asynchronous, "_run_processor_inner",
                             counting)
         for omega in (1.0, 0.9):
-            # the events keep every start alive, so no id is reused
-            events, seen, steps = [], set(), []
+            # the events keep every start alive, so no id is reused; first
+            # maps each pair to its first read and the y that it got
+            events, first, steps = [], {}, []
+            loops.clear()
 
             def step(e):
                 events.append(e)
-                pairs = {(id(ms.splittings[i]), id(y0))
-                         for i, y0 in enumerate(e.starts)}
-                steps.append((len(pairs), len(pairs - seen), loops[:]))
-                seen.update(pairs)
-                loops.clear()
+                pairs = [(id(ms.splittings[i]), id(y0))
+                         for i, y0 in enumerate(e.starts)]
+                new = 0
+                for pair, y in zip(pairs, e.ys):
+                    if pair not in first:
+                        first[pair] = (e.k, y)
+                        new += 1
+                steps.append((len(set(pairs)), new))
 
             cfg = SolverConfig(omega=omega, schedule=schedule, outer_tol=1e-8,
                                max_outer=60)
             _, rep = solve_async_sim(prob, ms, cfg, sched, on_step=step)
             assert len(steps) == rep.outer_iterations > 10
-            for _, new, runs in steps:
-                assert runs == ([(prob.n * new, 3)] if new else [])
-            assert sum(new for _, new, _ in steps) == len(seen)
+            # a step runs at most one loop, and only when it reads a new
+            # pair; at d = 0 every such step runs one
+            ran = [k for k, _, _ in loops]
+            news = [k for k, (_, new) in enumerate(steps) if new]
+            assert len(set(ran)) == len(ran) and set(ran) <= set(news)
+            assert d > 0 or ran == news
+            assert {done for _, _, done in loops} == {3}
+            # each read pair's y is one block of one loop, run by the step
+            # that first reads it or an earlier one
+            ran_at = {id(y): k for k, y, _ in loops}
+            blocks = set()
+            for k, y in first.values():
+                whole = y if y.base is None else y.base
+                assert ran_at[id(whole)] <= k
+                blocks.add((id(whole),
+                            (y.ctypes.data - whole.ctypes.data) // (8 * n)))
+            assert len(blocks) == len(first)
+            # the blocks of no read pair belong to reads after the last
+            # step, which a loop of the last d + 1 steps solved ahead
+            for k, y, _ in loops:
+                unread = len(y) // n - sum(b[0] == id(y) for b in blocks)
+                assert unread == 0 or k >= len(steps) - 1 - d
             if self.ROWS[name] is not None:
                 # no start is read twice, so every pair is new
-                assert {(d, new) for d, new, _ in steps} == {
-                    (self.ROWS[name], self.ROWS[name])}
+                assert set(steps) == {(self.ROWS[name], self.ROWS[name])}
             else:
                 # streams coincide at some steps and differ at others, and
                 # some steps reuse pairs that an earlier step solved
-                assert max(d for d, _, _ in steps) > 1
-                assert len(seen) < sum(d for d, _, _ in steps)
+                assert max(d for d, _ in steps) > 1
+                assert len(first) < sum(d for d, _ in steps)
+
+    @pytest.mark.parametrize("variant", ["jacobi", "block_lower_triangular"])
+    def test_stalest_reads_solve_the_next_steps_in_one_loop(
+            self, grid_problem, monkeypatch, variant):
+        # at step k the ring holds the reads of steps k to k + d, and a
+        # step's loop solves the new pairs of all of them, so after step d
+        # no two loops of a group fall within d + 1 consecutive steps.  A
+        # lookahead that missed one slot would leave it to a step of its own
+        import mslcp.asynchronous
+        prob = grid_problem(6)
+        ms = build_block_splitting(prob.A, Partition.contiguous(prob.n, 4),
+                                   variant)
+        d = 3
+        sched = AsyncSchedule(staleness_bound=d, policy=RandomFair(seed=4))
+        cfg = SolverConfig(omega=0.9, schedule=InnerSchedule.fixed(3),
+                           outer_tol=1e-8, max_outer=200)
+        at, steps = [], []
+        run = mslcp.asynchronous._run_processor_inner
+
+        def counting(*args):
+            at.append(len(steps))
+            return run(*args)
+
+        monkeypatch.setattr(mslcp.asynchronous, "_run_processor_inner",
+                            counting)
+        x, rep = solve_async_sim(prob, ms, cfg, sched, on_step=steps.append)
+        x_ref, rep_ref, _ = _reference_run(prob, ms, cfg, sched)
+        assert rep.converged and x.tobytes() == x_ref.tobytes()
+        assert _report_fields(rep) == _report_fields(rep_ref)
+        later = [k for k in at if k > d]
+        assert at[0] == 0 and len(later) * (d + 1) >= len(steps) - 2 * d - 2
+        assert min(b - a for a, b in zip(later, later[1:])) >= d + 1
 
     def test_a_solve_is_forgotten_once_its_start_leaves_the_ring(
             self, grid_problem):
@@ -1006,6 +1093,57 @@ class TestStackedGroups:
             f"subproblem solve failed at outer step 4, processor {bad}: "
             f"iteration diverged in inner solve 2: forcing vector contains "
             f"non-finite entries")
+
+    def test_divergence_first_in_a_start_that_a_later_step_reads(
+            self, grid_problem, monkeypatch):
+        # each processor holds its own Jacobi splitting object, processor
+        # 3's with N scaled by 1e50, and round robin updates one stream a
+        # step.  Under stalest reads (d = 3) the loop of step 8 also solves
+        # the pairs that steps 9 to 11 read, and the newest start, read at
+        # step 11, is the first whose solves overflow.  Steps 8 to 10 then
+        # solve their own pairs alone, and step 11 fails with the message
+        # of a run that solves each step's pairs at that step
+        import warnings
+        import mslcp.asynchronous
+        prob = grid_problem(4)
+        base = build_block_splitting(prob.A, Partition.contiguous(16, 4),
+                                     "jacobi")
+        split = base.splittings[0]
+        ms = MultisplittingSet(
+            tuple(Splitting(split.M, split.N.same_pattern(
+                split.N.values * (1e50 if i == 3 else 1.0))) for i in range(4)),
+            base.weighting, matrix_class=base.matrix_class)
+        cfg, x0 = fixed_cfg(3), np.ones(16)
+        sched = AsyncSchedule(staleness_bound=3, policy=RoundRobin())
+        loops, steps = [], []
+        run = mslcp.asynchronous._run_processor_inner
+
+        def logging(*args):
+            loops.append([len(steps), len(args[3]) // 16, False])
+            out = run(*args)
+            loops[-1][2] = True
+            return out
+
+        monkeypatch.setattr(mslcp.asynchronous, "_run_processor_inner",
+                            logging)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConvergenceError) as got:
+                solve_async_sim(prob, ms, cfg, sched, x0=x0,
+                                on_step=steps.append)
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+        with np.errstate(over="ignore"):
+            with pytest.raises(ConvergenceError) as want:
+                _reference_run(prob, ms, cfg, sched, x0=x0)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(
+            "subproblem solve failed at outer step 11, processor 3: ")
+        # a loop holds the four processors' pairs once per slot, the new
+        # one and re-solves of the other three
+        assert [tuple(l) for l in loops if l[0] >= 8] == [
+            (8, 16, False), (8, 4, True), (9, 16, False), (9, 4, True),
+            (10, 16, False), (10, 4, True), (11, 16, False), (11, 4, False)]
 
 
 class TestClampDivergence:
