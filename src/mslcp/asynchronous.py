@@ -12,6 +12,7 @@ below:
 * ``solve_async_threaded`` runs one OS thread per processor against a shared
   published iterate; reads may be stale but always see a complete published
   version.  Run-to-run iterate sequences are not reproducible, the limit is.
+  Each worker solves only the rows that its block depends on (``_cone``).
 
 The synchronous solver is the simulator at staleness 0 with the
 all-components policy: ``sync.solve_sync`` calls ``solve_async_sim`` with
@@ -57,9 +58,11 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import ConvergenceError
-from .sublcp import LcpProblem, natural_residual
+from .sublcp import LcpProblem, factor_structure, natural_residual, \
+    positive_diagonal
 from .splitting import MultisplittingSet, Splitting
-from .sparse import _block_diagonal, _leading_block, all_finite, as_count
+from .sparse import SparseMatrix, _block_diagonal, _leading_block, all_finite, \
+    as_count
 from .sync import SolverConfig, StepEvent, _prologue, _run_processor_inner
 
 READ_RULES = ("latest", "stalest", "uniform")
@@ -410,6 +413,106 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     return distinct[best], report
 
 
+def _index(idx: np.ndarray):
+    """Sorted indices as a slice when they are one range, which numpy reads
+    and writes as a view instead of gathering and scattering; else as they
+    are."""
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _reach(inside: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Mark in ``inside`` the columns that the entries (rows, cols) of the
+    marked rows read; whether any was new."""
+    new = cols[inside[rows] & ~inside[cols]]
+    inside[new] = True
+    return len(new) > 0
+
+
+def _restrict(a: SparseMatrix, inside: np.ndarray, read: np.ndarray
+              ) -> SparseMatrix:
+    """The rows of ``a`` marked ``inside``, on the columns marked ``read``
+    (which must hold every column those rows read), renumbered in order:
+    each row keeps its entries in stored order."""
+    keep = inside[a.entry_rows()]
+    offsets = np.zeros(int(inside.sum()) + 1, dtype=np.int64)
+    np.cumsum(np.diff(a.row_offsets)[inside], out=offsets[1:])
+    pos = np.cumsum(read) - 1
+    return SparseMatrix(len(offsets) - 1, int(read.sum()), offsets,
+                        pos[a.col_indices[keep]], a.values[keep])
+
+
+@dataclass(frozen=True)
+class _Cone:
+    """A worker's splitting restricted to its dependency cone R: the rows
+    that its block's rows depend on within one inner loop (``_cone``).
+
+    ``M`` is M_i[R, R] and ``N`` is N_i[R, R + halo], the halo being the
+    columns outside R that R's rows of N read; the inner loop reads them,
+    and ``structure``, as it reads a ``Splitting``'s.  ``f`` is f[R].
+    ``gather`` addresses R + halo in the full vector, ``rows`` R within
+    R + halo and ``block`` the worker's block within R, each a slice when
+    its indices are one range.
+    """
+
+    M: SparseMatrix
+    N: SparseMatrix
+    structure: str
+    f: np.ndarray
+    gather: object
+    rows: object
+    block: object
+
+
+def _cone(split: Splitting, block: np.ndarray, count: int, f: np.ndarray):
+    """The ``_Cone`` of the rows of ``block`` for ``count`` exact solves of
+    ``split``, or None when it holds every row.
+
+    After s solves a row's value depends on the start's values at the
+    columns that N reads within s hops, and on the same solve's earlier
+    rows through M's strictly-lower entries, at no hop.  So R is the rows
+    within count - 1 hops of the block in N's graph, closed under M's
+    strictly-lower entries (a built-in block-lower factor's never leave the
+    block): count solves on R, from the start gathered over R + halo, give
+    the block's rows bit for bit, since every row does the arithmetic of
+    the full loop's row in the same order, and the rows at hop j are exact
+    up to solve count - j (the multisplitting form of restricted additive
+    Schwarz; Frommer & Szyld, Numer. Math. 83, 1999).  A ``general``
+    factor's projected Gauss-Seidel is not row-local: it takes no cone.
+    """
+    if split.structure == "general":
+        return None
+    # the full loop requires every diagonal entry of M to be positive
+    positive_diagonal(split.M)
+    m_rows, m_cols = split.M.entry_rows(), split.M.col_indices
+    lower = m_cols < m_rows
+    m_rows, m_cols = m_rows[lower], m_cols[lower]
+    n_rows, n_cols = split.N.entry_rows(), split.N.col_indices
+    inside = np.zeros(split.n, dtype=bool)
+    inside[block] = True
+    for hop in range(count):
+        # a hop that adds no row leaves the cone where it is
+        if hop and not _reach(inside, n_rows, n_cols):
+            break
+        while _reach(inside, m_rows, m_cols):
+            pass
+        if inside.all():
+            return None
+    read = inside.copy()
+    _reach(read, n_rows, n_cols)
+    cols = np.flatnonzero(read)
+    rows = np.flatnonzero(inside)
+    in_cols = np.cumsum(read) - 1
+    in_rows = np.cumsum(inside) - 1
+    m_fac = _restrict(split.M, inside, inside)
+    f_cone = f[rows]
+    f_cone.setflags(write=False)
+    return _Cone(m_fac, _restrict(split.N, inside, read),
+                 factor_structure(m_fac), f_cone, _index(cols),
+                 _index(in_cols[rows]), _index(in_rows[block]))
+
+
 def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
                          cfg: SolverConfig, workers: int,
                          x0: np.ndarray | None = None):
@@ -431,6 +534,19 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
     judged.  A non-finite block change never lands: its publisher raises
     ``ConvergenceError`` naming the publication.  numpy's overflow and
     invalid warnings are off in each worker (the state is per thread).
+
+    A worker's block depends only on the rows of its dependency cone
+    (``_cone``), so at its start each worker builds its splitting
+    restricted to that cone, and each publication gathers the shared
+    iterate over the cone and its halo into a private work vector, runs its
+    inner solves on the cone's rows alone, writing each solve's rows back
+    in place, and publishes its block, bit for bit the block of the full
+    loop from the same read.  A worker keeps the full loop when its factor
+    is ``general``, under ``inner_tolerance`` (the gap is over every row)
+    and when its cone is every row, as with interleaved blocks.  So an
+    overflow is reported only by a worker whose cone holds the overflowing
+    row: each row lies in its owner's cone, and a worker whose cone misses
+    it never computes it.
     """
     if workers != ms.m:
         raise ValueError("workers must equal the number of splittings")
@@ -440,11 +556,9 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
     start = time.perf_counter()
     report, x_init, counts = _prologue(prob, ms, cfg, x0)
     m = ms.m
-    # a block of consecutive indices is addressed by a slice, which numpy
-    # reads and writes as a view instead of gathering and scattering
-    owners = [slice(int(idx[0]), int(idx[-1]) + 1)
-              if idx[-1] - idx[0] == len(idx) - 1 else idx
-              for idx in ms.weighting.indicator_owners]
+    blocks = ms.weighting.indicator_owners
+    owners = [_index(idx) for idx in blocks]
+    theta = cfg.schedule.theta
     # Readers take the current reference; writers publish a fresh read-only
     # array under the lock, so a read never sees a torn vector.  x_init is
     # already a read-only private copy.
@@ -460,15 +574,20 @@ def solve_async_threaded(prob: LcpProblem, ms: MultisplittingSet,
     @np.errstate(over="ignore", invalid="ignore")
     def worker(i: int):
         nonlocal published
-        own = owners[i]
-        split = ms.splittings[i]
+        own, split = owners[i], ms.splittings[i]
         block = x_init[own]
         try:
+            # an inner_tolerance loop stops on a gap over every row
+            cone = None if theta is not None \
+                else _cone(split, blocks[i], counts[i], prob.f)
+            split, f, rows, take = (split, prob.f, None, own) \
+                if cone is None else (cone, cone.f, cone.rows, cone.block)
             while not stop.is_set():
-                y, count = _run_processor_inner(prob, split, prob.f,
-                                                published, counts[i],
-                                                cfg.schedule.theta)
-                new_block = _blend(y[own], cfg.omega, block)
+                y0 = published if cone is None \
+                    else published[cone.gather].copy()
+                y, count = _run_processor_inner(prob, split, f, y0,
+                                                counts[i], theta, rows)
+                new_block = _blend(y[take], cfg.omega, block)
                 change = float(np.maximum.reduce(np.abs(new_block - block)))
                 with lock:
                     if stop.is_set():

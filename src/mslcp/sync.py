@@ -174,7 +174,7 @@ def schedule_inner_count(schedule: InnerSchedule, splitting) -> int:
 
 
 def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
-                         y0: np.ndarray, count: int, theta):
+                         y0: np.ndarray, count: int, theta, rows=None):
     """Run one inner loop of ``splitting`` from y0 with the forcing vector
     ``f``; returns (y, solve count).
 
@@ -193,6 +193,13 @@ def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
     a +inf in an entry of y that no row of N reads is recomputed, not an
     error, and a +inf in the last solve's y is returned, for the caller's
     update-norm check.
+
+    With ``rows`` (a slice or sorted indices) the loop runs on a restricted
+    splitting (``asynchronous._cone``) whose N has more columns than M has
+    rows: y0 is then the caller's private work vector over N's columns,
+    each solve but the last writes its result into it at ``rows``, in
+    place, and the y returned covers M's rows only.  ``theta`` must then be
+    None, since the gap reads every row of A.
     """
     m_fac, n_fac, structure = splitting.M, splitting.N, splitting.structure
     clamp = structure == "diagonal"
@@ -207,13 +214,19 @@ def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
                 z = f_vec / d
                 if not all_finite(z):
                     require_finite("forcing vector", f_vec)
-                y = np.maximum(0.0, z)
+                new = np.maximum(0.0, z)
             else:
-                y = solve_sub_lcp(m_fac, structure, f_vec)
+                new = solve_sub_lcp(m_fac, structure, f_vec)
             done += 1
-            if done >= count or (theta is not None and abs(
-                    float(y @ (spmv(prob.A, y) - prob.f))) < theta):
-                return y, done
+            if done >= count:
+                return new, done
+            if rows is None:
+                y = new
+                if theta is not None and abs(
+                        float(y @ (spmv(prob.A, y) - prob.f))) < theta:
+                    return y, done
+            else:
+                y[rows] = new
     except NonFiniteError as exc:
         # y is the failing solve's input, f_vec its F
         bad = ~np.isfinite(y)

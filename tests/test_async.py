@@ -12,10 +12,12 @@ from mslcp import (AllEveryStep, AsyncSchedule, ConvergenceError,
                    Partition, RandomFair, RoundRobin, SolverConfig,
                    SparseMatrix, build_block_splitting, reference_solve,
                    solve_async_sim, solve_async_threaded, solve_sync)
+from mslcp.asynchronous import _cone
 from mslcp.splitting import ContractionOperator, Splitting, MultisplittingSet, \
     WeightingScheme
+from mslcp.sync import _run_processor_inner
 
-from conftest import weighted_max_norm
+from conftest import random_sparse_hplus, weighted_max_norm
 
 
 def cfg_fixed(q, tol=1e-6, **kw):
@@ -364,6 +366,167 @@ class TestThreaded:
             sys.setswitchinterval(old)
 
 
+def reference_cone(split, block, count):
+    """The rows of ``block``'s cone by dense boolean products: count - 1
+    hops in N's graph, each closed under M's strictly-lower entries."""
+    reads = split.N.to_dense() != 0.0
+    lower = np.tril(split.M.to_dense() != 0.0, -1)
+    inside = np.zeros(split.n, dtype=bool)
+    inside[block] = True
+    for hop in range(count):
+        if hop:
+            inside |= reads[inside].any(axis=0)
+        while True:
+            grown = inside | lower[inside].any(axis=0)
+            if np.array_equal(grown, inside):
+                break
+            inside = grown
+    return np.flatnonzero(inside)
+
+
+def cone_rows(cone, n):
+    """The cone's rows in the full vector, from its gather and rows."""
+    return np.arange(n)[cone.gather][cone.rows]
+
+
+def assert_cones_bit_equal(prob, ms, count, seed=0):
+    """Each worker's cone is the reference cone, and its restricted loop
+    gives the full loop's block rows byte for byte; returns the cones,
+    None where the cone is every row."""
+    x = np.random.default_rng(seed).standard_normal(prob.n)
+    cones = []
+    for split, block in zip(ms.splittings, ms.weighting.indicator_owners):
+        cone = _cone(split, block, count, prob.f)
+        want = reference_cone(split, block, count)
+        cones.append(cone)
+        if cone is None:
+            assert len(want) == prob.n
+            continue
+        assert np.array_equal(cone_rows(cone, prob.n), want)
+        full, done = _run_processor_inner(prob, split, prob.f, x, count, None)
+        part, done_part = _run_processor_inner(
+            prob, cone, cone.f, x[cone.gather].copy(), count, None, cone.rows)
+        assert done == done_part == count
+        assert part[cone.block].tobytes() == full[block].tobytes()
+    return cones
+
+
+class TestCone:
+    """Each threaded worker solves only the rows its block depends on
+    (``asynchronous._cone``), with its block's bits."""
+
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("p", [4, 8, 16])
+    @pytest.mark.parametrize("variant", ["jacobi", "block_lower_triangular"])
+    def test_contiguous_grid_blocks_bit_equal(self, grid_problem,
+                                              grid_multisplitting, variant,
+                                              p, m, q):
+        prob = grid_problem(p)
+        ms = grid_multisplitting(p, m, variant)
+        cones = assert_cones_bit_equal(prob, ms, q)
+        if q == 1:
+            # no hop: a built-in factor's cone is its block
+            assert [cone.M.n_rows for cone in cones] == \
+                [len(block) for block in ms.weighting.indicator_owners]
+        if p == 16 and m == 4:
+            # an interior block's cone stays a proper subset at q = 4
+            assert all(cone is not None for cone in cones)
+
+    @pytest.mark.parametrize("variant", ["jacobi", "block_lower_triangular"])
+    def test_interleaved_blocks(self, grid_problem, variant):
+        # one hop from the even rows of the grid reaches every odd row, so
+        # at q = 2 each cone is every row and the worker keeps the full
+        # loop; at q = 1 the cone is the block, written back through index
+        # arrays
+        prob = grid_problem(4)
+        part = Partition(16, 2, (np.arange(0, 16, 2), np.arange(1, 16, 2)))
+        ms = build_block_splitting(prob.A, part, variant)
+        assert assert_cones_bit_equal(prob, ms, 2) == [None, None]
+        cones = assert_cones_bit_equal(prob, ms, 1)
+        assert all(isinstance(cone.rows, np.ndarray) for cone in cones)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lower_entries_across_blocks_close_the_cone(self, seed, q):
+        # M = the lower triangle of A: its strict-lower entries reach into
+        # earlier blocks, so even at q = 1 the last block's cone holds rows
+        # of the blocks before it
+        rng = np.random.default_rng(seed)
+        a = random_sparse_hplus(rng, 24, density=0.1)
+        prob = LcpProblem(a, rng.standard_normal(24))
+        lower = a.same_pattern(np.where(a.col_indices <= a.entry_rows(),
+                                        a.values, 0.0))
+        split = Splitting(lower, SparseMatrix.from_scipy(
+            lower.to_scipy() - a.to_scipy()))
+        assert split.structure == "lower_triangular"
+        weighting = WeightingScheme.indicator(Partition.contiguous(24, 3))
+        ms = MultisplittingSet((split,) * 3, weighting)
+        cones = assert_cones_bit_equal(prob, ms, q, seed)
+        last = weighting.indicator_owners[2]
+        if cones[2] is not None:
+            assert cones[2].M.n_rows > len(last)
+        assert len(reference_cone(split, last, q)) > len(last)
+
+    def loops(self, monkeypatch):
+        """Record the ``rows`` argument of every worker's inner loop."""
+        import mslcp.asynchronous
+        calls = []
+        loop = mslcp.asynchronous._run_processor_inner
+
+        def recorded(*args):
+            calls.append(args[6] if len(args) > 6 else None)
+            return loop(*args)
+
+        monkeypatch.setattr(mslcp.asynchronous, "_run_processor_inner",
+                            recorded)
+        return calls
+
+    def test_fixed_jacobi_workers_restrict(self, grid_problem,
+                                           grid_multisplitting, monkeypatch):
+        calls = self.loops(monkeypatch)
+        prob = grid_problem(8)
+        _, rep = solve_async_threaded(prob, grid_multisplitting(8, 4),
+                                      cfg_fixed(2), workers=4)
+        assert rep.converged
+        assert calls and all(rows is not None for rows in calls)
+
+    def test_inner_tolerance_keeps_the_full_loop(self, grid_problem,
+                                                 grid_multisplitting,
+                                                 monkeypatch):
+        calls = self.loops(monkeypatch)
+        cfg = SolverConfig(omega=1.0,
+                           schedule=InnerSchedule.inner_tolerance(1e-6),
+                           outer_tol=1e-6)
+        _, rep = solve_async_threaded(grid_problem(8),
+                                      grid_multisplitting(8, 4), cfg,
+                                      workers=4)
+        assert rep.converged
+        assert calls and all(rows is None for rows in calls)
+
+    def test_general_factor_keeps_the_full_loop(self, grid_problem,
+                                                monkeypatch):
+        # M_i keeps every entry of A inside block i, upper ones included, so
+        # each sub-solve is projected Gauss-Seidel over all rows
+        calls = self.loops(monkeypatch)
+        prob = grid_problem(4)
+        a = prob.A
+        part = Partition.contiguous(16, 2)
+        splits = []
+        for block in part.owner_sets:
+            member = np.isin(np.arange(16), block)
+            keep = (a.entry_rows() == a.col_indices) | \
+                (member[a.entry_rows()] & member[a.col_indices])
+            m_fac = a.same_pattern(np.where(keep, a.values, 0.0))
+            splits.append(Splitting(m_fac, SparseMatrix.from_scipy(
+                m_fac.to_scipy() - a.to_scipy())))
+        assert {s.structure for s in splits} == {"general"}
+        ms = MultisplittingSet(tuple(splits), WeightingScheme.indicator(part))
+        _, rep = solve_async_threaded(prob, ms, cfg_fixed(1), workers=2)
+        assert rep.converged
+        assert calls and all(rows is None for rows in calls)
+
+
 def overflowing_set(prob):
     """Processor 0's factor is M = 5e-324 I with N = M - A, so its first
     solve's F / M overflows to +inf; processor 1 uses the Jacobi splitting."""
@@ -445,6 +608,37 @@ class TestDivergence:
         assert re.fullmatch(message, str(got.value))
         assert [str(w.message) for w in caught
                 if issubclass(w.category, RuntimeWarning)] == []
+
+    @pytest.mark.parametrize("row, owner", [(0, 0), (15, 1)])
+    def test_overflow_outside_a_cone_is_reported_by_its_owner(
+            self, grid_problem, grid_multisplitting, row, owner):
+        # both workers share a Jacobi splitting whose M has 5e-324 at
+        # ``row``, so the first solve's f_row / M_row,row overflows there.
+        # At q = 2 worker 0's cone is rows 0 to 11 and worker 1's rows 4 to
+        # 15, so only the row's owner computes it and reports it, every
+        # time, also when the other worker's loop would have failed first
+        import warnings
+        prob = LcpProblem(grid_problem(4).A, np.ones(16))
+        base = grid_multisplitting(4, 2)
+        m = base.splittings[0].M
+        tiny = m.same_pattern(np.where(np.arange(16) == row, 5e-324,
+                                       m.values))
+        split = Splitting(tiny, SparseMatrix.from_scipy(
+            tiny.to_scipy() - prob.A.to_scipy()))
+        ms = MultisplittingSet((split, split), base.weighting,
+                               base.matrix_class)
+        other = ms.weighting.indicator_owners[1 - owner]
+        assert row not in cone_rows(_cone(split, other, 2, prob.f), 16)
+        for _ in range(20):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(RuntimeError) as got:
+                    solve_async_threaded(prob, ms, cfg_fixed(2), workers=2)
+            assert str(got.value) == (
+                f"async worker for processor {owner} failed: iteration "
+                f"diverged in inner solve 2: x contains non-finite entries")
+            assert [str(w.message) for w in caught
+                    if issubclass(w.category, RuntimeWarning)] == []
 
     @pytest.mark.parametrize("bad", [0, 1])
     @pytest.mark.parametrize("mode", ["sync", "async-sim"])
