@@ -23,27 +23,32 @@ A step ends in the weighted combination omega sum_i E_i y_i + (1 - omega) x
 0.0 * y_i and 1.0 * y_i are exact, so the sum takes each block exactly from
 its owner.
 
-Stacking.  In the simulator, processors whose subproblem is an exact
-row-local solve (a ``structure`` other than ``general``: one projected
-forward sweep, of which the clamp is the one-level case; see
+Stacking.  The simulator groups the processors whose subproblem is an
+exact row-local solve (a ``structure`` other than ``general``: one
+projected forward sweep, of which the clamp is the one-level case; see
 ``sublcp.factor_structure``) and whose count is fixed in advance (every
-schedule but ``inner_tolerance``, which stops each loop on its own gap)
-form one group per count; every other processor is a group of one.
-Diagonal and lower-triangular factors mix, since the sweep gives a diagonal
-row the clamp's bits.  A group's pairs to solve run as one inner loop on the
+schedule but ``inner_tolerance``, which stops each loop on its own gap):
+the processors that share one splitting object form one group, those that
+hold their own form one group per count, and every other processor is a
+group of one.  A group's pairs to solve run as one inner loop on the
 stacked splitting blockdiag(M_i), blockdiag(N_i), whose CSR arrays are the
 members' concatenated (``sparse._block_diagonal``), from the concatenated
 starts with that many copies of f.  Each stacked row does the arithmetic of
 its member's row in the same order, so each slice is bit-identical to the
-member's own loop.  A failing stacked loop names the processor whose slice
-holds the first non-finite entry.  Under ``stalest`` reads with d > 0 the
-ring already holds the iterates that the next d steps read, so the loop of
-a group whose members share one splitting or hold one each also takes
-their new pairs, and those steps find them solved: on p = 24 Jacobi,
-m = 4, d = 3, ``RandomFair``, a run takes about a quarter as many loops,
-of four starts each.  A group of one still solves one pair a step: an
-``inner_tolerance`` loop stops on its own gap, and a ``general`` factor's
-projected Gauss-Seidel would stop on the whole stack's.
+member's own loop; diagonal and lower-triangular factors mix, since the
+sweep gives a diagonal row the clamp's bits.  A shared group's loops
+stack copies of one splitting, and in a group of own splittings a new pair
+re-solves every member, so every loop's sequence of splittings leads the
+group's largest stack: the group builds that stack once and a shorter loop
+runs on views of its leading blocks.  Under ``stalest`` reads with d > 0
+the ring already holds the iterates that the next d steps read, so a
+group's loop also takes their new pairs, and those steps find them solved:
+on p = 24 Jacobi, m = 4, d = 3, ``RandomFair``, a run takes about a
+quarter as many loops, of four starts each.  A group of one still solves
+one pair a step: an ``inner_tolerance`` loop stops on its own gap, and a
+``general`` factor's projected Gauss-Seidel would stop on the whole
+stack's.  A failing stacked loop names the processor whose slice holds the
+first non-finite entry.
 """
 
 from __future__ import annotations
@@ -189,41 +194,39 @@ def _blend(acc: np.ndarray, omega: float, x_prev: np.ndarray) -> np.ndarray:
     return omega * acc + (1.0 - omega) * x_prev
 
 
-def _cover(reps: list, lowest: tuple, keys: list) -> list:
-    """``reps`` with the lowest member of each splitting that none of them
-    holds, in processor order: a splitting without a new pair re-solves its
-    lowest member's pair, to the same bits, so that a group's stacks differ
-    only in how many copies of each splitting they hold.  Each new subset of
+def _take(members: list, cover: bool, keys: list, solved: dict) -> list:
+    """The members whose pair in ``keys`` no earlier step, group or member
+    solved, each marked taken in ``solved``; with ``cover`` (a group of own
+    splittings), every member once any has a new pair.  Each new subset of
     splittings would build a new stack and sweep schedule, which costs more
     than the re-solves: on p = 16 block-lower, m = 8, d = 3, stacking only
     the new pairs built 194 stacks instead of one and took twice as long,
     though it solved 44% fewer slots."""
-    covered = {keys[i][0] for i in reps}
-    return sorted(reps + [i for i in lowest if keys[i][0] not in covered])
+    new = [i for i in members if keys[i] not in solved
+           and solved.setdefault(keys[i]) is None]
+    return list(members) if new and cover else new
 
 
-def _new_stack(key: tuple, whole: tuple, stacks: dict, split_of: dict,
-               f: np.ndarray):
-    """(splitting, forcing vector) for the splitting-id sequence ``key``:
-    one splitting itself with f, or the stack blockdiag(M_i),
-    blockdiag(N_i) of the sequence with that many copies of f.  A key that
-    leads ``whole``, the largest sequence of a group that looks ahead,
-    takes the leading blocks of whole's stack (built on first use and kept
-    in ``stacks``), views of its arrays, since each stacked row reads only
-    its own block's columns."""
-    if len(key) == 1:
-        return split_of[key[0]], f
-    if len(key) < len(whole) and key == whole[:len(key)]:
-        if whole not in stacks:
-            stacks[whole] = _new_stack(whole, whole, stacks, split_of, f)
-        big, tiled = stacks[whole]
-        rows = len(key) * len(f)
-        return Splitting(_leading_block(big.M, rows),
-                         _leading_block(big.N, rows)), tiled[:rows]
-    parts = [split_of[s] for s in key]
-    return Splitting(_block_diagonal([s.M for s in parts]),
-                     _block_diagonal([s.N for s in parts])), \
-        np.tile(f, len(key))
+def _stack(whole: list, g: int, stacks: dict, f: np.ndarray):
+    """(splitting, forcing vector) for the first ``g`` splittings of
+    ``whole``: the first splitting itself with f when g is 1, else the
+    leading blocks of the stack blockdiag(M_i), blockdiag(N_i) of all of
+    ``whole`` with g copies of f.  The whole stack is built on first use,
+    and a shorter one takes views of its arrays, since each stacked row
+    reads only its own block's columns; ``stacks`` keeps each by g."""
+    if g == 1:
+        return whole[0], f
+    if len(whole) not in stacks:
+        stacks[len(whole)] = (
+            Splitting(_block_diagonal([s.M for s in whole]),
+                      _block_diagonal([s.N for s in whole])),
+            np.tile(f, len(whole)))
+    if g not in stacks:
+        big, tiled = stacks[len(whole)]
+        rows = g * len(f)
+        stacks[g] = Splitting(_leading_block(big.M, rows),
+                              _leading_block(big.N, rows)), tiled[:rows]
+    return stacks[g]
 
 
 def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
@@ -247,16 +250,14 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     Each (splitting object, start array) pair is solved once while its
     start is readable, so every processor with that pair, at this step or
     a later one, gets the same read-only ``ys[i]``: the solved array, or a
-    slice of a stacked one.  Under ``stalest`` reads with d > 0 the loop
-    at step k of a stacked group whose members share one splitting or hold
-    one each also takes the new pairs of the at most d ring slots newer
-    than its read, which steps k + 1 to k + d read, so it stacks at most
-    min(d + 1, ``cfg.max_outer``) times its members' blocks.  If such a
-    loop fails, the later pairs are unmarked and step k's own are solved
-    alone, so an error names the step, processor and inner solve that
-    first read the failing start.  Such a group builds its largest stack
-    once, and a shorter loop runs on views of its leading blocks, so the
-    cache holds no copy per size.
+    slice of a stacked one.  A group (see the module docstring) runs one
+    loop at a step that reads a new pair of its own; under ``stalest``
+    reads with d > 0 that loop also takes the group's new pairs of the at
+    most d ring slots newer than its read, which steps k + 1 to k + d
+    read.  If such a loop fails, the later pairs are unmarked and step k's
+    own are solved alone, so an error names the step, processor and inner
+    solve that first read the failing start; when loops of several groups
+    fail at one step, it names the lowest failing processor.
     """
     start = time.perf_counter()
     report, x_init, counts = _prologue(prob, ms, cfg, x0)
@@ -270,36 +271,31 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
 
     n = prob.n
     split_ids = tuple(map(id, ms.splittings))
-    split_of = dict(zip(split_ids, ms.splittings))
     # under stalest reads with d > 0 every processor reads ring[0], and the
     # next d steps read the newer slots ring[1:]; a loop covers at most
     # this many slots
     reach = min(sched.staleness_bound + 1, cfg.max_outer) \
         if sched.reads == "stalest" else 1
     # exact row-local processors with a count fixed in advance group by
-    # count; every other processor is a group of one
+    # shared splitting object, or by count when each holds its own; every
+    # other processor is a group of one
     grouped = {}
     for i, (split, count) in enumerate(zip(ms.splittings, counts)):
-        exact = cfg.schedule.theta is None and split.structure != "general"
-        grouped.setdefault(("count", count) if exact else i, []).append(i)
-    # each group, with the lowest member of each of its splitting objects
-    # when it has more than one, and, when its loops take the newer slots'
-    # pairs, the splitting ids of its largest stack: its members once per
-    # slot that a loop covers.  Only in a group whose members share one
-    # splitting or hold one each does every loop's sequence lead that
-    # stack; on p = 16 with one of four Jacobi splittings damped, d = 3,
-    # looking ahead built 124 stacks for 290 loops and took 118 ms, not 80
+        key = i
+        if cfg.schedule.theta is None and split.structure != "general":
+            key = ("shared", split_ids[i]) \
+                if split_ids.count(split_ids[i]) > 1 else ("own", count)
+        grouped.setdefault(key, []).append(i)
+    # each group: its members, whether a new pair re-solves them all,
+    # whether its loops look ahead, the splittings of its largest stack
+    # (its members' once per slot that a loop covers), which every loop's
+    # sequence leads, and the stacks that ``_stack`` keeps
     groups = []
     for key, members in grouped.items():
-        lowest = tuple({split_ids[i]: i for i in reversed(members)}.values())
-        whole = tuple(split_ids[i] for i in members) * reach \
-            if reach > 1 and isinstance(key, tuple) \
-            and len(lowest) in (1, len(members)) else ()
-        groups.append((members, lowest if len(lowest) > 1 else (), whole))
-    # the splitting id of rep r, processor r % m's
-    ids = split_ids * reach
-    # sequence of splitting ids -> (their stack, that many copies of prob.f)
-    stacks = {}
+        exact = isinstance(key, tuple)
+        ahead = exact and reach > 1
+        whole = [ms.splittings[i] for i in members] * (reach if ahead else 1)
+        groups.append((members, exact and key[0] == "own", ahead, whole, {}))
     # (id(splitting), id(start)) -> (start, y, solve count) for each pair
     # solved; holding the start keeps its id from being reused while the
     # entry lasts
@@ -310,66 +306,64 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
         starts = tuple(ring[s - k - 1][i] for i, s in enumerate(reads))
         updated = sched.policy.update_set(k, m, policy_rng)
         keys = list(zip(split_ids, map(id, starts)))
+        # (processor, error) of each group whose loop fails at this step
+        failed = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for members, lowest, whole in groups:
-                # the lowest member of each pair that no earlier step, group
-                # or member solved (setdefault marks the pair taken)
-                reps = [i for i in members if keys[i] not in solved
-                        and solved.setdefault(keys[i]) is None]
+            for members, cover, ahead, whole, stacks in groups:
+                reps = _take(members, cover, keys, solved)
                 if not reps:
                     continue
-                if lowest and len(reps) < len(members):
-                    reps = _cover(reps, lowest, keys)
                 g = len(reps)
                 # reps index this step's starts and keys, and under the
                 # lookahead each newer slot's after them: rep r is processor
                 # r % m of slot r // m
                 pool, pool_keys = starts, keys
-                if whole:
+                if ahead:
                     # the new pairs of each newer slot join this loop, each
                     # slot under the same re-solve rule, so the next steps
                     # find them solved
                     pool, pool_keys = list(starts), list(keys)
                     for slot in islice(ring, 1, None):
                         slot_keys = list(zip(split_ids, map(id, slot)))
-                        new = [i for i in members if slot_keys[i] not in solved
-                               and solved.setdefault(slot_keys[i]) is None]
-                        if new and lowest and len(new) < len(members):
-                            new = _cover(new, lowest, slot_keys)
-                        reps += [len(pool) + i for i in new]
+                        reps += [len(pool) + i for i in _take(
+                            members, cover, slot_keys, solved)]
                         pool += slot
                         pool_keys += slot_keys
-                while True:
-                    key = tuple(map(ids.__getitem__, reps))
-                    if key not in stacks:
-                        stacks[key] = _new_stack(key, whole, stacks, split_of,
-                                                 prob.f)
-                    split, f = stacks[key]
+                y = None
+                while y is None:
+                    split, f = _stack(whole, len(reps), stacks, prob.f)
                     y0 = pool[reps[0]] if len(reps) == 1 \
                         else np.concatenate([pool[i] for i in reps])
                     try:
                         y, count = _run_processor_inner(prob, split, f, y0,
                                                         counts[members[0]],
                                                         cfg.schedule.theta)
-                        break
                     except ConvergenceError as exc:
                         if len(reps) == g:
-                            i = reps[getattr(exc, "index", 0) // n]
-                            raise ConvergenceError(
-                                f"subproblem solve failed at outer step {k}, "
-                                f"processor {i}: {exc}") from exc
-                    # the failure may lie in a later step's slice: unmark
-                    # the later pairs (a re-solved pair keeps its earlier
-                    # solution) and solve this step's alone, so that an
-                    # error names this step
-                    for i in reps[g:]:
-                        if solved.get(pool_keys[i], 0) is None:
-                            del solved[pool_keys[i]]
-                    del reps[g:]
+                            failed.append(
+                                (reps[getattr(exc, "index", 0) // n], exc))
+                            break
+                        # the failure may lie in a later step's slice:
+                        # unmark the later pairs (a re-solved pair keeps its
+                        # earlier solution) and solve this step's alone, so
+                        # that an error names this step
+                        for i in reps[g:]:
+                            if solved.get(pool_keys[i], 0) is None:
+                                del solved[pool_keys[i]]
+                        del reps[g:]
+                if y is None:
+                    continue
                 y.setflags(write=False)
                 for j, i in enumerate(reps):
                     solved[pool_keys[i]] = (pool[i], y if len(reps) == 1
                                             else y[j * n:(j + 1) * n], count)
+            if failed:
+                # the lowest failing processor, as one loop per processor
+                # in processor order would name it
+                i, exc = min(failed, key=lambda fail: fail[0])
+                raise ConvergenceError(
+                    f"subproblem solve failed at outer step {k}, "
+                    f"processor {i}: {exc}") from exc
             _, ys, inner_counts = zip(*map(solved.__getitem__, keys))
             acc = _accumulate(ys, ms.weighting)
             streams = list(ring[-1])

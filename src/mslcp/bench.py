@@ -62,6 +62,11 @@ def validate(args: argparse.Namespace) -> None:
         raise UsageError("specify exactly one of --grid or --matrix")
     if args.matrix is not None and args.rhs is None:
         raise UsageError("--matrix requires --rhs")
+    if args.grid is not None and args.rhs is not None:
+        raise UsageError("--rhs applies only to --matrix (the grid family "
+                         "makes its own right-hand side)")
+    if args.matrix is not None and args.shift != 0.0:
+        raise UsageError("--shift applies only to --grid")
     if args.mode != "async-sim" and (args.staleness != 0
                                      or args.policy != "all"
                                      or args.reads != "stalest"):

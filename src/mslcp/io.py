@@ -62,7 +62,9 @@ def write_partition(path, partition: Partition) -> None:
 
 
 def read_partition(path, n: int) -> Partition:
-    blocks = []
+    """The partition in ``path``; a bad token or an invalid block names the
+    file and the line."""
+    blocks, lines = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -70,7 +72,13 @@ def read_partition(path, n: int) -> Partition:
                 continue
             blocks.append([_parse(path, lineno, tok, int)
                            for tok in line.split()])
+            lines.append(lineno)
     if not blocks:
         raise ValueError(f"partition file {path} contains no blocks")
-    return Partition(n, len(blocks), tuple(np.asarray(b, dtype=np.int64)
-                                           for b in blocks))
+    try:
+        return Partition(n, len(blocks), tuple(np.asarray(b, dtype=np.int64)
+                                               for b in blocks))
+    except ValueError as exc:
+        if not hasattr(exc, "block"):
+            raise
+        raise ValueError(f"{path}, line {lines[exc.block]}: {exc}") from None

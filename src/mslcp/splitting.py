@@ -36,10 +36,20 @@ MAX_INNER_COUNT = 100000
 VALIDATION_TOL = 1e-12
 
 
+def _block_error(b: int, text: str) -> ValueError:
+    """A ValueError about partition block b that carries b as ``block``,
+    so a reader can name the line that held it."""
+    exc = ValueError(f"partition block {b} {text}")
+    exc.block = b
+    return exc
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint ownership of the index set {0..n-1} by m blocks; the sizes
-    are stored as ``int`` (``sparse.as_count``)."""
+    are stored as ``int`` (``sparse.as_count``).  An invalid block raises a
+    ``ValueError`` that names it and the offending index, and carries its
+    number as ``block``."""
 
     n: int
     m: int
@@ -53,30 +63,37 @@ class Partition:
         if len(self.owner_sets) != self.m:
             raise ValueError("owner_sets length must equal m")
         sets = []
-        seen = np.zeros(self.n, dtype=bool)
+        owner = np.full(self.n, -1)
         for b, s in enumerate(self.owner_sets):
             block = np.asarray(s)
             if block.ndim != 1:
-                raise ValueError(f"partition block {b} must be 1-D, got "
-                                 f"{block.ndim} dimensions")
+                raise _block_error(b, f"must be 1-D, got {block.ndim} "
+                                      f"dimensions")
             if len(block) == 0:
-                raise ValueError("partition blocks must be nonempty")
+                raise _block_error(b, "must be nonempty")
             # a float or boolean index would be truncated or read as 0/1
             if not np.issubdtype(block.dtype, np.integer):
-                raise ValueError(f"partition block {b} must hold integers, "
-                                 f"got dtype {block.dtype}")
-            idx = np.unique(block.astype(np.int64))
+                raise _block_error(b, f"must hold integers, got dtype "
+                                      f"{block.dtype}")
+            block = block.astype(np.int64)
+            idx, counts = np.unique(block, return_counts=True)
             if len(idx) != len(block):
-                raise ValueError("partition block contains repeated indices")
+                raise _block_error(b, f"repeats index {idx[counts > 1][0]}")
             if idx[0] < 0 or idx[-1] >= self.n:
-                raise ValueError("partition index out of range")
-            if np.any(seen[idx]):
-                raise ValueError("partition blocks must be disjoint")
-            seen[idx] = True
+                j = block[(block < 0) | (block >= self.n)][0]
+                raise _block_error(b, f"holds index {j}, outside "
+                                      f"[0, {self.n})")
+            taken = idx[owner[idx] >= 0]
+            if len(taken):
+                raise _block_error(b, f"holds index {taken[0]}, which block "
+                                      f"{owner[taken[0]]} holds too; blocks "
+                                      f"must be disjoint")
+            owner[idx] = b
             idx.setflags(write=False)
             sets.append(idx)
-        if not np.all(seen):
-            raise ValueError("partition blocks must cover every index")
+        if np.any(owner < 0):
+            raise ValueError(f"partition blocks must cover every index; "
+                             f"none holds {np.argmax(owner < 0)}")
         object.__setattr__(self, "owner_sets", tuple(sets))
 
     @staticmethod

@@ -68,6 +68,23 @@ class TestExitCodes:
     def test_conflicting_problem_sources_exit_64(self, tmp_path):
         assert main(["--grid", "8", "--matrix", "x.mtx", "--rhs", "y.txt"]) == 64
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid", "4", "--m", "2", "--rhs", "f.txt"],
+         "--rhs applies only to --matrix"),
+        (["--matrix", "a.mtx", "--rhs", "f.txt", "--shift", "1"],
+         "--shift applies only to --grid"),
+    ], ids=["rhs-with-grid", "shift-with-matrix"])
+    def test_option_of_the_other_problem_source_exits_64(self, tmp_path,
+                                                         capsys, argv,
+                                                         message):
+        # each was ignored before, and the second still wrote its shift
+        # into the report's config
+        out = tmp_path / "r.json"
+        assert main(argv + ["--output", str(out)]) == 64
+        assert capsys.readouterr().err.startswith(
+            f"mslcp-bench: error: {message}")
+        assert not out.exists()
+
     def test_non_hplus_input_exits_64(self, tmp_path):
         from mslcp import SparseMatrix
         from mslcp.io import write_matrix_market, write_vector
@@ -286,6 +303,16 @@ class TestPartitions:
         assert main(source + ["--m", "2", flag, value]) == 64
         err = capsys.readouterr().err
         assert err == f"mslcp-bench: error: {message.format(path=path)}\n"
+
+    def test_invalid_partition_block_exits_64_naming_file_and_line(
+            self, tmp_path, capsys):
+        part = tmp_path / "part.txt"
+        part.write_text("0 1 2 3 4 5 6 7\n8 9 10 11 12 13 14 16\n")
+        assert main(["--grid", "4", "--m", "2",
+                     "--partition", f"file:{part}"]) == 64
+        assert capsys.readouterr().err == (
+            f"mslcp-bench: error: set-up failed: {part}, line 2: partition "
+            f"block 1 holds index 16, outside [0, 16)\n")
 
     def test_partition_block_count_must_match_m(self, tmp_path):
         part = tmp_path / "part.txt"

@@ -85,6 +85,28 @@ class TestPartitions:
                                              f"an integer$"):
             read_partition(path, 16)
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\n# comment\n\n2 9 3\n", "line 4: partition block 1 holds "
+                                         "index 9, outside [0, 4)"),
+        ("0 1 1\n2 3\n", "line 1: partition block 0 repeats index 1"),
+        ("0 1\n1 2 3\n", "line 2: partition block 1 holds index 1, which "
+                         "block 0 holds too; blocks must be disjoint"),
+    ], ids=["out-of-range", "repeated", "overlap"])
+    def test_invalid_block_names_file_line_and_index(self, tmp_path, text,
+                                                     message):
+        path = tmp_path / "part.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, "
+                                             f"{re.escape(message)}$"):
+            read_partition(path, 4)
+
+    def test_gap_names_no_line(self, tmp_path):
+        path = tmp_path / "part.txt"
+        path.write_text("0 1\n3\n")
+        with pytest.raises(ValueError, match="^partition blocks must cover "
+                                             "every index; none holds 2$"):
+            read_partition(path, 4)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("\n")

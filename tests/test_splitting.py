@@ -1,5 +1,7 @@
 """Multisplitting builders, hypothesis validation, inner-count thresholds."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -47,6 +49,25 @@ class TestPartition:
     def test_rejects_overlap(self):
         with pytest.raises(ValueError, match="disjoint"):
             Partition(4, 2, (np.array([0, 1, 2]), np.array([2, 3])))
+
+    @pytest.mark.parametrize("sets, message", [
+        (([0, 1, 2], [2, 3]), "partition block 1 holds index 2, which block 0 "
+                              "holds too; blocks must be disjoint"),
+        (([0, 1], [2, 7, 3]), "partition block 1 holds index 7, outside "
+                              "[0, 4)"),
+        (([0, -1, 1], [2, 3]), "partition block 0 holds index -1, outside "
+                               "[0, 4)"),
+        (([0, 1], [3, 2, 3]), "partition block 1 repeats index 3"),
+    ], ids=["overlap", "too-large", "negative", "repeated"])
+    def test_invalid_block_names_block_and_index(self, sets, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as got:
+            Partition(4, 2, tuple(np.array(s) for s in sets))
+        assert got.value.block == int(message.split()[2])
+
+    def test_gap_names_the_first_missing_index(self):
+        with pytest.raises(ValueError, match="cover every index; none holds "
+                                             "1$"):
+            Partition(4, 2, (np.array([0]), np.array([3, 2])))
 
     def test_rejects_gap(self):
         with pytest.raises(ValueError, match="cover"):

@@ -1,10 +1,12 @@
 """Synchronous solver: fixed points, schedules, contraction invariants."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
-from mslcp import (AsyncSchedule, ConvergenceError, GridLcpSpec,
+from mslcp import (AllEveryStep, AsyncSchedule, ConvergenceError, GridLcpSpec,
                    InnerSchedule, LcpProblem, MultisplittingSet, Partition,
                    RandomFair, RoundRobin, SolverConfig, SparseMatrix,
                    Splitting,
@@ -12,6 +14,7 @@ from mslcp import (AsyncSchedule, ConvergenceError, GridLcpSpec,
                    make_grid_lcp, natural_residual, reference_solve,
                    schedule_inner_count, solve_async_sim, solve_sub_lcp,
                    solve_sync, spmv)
+from mslcp.asynchronous import READ_RULES
 from mslcp.splitting import ContractionOperator
 
 from conftest import random_sparse_hplus, weighted_max_norm
@@ -803,21 +806,22 @@ class TestStackedGroups:
         "async-random-stalest": {(0, 1, 2, 3)},
         "async-random-uniform": {(0, 1, 2, 3)},
         "async-random-latest": {(0, 1, 2, 3)},
-        # processors 0, 1 and 3 share one splitting and one start
-        "mixed-splitting": {(0, 1, 2, 3)},
+        # processors 0, 1 and 3 share one splitting and one start, and
+        # processor 2 is a group of its own splitting: one pair each a step
+        "mixed-splitting": set(),
         # the general factor of processor 1 is solved alone
         "general-among-exact": {(0, 2, 3)},
         # under stalest reads a group of one still solves one pair a step,
         # the one-row diagonal block looks ahead with its block-lower
-        # group, and a group whose members share some splittings but not
-        # all keeps one loop a step
+        # group, and the shared and the own splitting of a mixed set each
+        # stack their own group's slots
         "innertol-stalest-fair": set(),
         "innertol-stalest-rr": set(),
         "general-among-exact-stalest-fair": {(0, 2, 3)},
         "general-among-exact-stalest-rr": {(0, 2, 3)},
         "lower-single-at-0-stalest-fair": {(0, 1, 2, 3)},
         "lower-single-at-0-stalest-rr": {(0, 1, 2, 3)},
-        "mixed-splitting-stalest-fair": {(0, 1, 2, 3)},
+        "mixed-splitting-stalest-fair": {(0, 1, 3), (2,)},
     }
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -880,10 +884,10 @@ class TestStackedGroups:
         # re-solves one, so a loop stacks all four once per ring slot that
         # it covers.  Each group builds its largest stack, of 16 blocks, and
         # runs a smaller one on its leading blocks.  Latest reads take no
-        # pairs ahead: a step stacks the two to four new Jacobi pairs.
-        # Neither does a group whose members share some splittings but not
-        # all, whose sequences would not lead one stack
-        assert sizes == [{16}, {16}, {2, 3, 4}, {2, 3, 4}]
+        # pairs ahead: a step stacks the two to four new Jacobi pairs on the
+        # leading blocks of one 4-block stack.  A mixed set's shared
+        # splitting (3 processors) and own one (1) each build their own
+        assert sizes == [{16}, {16}, {4}, {12, 4}]
 
     # distinct (splitting, start) pairs at every step of a synchronous
     # solve; None for the asynchronous ones, where it varies
@@ -896,9 +900,9 @@ class TestStackedGroups:
                                                         monkeypatch, name):
         # over a whole solve each (splitting, start) pair reaches the inner
         # loop once, no later than the step that first reads it: a step runs
-        # one inner loop, of q = 3 solves, on the stack of the pairs that no
-        # earlier step solved, or none at all, and under stalest reads that
-        # loop also takes the new pairs that the next d steps read
+        # one inner loop a group, of q = 3 solves, on the stack of the pairs
+        # that no earlier step solved, or none at all, and under stalest
+        # reads that loop also takes the new pairs that the next d steps read
         import mslcp.asynchronous
         prob, ms, schedule, sched, _ = self._case(grid_problem, name)
         n, d = prob.n, sched.staleness_bound
@@ -933,12 +937,15 @@ class TestStackedGroups:
                                max_outer=60)
             _, rep = solve_async_sim(prob, ms, cfg, sched, on_step=step)
             assert len(steps) == rep.outer_iterations > 10
-            # a step runs at most one loop, and only when it reads a new
-            # pair; at d = 0 every such step runs one
+            # a step runs at most one loop a group (the mixed set has two),
+            # and only when it reads a new pair; at d = 0 every such step
+            # runs one a group
             ran = [k for k, _, _ in loops]
             news = [k for k, (_, new) in enumerate(steps) if new]
-            assert len(set(ran)) == len(ran) and set(ran) <= set(news)
-            assert d > 0 or ran == news
+            groups = 2 if name == "mixed-splitting" else 1
+            assert max(Counter(ran).values()) <= groups
+            assert set(ran) <= set(news)
+            assert d > 0 or ran == [k for k in news for _ in range(groups)]
             assert {done for _, _, done in loops} == {3}
             # each read pair's y is one block of one loop, run by the step
             # that first reads it or an earlier one
@@ -996,6 +1003,103 @@ class TestStackedGroups:
         assert at[0] == 0 and len(later) * (d + 1) >= len(steps) - 2 * d - 2
         assert min(b - a for a, b in zip(later, later[1:])) >= d + 1
 
+    @staticmethod
+    def _sharing_pattern(prob, rng, mixed):
+        """2 to 6 processors, each given the shared Jacobi splitting, the
+        shared damped one (M = 2D, N = 2D - A) or the block-lower splitting
+        object of a random block, so some objects are shared and some held
+        alone; with ``mixed`` at least one is shared and at least two are
+        distinct."""
+        while True:
+            p = int(rng.integers(3 if mixed else 2, 7))
+            part = Partition.contiguous(prob.n, p)
+            jac = build_block_splitting(prob.A, part, "jacobi")
+            low = build_block_splitting(prob.A, part, "block_lower_triangular")
+            split = jac.splittings[0]
+            damped = Splitting(split.M.same_pattern(2.0 * split.M.values),
+                               SparseMatrix.from_scipy(split.N.to_scipy()
+                                                       + split.M.to_scipy()))
+            pool = [split, damped, *low.splittings]
+            picks = rng.integers(0, len(pool), size=p)
+            held = Counter(picks.tolist())
+            if not mixed or (len(held) > 1 and max(held.values()) > 1):
+                return MultisplittingSet(tuple(pool[j] for j in picks),
+                                         jac.weighting,
+                                         matrix_class=jac.matrix_class)
+
+    @pytest.mark.parametrize("policy", ["all", "rr", "fair"])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    @pytest.mark.parametrize("reads", ["stalest", "latest", "uniform"])
+    def test_random_sharing_patterns_match_one_loop_per_processor(
+            self, grid_problem, monkeypatch, reads, d, policy):
+        # the processors of one shared splitting object form a group, those
+        # that hold their own form one; each group builds at most one stack
+        # and runs at most one loop a step, and under stalest reads a
+        # group's loops after step d lie at least d + 1 steps apart
+        import mslcp.asynchronous
+        prob = grid_problem(6)
+        rng = np.random.default_rng([d, READ_RULES.index(reads),
+                                     len(policy)])
+        stalest = reads == "stalest" and d > 0
+        ms = self._sharing_pattern(prob, rng, stalest)
+        held = Counter(map(id, ms.splittings))
+        own = frozenset(id(s) for s in ms.splittings if held[id(s)] == 1)
+        group_of = {id(s): own if id(s) in own else frozenset([id(s)])
+                    for s in ms.splittings}
+        policies = {"all": AllEveryStep(), "rr": RoundRobin(2),
+                    "fair": RandomFair(seed=int(rng.integers(100)))}
+        sched = AsyncSchedule(staleness_bound=d, policy=policies[policy],
+                              reads=reads, reads_seed=int(rng.integers(100)))
+        stacks, loops = {}, []
+        real_stack = mslcp.sparse._block_diagonal
+        run = mslcp.asynchronous._run_processor_inner
+
+        def stacking(mats):
+            out = real_stack(mats)
+            slots = [next((s for s in ms.splittings if s.M is a), None)
+                     for a in mats]
+            if None not in slots:
+                stacks[id(out.values)] = frozenset(map(id, slots))
+            return out
+
+        def counting(prob, splitting, f, y0, count, theta):
+            if any(splitting is s for s in ms.splittings):
+                group = group_of[id(splitting)]
+            else:
+                root = splitting.M.values
+                while root.base is not None:
+                    root = root.base
+                group = stacks[id(root)]
+            loops.append((len(events), group))
+            return run(prob, splitting, f, y0, count, theta)
+
+        monkeypatch.setattr(mslcp.asynchronous, "_block_diagonal", stacking)
+        monkeypatch.setattr(mslcp.asynchronous, "_run_processor_inner",
+                            counting)
+        for omega in (0.9, 1.0):
+            stacks.clear()
+            loops.clear()
+            events = []
+            cfg = SolverConfig(omega=omega, schedule=InnerSchedule.fixed(2),
+                               outer_tol=1e-8, max_outer=80)
+            x, rep = solve_async_sim(prob, ms, cfg, sched,
+                                     on_step=events.append)
+            x_ref, rep_ref, events_ref = _reference_run(prob, ms, cfg, sched)
+            assert x.tobytes() == x_ref.tobytes()
+            assert _report_fields(rep) == _report_fields(rep_ref)
+            assert len(events) == len(events_ref)
+            for e, e_ref in zip(events, events_ref):
+                assert _event_bytes(e) == _event_bytes(e_ref)
+            # one stack a group, holding that group's splittings
+            built = list(stacks.values())
+            assert len(built) == len(set(built))
+            assert all(group_of[next(iter(g))] == g for g in built)
+            assert max(Counter(loops).values()) == 1
+            if stalest:
+                for group in set(group_of.values()):
+                    at = [k for k, g in loops if g == group and k > d]
+                    assert all(b - a >= d + 1 for a, b in zip(at, at[1:]))
+
     def test_a_solve_is_forgotten_once_its_start_leaves_the_ring(
             self, grid_problem):
         # a start stays alive while the ring (d + 1 tuples of m streams) or
@@ -1049,11 +1153,45 @@ class TestStackedGroups:
         assert (f"outer step 0, processor {bad}: iteration diverged in inner "
                 f"solve {inner}: ") in str(got.value)
 
+    def test_divergence_in_two_groups_names_the_lowest_processor(
+            self, grid_problem):
+        # processors 0 and 3 hold their own block-lower splittings and form
+        # the group that runs first; 1 and 2 share a Jacobi one.  Processors
+        # 1 and 3 have N scaled by 1e308, so both groups fail in the first
+        # solve of step 0, and the error names processor 1, as one loop per
+        # processor in processor order does
+        from mslcp import MultisplittingSet, Splitting
+        prob = grid_problem(4)
+        part = Partition.contiguous(16, 4)
+        low = build_block_splitting(prob.A, part, "block_lower_triangular")
+        jac = build_block_splitting(prob.A, part, "jacobi").splittings[0]
+
+        def odd(split):
+            return Splitting(split.M,
+                             split.N.same_pattern(split.N.values * 1e308))
+
+        odd_jac = odd(jac)
+        ms = MultisplittingSet((low.splittings[0], odd_jac, odd_jac,
+                                odd(low.splittings[3])), low.weighting,
+                               matrix_class=low.matrix_class)
+        cfg, x0 = fixed_cfg(3), np.ones(16)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ConvergenceError) as got:
+                solve_sync(prob, ms, cfg, x0=x0)
+            with pytest.raises(ConvergenceError) as want:
+                _reference_run(prob, ms, cfg, AsyncSchedule(), x0=x0)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(
+            "subproblem solve failed at outer step 0, processor 1: "
+            "iteration diverged in inner solve 1: ")
+
     @pytest.mark.parametrize("bad", [1, 3])
     def test_divergence_after_a_step_of_reused_solves(self, grid_problem,
                                                       monkeypatch, bad):
         # reads of step 0 (stalest, d = 3) make steps 1 to 3 reuse every
-        # solve of step 0; processor ``bad`` has N scaled by 1e100, so its
+        # solve of step 0, which runs one loop for the three processors of
+        # the shared splitting and one for processor ``bad``'s own; ``bad``
+        # has N scaled by 1e100, so its
         # iterate grows by about 1e100 a solve: two solves reach 1e200 at
         # step 0, and at step 4, which reads that stream, its second solve's
         # F = f + N y overflows
@@ -1087,7 +1225,7 @@ class TestStackedGroups:
                 solve_async_sim(prob, ms, cfg, sched, x0=x0, on_step=step)
             with pytest.raises(ConvergenceError) as want:
                 _reference_run(prob, ms, cfg, sched, x0=x0)
-        assert per_step == [1, 0, 0, 0]
+        assert per_step == [2, 0, 0, 0]
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(
             f"subproblem solve failed at outer step 4, processor {bad}: "
