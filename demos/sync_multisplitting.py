@@ -12,9 +12,14 @@ rises (including the standard-multisplitting baseline).
 import numpy as np
 
 from mslcp import (GridLcpSpec, InnerSchedule, Partition, SolverConfig,
-                   build_block_splitting, compute_eta, make_grid_lcp,
-                   min_inner_count, reference_solve, solve_sync,
-                   validate_multisplitting)
+                   build_block_splitting, make_grid_lcp, min_inner_count,
+                   reference_solve, solve_sync, validate_multisplitting)
+
+
+def compute_eta(gamma, weighting):
+    """Inner-contraction target gamma / sum_i ||E_i||_inf."""
+    return gamma / sum(float(np.max(w)) for w in weighting.weights)
+
 
 p = 16
 prob = make_grid_lcp(GridLcpSpec(p=p))

@@ -11,8 +11,8 @@ from .hmatrix import (MatrixClass, SpectralRadiusEstimate, classify,
                       spectral_radius_nonneg)
 from .splitting import (ContractionOperator, MultisplittingSet,
                         MultisplittingValidation, Partition, Splitting,
-                        WeightingScheme, build_block_splitting, compute_eta,
-                        min_inner_count, validate_multisplitting)
+                        WeightingScheme, build_block_splitting, min_inner_count,
+                        validate_multisplitting)
 from .sublcp import (LcpProblem, LcpSolution, brute_force_lcp, factor_structure,
                      natural_residual, projected_gauss_seidel, solve_sub_lcp)
 from .sync import (InnerSchedule, IterationReport, SolverConfig, StepEvent,
@@ -28,7 +28,7 @@ __all__ = [
     "MultisplittingValidation", "Partition", "RandomFair", "RoundRobin",
     "SolverConfig", "SparseMatrix", "SpectralRadiusEstimate", "Splitting",
     "StepEvent", "WeightingScheme", "abs_matrix", "brute_force_lcp",
-    "build_block_splitting", "classify", "comparison_matrix", "compute_eta",
+    "build_block_splitting", "classify", "comparison_matrix",
     "factor_structure", "make_grid_lcp", "min_inner_count", "natural_residual",
     "projected_gauss_seidel", "reference_solve", "schedule_inner_count",
     "solve_async_sim", "solve_async_threaded", "solve_sub_lcp", "solve_sync",

@@ -47,8 +47,8 @@ on p = 24 Jacobi, m = 4, d = 3, ``RandomFair``, a run takes about a
 quarter as many loops, of four starts each.  A group of one still solves
 one pair a step: an ``inner_tolerance`` loop stops on its own gap, and a
 ``general`` factor's projected Gauss-Seidel would stop on the whole
-stack's.  A failing stacked loop names the processor whose slice holds the
-first non-finite entry.
+stack's.  None of this changes what a run reports, errors included (see
+``solve_async_sim``).
 """
 
 from __future__ import annotations
@@ -254,10 +254,14 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
     loop at a step that reads a new pair of its own; under ``stalest``
     reads with d > 0 that loop also takes the group's new pairs of the at
     most d ring slots newer than its read, which steps k + 1 to k + d
-    read.  If such a loop fails, the later pairs are unmarked and step k's
-    own are solved alone, so an error names the step, processor and inner
-    solve that first read the failing start; when loops of several groups
-    fail at one step, it names the lowest failing processor.
+    read.
+
+    An error names the step, processor and inner solve that one loop per
+    processor, in processor order, names, whatever the grouping, stacking
+    or lookahead: when a loop fails, its pairs are unmarked and step k's
+    unsolved pairs are solved alone in processor order, the first failure
+    raising; if none fails (the failure lay in a later step's pair), the
+    step goes on.
     """
     start = time.perf_counter()
     report, x_init, counts = _prologue(prob, ms, cfg, x0)
@@ -306,64 +310,55 @@ def solve_async_sim(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,
         starts = tuple(ring[s - k - 1][i] for i, s in enumerate(reads))
         updated = sched.policy.update_set(k, m, policy_rng)
         keys = list(zip(split_ids, map(id, starts)))
-        # (processor, error) of each group whose loop fails at this step
-        failed = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for members, cover, ahead, whole, stacks in groups:
-                reps = _take(members, cover, keys, solved)
-                if not reps:
-                    continue
-                g = len(reps)
-                # reps index this step's starts and keys, and under the
-                # lookahead each newer slot's after them: rep r is processor
-                # r % m of slot r // m
-                pool, pool_keys = starts, keys
-                if ahead:
-                    # the new pairs of each newer slot join this loop, each
-                    # slot under the same re-solve rule, so the next steps
-                    # find them solved
-                    pool, pool_keys = list(starts), list(keys)
-                    for slot in islice(ring, 1, None):
-                        slot_keys = list(zip(split_ids, map(id, slot)))
-                        reps += [len(pool) + i for i in _take(
-                            members, cover, slot_keys, solved)]
-                        pool += slot
-                        pool_keys += slot_keys
-                y = None
-                while y is None:
+            try:
+                for members, cover, ahead, whole, stacks in groups:
+                    reps = _take(members, cover, keys, solved)
+                    if not reps:
+                        continue
+                    # reps index this step's starts and keys, and under the
+                    # lookahead each newer slot's after them: rep r is
+                    # processor r % m of slot r // m
+                    pool, pool_keys = starts, keys
+                    if ahead:
+                        # the new pairs of each newer slot join this loop,
+                        # each slot under the same re-solve rule, so the next
+                        # steps find them solved
+                        pool, pool_keys = list(starts), list(keys)
+                        for slot in islice(ring, 1, None):
+                            slot_keys = list(zip(split_ids, map(id, slot)))
+                            reps += [len(pool) + i for i in _take(
+                                members, cover, slot_keys, solved)]
+                            pool += slot
+                            pool_keys += slot_keys
                     split, f = _stack(whole, len(reps), stacks, prob.f)
                     y0 = pool[reps[0]] if len(reps) == 1 \
                         else np.concatenate([pool[i] for i in reps])
+                    y, count = _run_processor_inner(prob, split, f, y0,
+                                                    counts[members[0]],
+                                                    cfg.schedule.theta)
+                    y.setflags(write=False)
+                    for j, i in enumerate(reps):
+                        solved[pool_keys[i]] = (pool[i], y if len(reps) == 1
+                                                else y[j * n:(j + 1) * n],
+                                                count)
+            except ConvergenceError:
+                # the failing loop's pairs, its lookahead's included, are
+                # the ones still marked None
+                solved = {key: v for key, v in solved.items() if v is not None}
+                for i, key in enumerate(keys):
+                    if key in solved:
+                        continue
                     try:
-                        y, count = _run_processor_inner(prob, split, f, y0,
-                                                        counts[members[0]],
-                                                        cfg.schedule.theta)
+                        y, count = _run_processor_inner(
+                            prob, ms.splittings[i], prob.f, starts[i],
+                            counts[i], cfg.schedule.theta)
                     except ConvergenceError as exc:
-                        if len(reps) == g:
-                            failed.append(
-                                (reps[getattr(exc, "index", 0) // n], exc))
-                            break
-                        # the failure may lie in a later step's slice:
-                        # unmark the later pairs (a re-solved pair keeps its
-                        # earlier solution) and solve this step's alone, so
-                        # that an error names this step
-                        for i in reps[g:]:
-                            if solved.get(pool_keys[i], 0) is None:
-                                del solved[pool_keys[i]]
-                        del reps[g:]
-                if y is None:
-                    continue
-                y.setflags(write=False)
-                for j, i in enumerate(reps):
-                    solved[pool_keys[i]] = (pool[i], y if len(reps) == 1
-                                            else y[j * n:(j + 1) * n], count)
-            if failed:
-                # the lowest failing processor, as one loop per processor
-                # in processor order would name it
-                i, exc = min(failed, key=lambda fail: fail[0])
-                raise ConvergenceError(
-                    f"subproblem solve failed at outer step {k}, "
-                    f"processor {i}: {exc}") from exc
+                        raise ConvergenceError(
+                            f"subproblem solve failed at outer step {k}, "
+                            f"processor {i}: {exc}") from exc
+                    y.setflags(write=False)
+                    solved[key] = (starts[i], y, count)
             _, ys, inner_counts = zip(*map(solved.__getitem__, keys))
             acc = _accumulate(ys, ms.weighting)
             streams = list(ring[-1])

@@ -424,11 +424,3 @@ def min_inner_count(splitting: Splitting, eta: float) -> int:
     raise ConvergenceError(
         f"||T^s||_inf stayed above {eta:.3g} for all s <= "
         f"{MAX_INNER_COUNT}; contraction too weak for the requested eta")
-
-
-def compute_eta(gamma: float, weighting: WeightingScheme) -> float:
-    """Inner-contraction target gamma / sum_i ||E_i||_inf."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie strictly between 0 and 1")
-    denom = sum(float(np.max(w)) for w in weighting.weights)
-    return gamma / denom

@@ -188,10 +188,9 @@ def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
     F / d, and any other factor ``solve_sub_lcp``, which checks F.  A
     non-finite F, or a non-finite y at the gap, means the iteration
     diverged: ``ConvergenceError`` names the inner solve and ``x`` when that
-    solve's input y is non-finite, else the ``forcing vector``, with
-    ``index`` the position of the first non-finite entry there.  So
-    a +inf in an entry of y that no row of N reads is recomputed, not an
-    error, and a +inf in the last solve's y is returned, for the caller's
+    solve's input y is non-finite, else the ``forcing vector``.  So a +inf
+    in an entry of y that no row of N reads is recomputed, not an error,
+    and a +inf in the last solve's y is returned, for the caller's
     update-norm check.
 
     With ``rows`` (a slice or sorted indices) the loop runs on a restricted
@@ -205,7 +204,7 @@ def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
     clamp = structure == "diagonal"
     if clamp:
         d = positive_diagonal(m_fac)
-    y, f_vec, done = y0, f, 0
+    y, done = y0, 0
     try:
         y = as_vector(y0, n_fac.n_cols, name="x")
         while True:
@@ -228,15 +227,11 @@ def _run_processor_inner(prob: LcpProblem, splitting, f: np.ndarray,
             else:
                 y[rows] = new
     except NonFiniteError as exc:
-        # y is the failing solve's input, f_vec its F
-        bad = ~np.isfinite(y)
-        name, bad = ("x", bad) if bad.any() \
-            else ("forcing vector", ~np.isfinite(f_vec))
-        err = ConvergenceError(f"iteration diverged in inner solve "
+        # y is the failing solve's input
+        name = "forcing vector" if all_finite(y) else "x"
+        raise ConvergenceError(f"iteration diverged in inner solve "
                                f"{done + 1}: {name} contains non-finite "
-                               f"entries")
-        err.index = int(np.argmax(bad))
-        raise err from exc
+                               f"entries") from exc
 
 
 def _prologue(prob: LcpProblem, ms: MultisplittingSet, cfg: SolverConfig,

@@ -9,8 +9,8 @@ from scipy.sparse.csgraph import connected_components
 
 from mslcp import (ConvergenceError, MultisplittingSet, Partition, SparseMatrix,
                    Splitting, WeightingScheme, build_block_splitting, classify,
-                   compute_eta, factor_structure, min_inner_count,
-                   spectral_radius_nonneg, validate_multisplitting)
+                   factor_structure, min_inner_count, spectral_radius_nonneg,
+                   validate_multisplitting)
 from mslcp.hmatrix import MAX_POWER_ITERS
 from mslcp.sparse import _block_diagonal
 from mslcp.splitting import ContractionOperator
@@ -495,28 +495,6 @@ class TestMinInnerCount:
                 break
         assert expected == 148
         assert min_inner_count(s, 0.1) == expected
-
-class TestComputeEta:
-    def test_indicator_two_blocks(self):
-        w = WeightingScheme.indicator(Partition.contiguous(6, 2))
-        assert compute_eta(0.8, w) == pytest.approx(0.4)
-
-    def test_single_identity_weight(self):
-        w = WeightingScheme((np.ones(4),))
-        assert compute_eta(0.37, w) == pytest.approx(0.37)
-
-    def test_grid_value(self, grid_problem):
-        # gamma from the dense eigenvalue oracle of the p=8 Jacobi matrix
-        gamma = float(np.cos(np.pi / 9))
-        w = WeightingScheme.indicator(Partition.contiguous(64, 2))
-        assert compute_eta(gamma, w) == pytest.approx(gamma / 2.0, abs=1e-12)
-        assert compute_eta(gamma, w) == pytest.approx(0.4698, abs=5e-4)
-
-    def test_gamma_out_of_range(self):
-        w = WeightingScheme((np.ones(2),))
-        for bad in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(ValueError):
-                compute_eta(bad, w)
 
 
 class TestSplittingComparison:
