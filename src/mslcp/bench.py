@@ -28,14 +28,14 @@ import json
 import os
 import sys
 
-from .asynchronous import AllEveryStep, AsyncSchedule, RandomFair, RoundRobin, \
-    solve_async_sim, solve_async_threaded
+from .asynchronous import READ_RULES, AllEveryStep, AsyncSchedule, RandomFair, \
+    RoundRobin, solve_async_sim, solve_async_threaded
 from .errors import ConvergenceError
 from .hmatrix import classify
 from .io import read_matrix_market, read_partition, read_vector, \
     write_matrix_market, write_vector
 from .problems import GridLcpSpec, make_grid_lcp
-from .splitting import Partition, build_block_splitting
+from .splitting import VARIANTS, Partition, build_block_splitting
 from .sublcp import LcpProblem, natural_residual
 from .sync import InnerSchedule, SolverConfig, solve_sync
 
@@ -339,7 +339,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rhs", help="right-hand-side vector file (one value per line)")
     p.add_argument("--m", type=int, default=2,
                    help="number of processors/splittings")
-    p.add_argument("--variant", choices=["jacobi", "block_lower_triangular"],
+    p.add_argument("--variant", choices=list(VARIANTS),
                    default="jacobi", help="splitting family")
     p.add_argument("--partition", default="contiguous",
                    help="contiguous or file:PATH")
@@ -352,7 +352,7 @@ def build_parser() -> _Parser:
                    help="staleness bound d (async-sim)")
     p.add_argument("--policy", default="all",
                    help="all | roundrobin:period | random:seed")
-    p.add_argument("--reads", choices=["latest", "stalest", "uniform"],
+    p.add_argument("--reads", choices=list(READ_RULES),
                    default="stalest", help="stale-read rule (async-sim)")
     p.add_argument("--outer-tol", type=float, default=1e-6, dest="outer_tol")
     p.add_argument("--max-outer", type=int, default=200000, dest="max_outer")

@@ -195,7 +195,7 @@ def spectral_radius_nonneg(apply, n: int, tol: float = 1e-10,
     return SpectralRadiusEstimate(upper, False, k + applied, lower)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixClass:
     """Classification flags for a square matrix.
 

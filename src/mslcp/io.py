@@ -11,16 +11,13 @@ import math
 
 import numpy as np
 from scipy.io import mmread, mmwrite
-from scipy.sparse import coo_array
 
 from .sparse import SparseMatrix, as_vector
 from .splitting import Partition
 
 
 def write_matrix_market(path, a: SparseMatrix) -> None:
-    rows = a.entry_rows()
-    coo = coo_array((a.values, (rows, a.col_indices)), shape=(a.n_rows, a.n_cols))
-    mmwrite(str(path), coo, field="real", symmetry="general")
+    mmwrite(str(path), a.to_scipy(), field="real", symmetry="general")
 
 
 def read_matrix_market(path) -> SparseMatrix:
@@ -53,12 +50,6 @@ def read_vector(path) -> np.ndarray:
         entries = [_parse(path, lineno, line.strip(), float)
                    for lineno, line in enumerate(fh, 1) if line.strip()]
     return as_vector(entries, name="vector file")
-
-
-def write_partition(path, partition: Partition) -> None:
-    with open(path, "w") as fh:
-        for idx in partition.owner_sets:
-            fh.write(" ".join(str(int(j)) for j in idx) + "\n")
 
 
 def read_partition(path, n: int) -> Partition:

@@ -118,7 +118,7 @@ def as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseMatrix:
     """Immutable CSR matrix over float64.
 
@@ -185,31 +185,6 @@ class SparseMatrix:
         require_finite("matrix", a)
         return SparseMatrix.from_scipy(scipy.sparse.csr_array(a))
 
-    @staticmethod
-    def from_coo(n_rows: int, n_cols: int, rows, cols, vals) -> "SparseMatrix":
-        """Build from coordinate triplets; duplicates are summed, zeros dropped."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if not (rows.shape == cols.shape == vals.shape):
-            raise ValueError("coordinate arrays must have equal length")
-        require_finite("values", vals)
-        if len(rows):
-            if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
-                raise ValueError("coordinate index out of range")
-        coo = scipy.sparse.coo_array((vals, (rows, cols)), shape=(n_rows, n_cols))
-        return SparseMatrix.from_scipy(coo)
-
-    @staticmethod
-    def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix.from_diagonal(np.ones(n))
-
-    @staticmethod
-    def from_diagonal(d) -> "SparseMatrix":
-        d = as_vector(d, name="diagonal")
-        return SparseMatrix.from_scipy(
-            scipy.sparse.dia_array((d[None, :], [0]), shape=(len(d), len(d))))
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -273,7 +248,10 @@ class SparseMatrix:
         return SparseMatrix(self.n_rows, self.n_cols, np.cumsum(offsets),
                             self.col_indices[keep], values[keep])
 
-    def equal_entries(self, other: "SparseMatrix") -> bool:
+    def __eq__(self, other) -> bool:
+        """Entry equality, which canonical form makes matrix equality."""
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
         return (
             self.n_rows == other.n_rows
             and self.n_cols == other.n_cols

@@ -44,7 +44,7 @@ def _block_error(b: int, text: str) -> ValueError:
     return exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Disjoint ownership of the index set {0..n-1} by m blocks; the sizes
     are stored as ``int`` (``sparse.as_count``).  An invalid block raises a
@@ -107,7 +107,7 @@ class Partition:
         return Partition(n, m, tuple(blocks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightingScheme:
     """Diagonals of the weighting matrices E_i.
 
@@ -237,13 +237,13 @@ class ContractionOperator:
         return solve_lower_triangular(self.comp_m, w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultisplittingSet:
     """A validated family of splittings plus its weighting.
 
-    ``contraction_estimates[i]`` is the value of splitting i's
-    ``contraction_estimate``, so a set holds no radius of its own; no solver
-    reads it.  ``matrix_class`` carries the classification of the matrix the
+    A set holds no radius of its own: each splitting caches its
+    ``contraction_estimate``, and ``validate_multisplitting`` reports them.
+    ``matrix_class`` carries the classification of the matrix the
     set was built from, when known.  The blocks a processor owns are
     ``weighting.indicator_owners`` for an indicator weighting.  ``n`` is at
     least 1, because every weighting diagonal carries a positive entry.
@@ -262,10 +262,6 @@ class MultisplittingSet:
             raise ValueError("splittings and weighting must agree on m")
         if self.weighting.n != self.splittings[0].n:
             raise ValueError("weighting size does not match the splittings")
-
-    @property
-    def contraction_estimates(self) -> tuple:
-        return tuple(s.contraction_estimate.value for s in self.splittings)
 
     @property
     def m(self) -> int:

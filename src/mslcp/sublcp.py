@@ -27,7 +27,7 @@ from .errors import ConvergenceError
 from .sparse import SparseMatrix, as_vector, gauss_seidel_sweep, spmv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LcpProblem:
     """Data (A, f) of the complementarity problem
     x >= 0, A x - f >= 0, x . (A x - f) = 0."""
@@ -47,7 +47,7 @@ class LcpProblem:
         return self.A.n_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LcpSolution:
     """A computed solution with its accuracy measures."""
 

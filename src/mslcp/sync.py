@@ -137,7 +137,7 @@ class IterationReport:
     wall_time_seconds: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepEvent:
     """One outer step k, passed to a solver's ``on_step`` hook.
 

@@ -532,7 +532,7 @@ def overflowing_set(prob):
     solve's F / M overflows to +inf; processor 1 uses the Jacobi splitting."""
     base = build_block_splitting(prob.A, Partition.contiguous(prob.n, 2),
                                  "jacobi")
-    tiny = SparseMatrix.from_diagonal(np.full(prob.n, 5e-324))
+    tiny = SparseMatrix.from_dense(np.diag(np.full(prob.n, 5e-324)))
     bad = Splitting(tiny, SparseMatrix.from_scipy(tiny.to_scipy()
                                                   - prob.A.to_scipy()))
     return MultisplittingSet((bad, base.splittings[1]), base.weighting,

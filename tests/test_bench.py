@@ -375,8 +375,8 @@ class TestConfigFile:
               "seed": 3, "format": "json", "history": True, "timing": False}
 
     def _cases(self, tmp_path):
-        from mslcp import GridLcpSpec, Partition, make_grid_lcp
-        from mslcp.io import write_matrix_market, write_partition, write_vector
+        from mslcp import GridLcpSpec, make_grid_lcp
+        from mslcp.io import write_matrix_market, write_vector
         prob = make_grid_lcp(GridLcpSpec(p=5, shift=0.25))
         write_matrix_market(tmp_path / "a.mtx", prob.A)
         write_vector(tmp_path / "f.txt", prob.f)
@@ -384,8 +384,8 @@ class TestConfigFile:
         def interleaved(n):
             # the non-default partition: every third index to one block
             path = tmp_path / f"part{n}.txt"
-            write_partition(path, Partition(n, 3, tuple(
-                np.arange(i, n, 3) for i in range(3))))
+            path.write_text("".join(
+                " ".join(map(str, range(i, n, 3))) + "\n" for i in range(3)))
             return f"file:{path}"
 
         return {"grid": dict(self.COMMON, grid=6, shift=0.5,
@@ -425,6 +425,15 @@ class TestConfigFile:
 
 
 class TestModes:
+    def test_choices_are_the_library_constants(self):
+        from mslcp.asynchronous import READ_RULES
+        from mslcp.bench import MODES
+        from mslcp.splitting import VARIANTS
+        choices = {action.dest: tuple(action.choices)
+                   for action in build_parser()._actions if action.choices}
+        assert choices == {"variant": VARIANTS, "mode": tuple(MODES),
+                           "reads": READ_RULES, "format": ("json", "csv")}
+
     def test_smm_mode_forces_inner_tolerance(self, tmp_path):
         out = tmp_path / "smm.json"
         assert run(tmp_path, mode="smm", output=out) == 0

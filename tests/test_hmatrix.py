@@ -106,7 +106,8 @@ class TestSpectralRadius:
                                                        grid_multisplitting):
         # the non-symmetric contraction operators <M_i>^-1 |N_i|
         ms = grid_multisplitting(8, 4, "block_lower_triangular")
-        for s, est in zip(ms.splittings, ms.contraction_estimates):
+        for s in ms.splittings:
+            est = s.contraction_estimate.value
             t = dense_contraction_matrix(s.M, s.N)
             oracle = float(np.max(np.abs(np.linalg.eigvals(t))))
             assert abs(est - oracle) <= 1e-9 * oracle

@@ -113,7 +113,7 @@ class TestGridAssembly:
 
     def test_equals_its_comparison_matrix(self):
         a = make_grid_lcp(GridLcpSpec(p=6)).A
-        assert comparison_matrix(a).equal_entries(a)
+        assert comparison_matrix(a) == a
 
     def test_classified_h_plus(self):
         a = make_grid_lcp(GridLcpSpec(p=8)).A

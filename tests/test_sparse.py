@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse import coo_array
 
 from mslcp import SparseMatrix, abs_matrix, comparison_matrix, spmv
 from mslcp.sparse import (_FINITE_CHUNK, all_finite, as_vector, require_finite,
@@ -75,7 +76,7 @@ class TestConstruction:
         with pytest.raises(ValueError, match="x contains non-finite"):
             require_finite("x", row)
         with pytest.raises(ValueError, match="non-finite"):
-            spmv(SparseMatrix.identity(3), row)
+            spmv(SparseMatrix.from_dense(np.eye(3)), row)
         with pytest.raises(ValueError, match="matrix contains non-finite"):
             SparseMatrix.from_dense(np.array([row, [0.0, 2.0, 0.0]]))
 
@@ -85,7 +86,7 @@ class TestConstruction:
         row = np.array([1e308, 1e308])
         with np.errstate(over="ignore"):
             require_finite("x", row)
-            assert np.array_equal(spmv(SparseMatrix.identity(2), row), row)
+            assert np.array_equal(spmv(SparseMatrix.from_dense(np.eye(2)), row), row)
             wide = SparseMatrix.from_dense(np.array([[1.7e308, 1.7e308]]))
         assert np.array_equal(wide.values, [1.7e308, 1.7e308])
         with np.errstate(over="raise"):
@@ -116,7 +117,7 @@ class TestConstruction:
             with pytest.raises(ValueError, match="x contains non-finite"):
                 require_finite("x", row)
             with pytest.raises(ValueError, match="non-finite"):
-                spmv(SparseMatrix.identity(2), row)
+                spmv(SparseMatrix.from_dense(np.eye(2)), row)
         with np.errstate(all="raise"):
             with pytest.raises(ValueError, match="x contains non-finite"):
                 require_finite("x", row)
@@ -172,12 +173,13 @@ class TestConstruction:
             assert all_finite(row.reshape(-1, 3)[:, :2])
         assert [str(w.message) for w in caught] == []
 
-    def test_from_coo_sums_duplicates_and_drops_zeros(self):
-        sp = SparseMatrix.from_coo(2, 2, [0, 0, 1, 1], [1, 1, 0, 0],
-                                   [2.0, 3.0, 1.0, -1.0])
+    def test_from_scipy_sums_duplicates_and_drops_zeros(self):
+        sp = SparseMatrix.from_scipy(coo_array(
+            ([2.0, 3.0, 1.0, -1.0], ([0, 0, 1, 1], [1, 1, 0, 0])),
+            shape=(2, 2)))
         assert np.array_equal(sp.to_dense(), [[0.0, 5.0], [0.0, 0.0]])
 
-    def test_from_coo_duplicate_sums_within_rounding_bound(self):
+    def test_from_scipy_duplicate_sums_within_rounding_bound(self):
         # each stored entry is a k-term floating-point sum, so it lies within
         # (k-1) * 2^-52 * sum|v| of the exact sum; exact zero sums are dropped
         rng = np.random.default_rng(23)
@@ -190,7 +192,8 @@ class TestConstruction:
             rows = np.concatenate([rows, rows[cancel]])
             cols = np.concatenate([cols, cols[cancel]])
             vals = np.concatenate([vals, -vals[cancel]])
-            sp = SparseMatrix.from_coo(n, n, rows, cols, vals)
+            sp = SparseMatrix.from_scipy(
+                coo_array((vals, (rows, cols)), shape=(n, n)))
             assert np.all(sp.values != 0.0)
             dense = sp.to_dense()
             for r in range(n):
@@ -199,12 +202,29 @@ class TestConstruction:
                     bound = max(len(dup) - 1, 0) * 2.0 ** -52 \
                         * float(np.sum(np.abs(dup)))
                     assert abs(dense[r, c] - math.fsum(dup)) <= bound
-        zero = SparseMatrix.from_coo(1, 1, [0, 0, 0], [0, 0, 0],
-                                     [1e8, 1.0, -1e8 - 1.0])
+        zero = SparseMatrix.from_scipy(coo_array(
+            ([1e8, 1.0, -1e8 - 1.0], ([0, 0, 0], [0, 0, 0])), shape=(1, 1)))
         assert zero.nnz == 0
 
+    def test_equality_compares_entries(self):
+        dense = np.array([[4.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
+        a = SparseMatrix.from_dense(dense)
+        assert a == SparseMatrix.from_scipy(coo_array(
+            ([-1.0, 2.0, 4.0], ([0, 1, 0], [2, 1, 0])), shape=(2, 3)))
+        assert not a != SparseMatrix.from_dense(dense.copy())
+        other = dense.copy()
+        other[0, 2] = -1.5
+        assert a != SparseMatrix.from_dense(other)
+        other[0, 2] = 0.0
+        assert a != SparseMatrix.from_dense(other)
+        # the same entries in a wider matrix
+        assert a != SparseMatrix.from_dense(np.pad(dense, ((0, 0), (0, 1))))
+        assert a != "matrix"
+        with pytest.raises(TypeError):
+            hash(a)
+
     def test_values_are_immutable(self):
-        sp = SparseMatrix.identity(2)
+        sp = SparseMatrix.from_dense(np.eye(2))
         with pytest.raises(ValueError):
             sp.values[0] = 7.0
 
@@ -216,7 +236,7 @@ class TestConstruction:
 
 class TestSpmv:
     def test_identity(self):
-        assert np.array_equal(spmv(SparseMatrix.identity(3), [1.0, 2.0, 3.0]),
+        assert np.array_equal(spmv(SparseMatrix.from_dense(np.eye(3)), [1.0, 2.0, 3.0]),
                               [1.0, 2.0, 3.0])
 
     def test_row_sums(self):
@@ -230,11 +250,11 @@ class TestSpmv:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            spmv(SparseMatrix.identity(3), [1.0, 2.0])
+            spmv(SparseMatrix.from_dense(np.eye(3)), [1.0, 2.0])
 
     def test_rejects_nan_input(self):
         with pytest.raises(ValueError, match="non-finite"):
-            spmv(SparseMatrix.identity(2), [np.nan, 0.0])
+            spmv(SparseMatrix.from_dense(np.eye(2)), [np.nan, 0.0])
 
     def test_empty_rows(self):
         a = SparseMatrix.from_dense([[0.0, 1.0], [0.0, 0.0]])
@@ -261,7 +281,7 @@ class TestSpmv:
 
         rng = np.random.default_rng(11)
         cases = [SparseMatrix.from_dense([[2.5]]),
-                 SparseMatrix.from_coo(0, 4, [], [], []),
+                 SparseMatrix.from_dense(np.zeros((0, 4))),
                  SparseMatrix.from_dense([[0.0, 0.0], [1.0, 3.0]])]
         for _ in range(60):
             rows, cols = (int(v) for v in rng.integers(1, 30, 2))
@@ -285,8 +305,8 @@ class TestSpmv:
 
 class TestComparisonMatrix:
     def test_identity(self):
-        eye = SparseMatrix.identity(3)
-        assert comparison_matrix(eye).equal_entries(eye)
+        eye = SparseMatrix.from_dense(np.eye(3))
+        assert comparison_matrix(eye) == eye
 
     def test_sign_flip(self):
         a = SparseMatrix.from_dense([[-3.0, 1.0], [2.0, 5.0]])
@@ -295,7 +315,7 @@ class TestComparisonMatrix:
 
     def test_grid_matrix_unchanged(self, grid_problem):
         a = grid_problem(4).A
-        assert comparison_matrix(a).equal_entries(a)
+        assert comparison_matrix(a) == a
 
     def test_non_square_rejected(self):
         a = SparseMatrix.from_dense([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -307,13 +327,13 @@ class TestComparisonMatrix:
     def test_idempotent(self, d):
         a = SparseMatrix.from_dense(d)
         once = comparison_matrix(a)
-        assert comparison_matrix(once).equal_entries(once)
+        assert comparison_matrix(once) == once
 
 
 class TestAbsMatrix:
     def test_identity(self):
-        eye = SparseMatrix.identity(4)
-        assert abs_matrix(eye).equal_entries(eye)
+        eye = SparseMatrix.from_dense(np.eye(4))
+        assert abs_matrix(eye) == eye
 
     def test_entrywise(self):
         a = SparseMatrix.from_dense([[0.0, -2.0], [3.0, 0.0]])
@@ -324,7 +344,7 @@ class TestAbsMatrix:
     def test_negation_symmetry(self, d):
         a = SparseMatrix.from_dense(d)
         neg = SparseMatrix.from_dense(-d)
-        assert abs_matrix(neg).equal_entries(abs_matrix(a))
+        assert abs_matrix(neg) == abs_matrix(a)
 
 
 class TestLowerTriangularSolve:

@@ -145,7 +145,7 @@ class TestBruteForce:
                               [0.0, 0.0])
 
     def test_size_limit(self):
-        a = SparseMatrix.identity(21)
+        a = SparseMatrix.from_dense(np.eye(21))
         with pytest.raises(ValueError, match="n <= 20"):
             brute_force_lcp(LcpProblem(a, np.zeros(21)))
 
@@ -168,11 +168,11 @@ class TestNaturalResidual:
 class TestProblemValidation:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            LcpProblem(SparseMatrix.identity(3), [1.0, 2.0])
+            LcpProblem(SparseMatrix.from_dense(np.eye(3)), [1.0, 2.0])
 
     def test_rejects_nan_forcing(self):
         with pytest.raises(ValueError, match="non-finite"):
-            LcpProblem(SparseMatrix.identity(2), [np.nan, 1.0])
+            LcpProblem(SparseMatrix.from_dense(np.eye(2)), [np.nan, 1.0])
 
     def test_pgs_needs_positive_diagonal(self):
         a = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])

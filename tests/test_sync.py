@@ -462,7 +462,7 @@ class TestReport:
                                      "jacobi")
         on_diag = prob.A.entry_rows() == prob.A.col_indices
         whole = Splitting(prob.A.same_pattern(np.where(on_diag, 4.0, -3.0)),
-                          SparseMatrix.from_coo(9, 9, [], [], []))
+                          SparseMatrix.from_dense(np.zeros((9, 9))))
         assert whole.structure == "general"
         return MultisplittingSet(
             (base.splittings[0], whole), base.weighting,
@@ -652,11 +652,12 @@ def test_a_set_carries_only_its_own_radii(grid_problem):
     ms = _mixed_jacobi(prob)
     report = validate_multisplitting(prob.A, ms)
     assert report.ok
-    assert ms.contraction_estimates == report.contraction_estimates
+    estimates = report.contraction_estimates
+    assert estimates == tuple(s.contraction_estimate.value
+                              for s in ms.splittings)
     rho_j = np.cos(np.pi / 7)
-    assert ms.contraction_estimates[0] == pytest.approx(rho_j, abs=1e-9)
-    assert ms.contraction_estimates[2] == pytest.approx((1.0 + rho_j) / 2.0,
-                                                        abs=1e-9)
+    assert estimates[0] == pytest.approx(rho_j, abs=1e-9)
+    assert estimates[2] == pytest.approx((1.0 + rho_j) / 2.0, abs=1e-9)
 
 
 def _uneven_partition(n, single_at):
@@ -1137,8 +1138,8 @@ class TestStackedGroups:
                             split.N.same_pattern(split.N.values * 1e308))
         else:
             # y = F / M overflows, so the second solve's spmv rejects it
-            odd = Splitting(SparseMatrix.from_diagonal(np.full(16, 5e-324)),
-                            split.N)
+            odd = Splitting(
+                SparseMatrix.from_dense(np.diag(np.full(16, 5e-324))), split.N)
         splits = tuple(odd if i == bad else split for i in range(4))
         ms = MultisplittingSet(splits, base.weighting,
                                matrix_class=base.matrix_class)
@@ -1306,8 +1307,8 @@ class TestStackedGroups:
                                                               * 1e308)),
             "n100": lambda s: Splitting(s.M, s.N.same_pattern(s.N.values
                                                               * 1e100)),
-            "tiny": lambda s: Splitting(SparseMatrix.from_diagonal(
-                np.full(prob.n, 5e-324)), s.N)}
+            "tiny": lambda s: Splitting(SparseMatrix.from_dense(np.diag(
+                np.full(prob.n, 5e-324))), s.N)}
         poisoned = {}
         for i in rng.choice(p, size=int(rng.integers(1, 3)), replace=False):
             kind = list(poisons)[rng.integers(3)]
@@ -1355,8 +1356,8 @@ class TestStackedGroups:
                                      "jacobi")
         split = base.splittings[0]
         splits = [Splitting(split.M, split.N) for _ in range(4)]
-        splits[1] = Splitting(SparseMatrix.from_diagonal(np.full(16, 5e-324)),
-                              split.N)
+        splits[1] = Splitting(
+            SparseMatrix.from_dense(np.diag(np.full(16, 5e-324))), split.N)
         splits[3] = Splitting(split.M,
                               split.N.same_pattern(split.N.values * 1e308))
         ms = MultisplittingSet(tuple(splits), base.weighting,
@@ -1386,7 +1387,7 @@ class TestClampDivergence:
                                      "jacobi")
         split = base.splittings[0]
         odd = Splitting(
-            SparseMatrix.from_diagonal(np.full(16, 5e-324)) if tiny
+            SparseMatrix.from_dense(np.diag(np.full(16, 5e-324))) if tiny
             else split.M, split.N.same_pattern(split.N.values * n_scale))
         return MultisplittingSet((odd,) * m, base.weighting,
                                  matrix_class=base.matrix_class)
@@ -1480,10 +1481,10 @@ def test_infinite_entry_that_no_row_reads_is_recomputed(structure):
     from mslcp.sync import _run_processor_inner
     m = [[1.0, 0.0, 0.0], [0.0, 5e-324, 0.0],
          [-0.5 if structure == "lower_triangular" else 0.0, 0.0, 1.0]]
-    split = Splitting(SparseMatrix.from_dense(m), SparseMatrix.from_coo(
-        3, 3, [1], [0], [-1.0]))
+    split = Splitting(SparseMatrix.from_dense(m), SparseMatrix.from_dense(
+        [[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     assert split.structure == structure
-    prob = LcpProblem(SparseMatrix.identity(3), [2.0, 1.0, 1.0])
+    prob = LcpProblem(SparseMatrix.from_dense(np.eye(3)), [2.0, 1.0, 1.0])
     with np.errstate(over="ignore"):
         first, _ = _run_processor_inner(prob, split, prob.f, np.zeros(3),
                                         1, None)
@@ -1556,8 +1557,9 @@ class TestLeanStepPath:
         prob = grid_problem(4)
         base = build_block_splitting(prob.A, Partition.contiguous(16, 2),
                                      "jacobi")
-        tiny = Splitting(SparseMatrix.from_diagonal(np.full(16, 5e-324)),
-                         base.splittings[0].N)
+        tiny = Splitting(
+            SparseMatrix.from_dense(np.diag(np.full(16, 5e-324))),
+            base.splittings[0].N)
         ms = MultisplittingSet((tiny, tiny), base.weighting,
                                matrix_class=base.matrix_class)
         cfg = fixed_cfg(1)
